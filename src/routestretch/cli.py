@@ -15,6 +15,7 @@ import random
 import sys
 
 from . import analytic, fitting, graphs, hierarchy, routing, svgplot
+from .routing import _fmt
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,10 +31,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".10g")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,7 +191,19 @@ def _read_csv_columns(path: str, columns: list[str]) -> list[tuple[float, ...]]:
             )
         rows = []
         for row in reader:
-            rows.append(tuple(float(row[c]) for c in columns))
+            values = []
+            for c in columns:
+                try:
+                    v = float(row[c])  # a short row holds None: TypeError
+                except (TypeError, ValueError):
+                    v = math.nan
+                if not math.isfinite(v):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: {c} is not a finite "
+                        f"number ({row[c]!r})"
+                    )
+                values.append(v)
+            rows.append(tuple(values))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return rows

@@ -67,6 +67,14 @@ def _r_squared(observed: Sequence[float], sse: float) -> float:
     return 1.0 - sse / sst
 
 
+def _finite_points(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    pts = [(float(a), float(b)) for a, b in points]
+    for i, pt in enumerate(pts):
+        if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
+            raise ValueError(f"point {i} is not finite: {pt}")
+    return pts
+
+
 def _constrained_slope(xs: list[float], ys: list[float], what: str) -> float:
     sxx = sum(x * x for x in xs)
     if sxx == 0:
@@ -76,7 +84,7 @@ def _constrained_slope(xs: list[float], ys: list[float], what: str) -> float:
 
 def fit_alpha_linear(points: Sequence[tuple[float, float]]) -> FitResult:
     """Fit s_p = 1 + alpha*(h - 1) to (height, path stretch) points."""
-    pts = [(float(h), float(sp)) for h, sp in points]
+    pts = _finite_points(points)
     if len(pts) < 2:
         raise ValueError(f"need at least two points (got {len(pts)})")
     xs = [h - 1.0 for h, _ in pts]
@@ -96,7 +104,7 @@ def fit_alpha_linear(points: Sequence[tuple[float, float]]) -> FitResult:
 
 def fit_alpha_ipea(points: Sequence[tuple[float, float]]) -> FitResult:
     """Fit s_p = 1 - alpha*ln(s_t) to (table stretch, path stretch) points."""
-    pts = [(float(st), float(sp)) for st, sp in points]
+    pts = _finite_points(points)
     if len(pts) < 2:
         raise ValueError(f"need at least two points (got {len(pts)})")
     for st, _ in pts:
@@ -137,7 +145,7 @@ def fit_alpha_eq3(
     range (0, alpha_max] doubles with a warning whenever the optimum
     lands on its upper edge, up to a hard cap.
     """
-    pts = [(float(sp), float(st)) for sp, st in points]
+    pts = _finite_points(points)
     if not pts:
         raise ValueError("need at least one point")
     if n_nodes < 2:

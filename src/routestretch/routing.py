@@ -20,17 +20,28 @@ otherwise the destination's ancestor cluster at the first level where
 the two label paths diverge.  Hops are counted against a loop guard of
 n_nodes; exceeding it raises RoutingLoopError naming the cycle.
 
-Measurement is single-threaded and deterministic.  The headline s_p is
-the ratio of means (mean hierarchical route length over mean shortest
-length); the mean of per-pair ratios is reported alongside for
+Measurement never walks routes one by one.  Forwarding is stateless, so
+a route's length obeys L(x, t) = 1 + L(next(x, t), t): measure fills an
+n x n next-hop array, one row per node, where each table entry covers
+every destination its key resolves to, then resolves all lengths
+toward a block of destinations at once by pointer jumping.  A pair
+whose jumps never reach its destination hits a missing entry or a
+cycle; the first such pair in source-major order is walked along the
+next-hop array and raises exactly what route() raises for it.  The
+result, including the bits of the per-pair ratio sum, equals routing
+every ordered pair with route() in source-major order.  The headline
+s_p is the ratio of means (mean hierarchical route length over mean
+shortest length); the mean of per-pair ratios is reported alongside for
 transparency but it is not s_p.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .graphs import Graph, all_pairs_shortest_lengths
 from .hierarchy import Hierarchy
@@ -184,15 +195,24 @@ def route(
         raise ValueError("src and dst must differ")
     paths = hierarchy.label_paths
     p_dst = paths[dst]
+
+    def next_hop(x: int) -> int | None:
+        px = paths[x]
+        if px == p_dst:
+            return tables[x].node_entries.get(dst)
+        j = next(i for i in range(len(px)) if px[i] != p_dst[i])
+        return tables[x].cluster_entries.get((j + 1, p_dst[j]))
+
+    return _follow(next_hop, n, src, dst)
+
+
+def _follow(next_hop: Callable[[int], int | None], n: int, src: int, dst: int) -> list[int]:
+    """Hop sequence src..dst along next_hop (None: no entry covers dst),
+    with the loop guard: more than n hops raises RoutingLoopError."""
     hops = [src]
     x = src
     while x != dst:
-        px = paths[x]
-        if px == p_dst:
-            nxt = tables[x].node_entries.get(dst)
-        else:
-            j = next(i for i in range(len(px)) if px[i] != p_dst[i])
-            nxt = tables[x].cluster_entries.get((j + 1, p_dst[j]))
+        nxt = next_hop(x)
         if nxt is None:
             raise RoutingError(f"node {x} has no entry covering destination {dst}")
         hops.append(nxt)
@@ -259,36 +279,113 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
+def _next_hops(
+    tables: Sequence[RoutingTable], hierarchy: Hierarchy
+) -> np.ndarray:
+    """n x n int32 array: [x, t] is x's next hop toward t as route()
+    resolves it, x itself on the diagonal, -1 where no entry covers t."""
+    n = hierarchy.n_nodes
+    paths = hierarchy.label_paths
+    # members under every label-path prefix: a node entry covers its target
+    # inside the owner's leaf, and a cluster entry (level, cid) covers the
+    # destinations whose paths first leave the owner's at that level into cid
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for u, p in enumerate(paths):
+        for k in range(len(p) + 1):
+            groups.setdefault(p[:k], []).append(u)
+    members = {key: np.array(mem, dtype=np.intp) for key, mem in groups.items()}
+    nxt = np.full((n, n), -1, dtype=np.int32)
+    for x, table in enumerate(tables):
+        row = nxt[x]
+        px = paths[x]
+        leaf = groups[px]
+        row[members[px]] = [table.node_entries.get(v, -1) for v in leaf]
+        for (level, cid), hop in table.cluster_entries.items():
+            if cid != px[level - 1]:
+                covered = members.get(px[: level - 1] + (cid,))
+                if covered is not None:
+                    row[covered] = hop
+        row[x] = x
+    return nxt
+
+
+# cells (destinations x (n + 1)) per pointer-jumping block: keeps each
+# block's temporaries to a few hundred kB whatever n is
+_BLOCK_CELLS = 1 << 16
+
+
+def _route_lengths(nxt: np.ndarray) -> np.ndarray:
+    """n x n int32 hop counts of every route, [src, dst], 0 on the diagonal.
+
+    Each block of destinations is resolved by pointer jumping: after r
+    rounds every node points 2**r hops down its route and holds the hops
+    it skipped.  Column n is a sink that absorbs missing entries.  The
+    first pair in source-major order that does not reach its destination
+    within n - 1 hops is walked along nxt, which raises what route()
+    raises for it.
+    """
+    n = len(nxt)
+    lengths = np.empty((n, n), dtype=np.int32)
+    block = max(1, _BLOCK_CELLS // (n + 1))
+    first_bad: tuple[int, int] | None = None
+    for t0 in range(0, n, block):
+        t1 = min(t0 + block, n)
+        rows = np.arange(t1 - t0)
+        targets = (t0 + rows)[:, None]
+        hop = np.full((t1 - t0, n + 1), n, dtype=np.int32)
+        hop[:, :n] = nxt[:, t0:t1].T
+        hop[hop < 0] = n
+        skipped = np.ones_like(hop)
+        skipped[rows, t0 + rows] = 0
+        skipped[:, n] = 0
+        offsets = (rows * (n + 1))[:, None]
+        for _ in range((n - 2).bit_length()):  # 2**rounds >= n - 1 hops
+            flat = hop + offsets
+            jumped = hop.ravel()[flat]
+            if np.array_equal(jumped, hop):
+                break
+            skipped += skipped.ravel()[flat]
+            hop = jumped
+        bad = hop[:, :n] != targets
+        if bad.any():
+            src = int(np.flatnonzero(bad.any(axis=0))[0])
+            pair = (src, t0 + int(np.flatnonzero(bad[:, src])[0]))
+            first_bad = pair if first_bad is None else min(first_bad, pair)
+        lengths[:, t0:t1] = skipped[:, :n].T
+    if first_bad is not None:
+        src, dst = first_bad
+        _follow(lambda x: int(nxt[x, dst]) if nxt[x, dst] >= 0 else None, n, src, dst)
+    return lengths
+
+
 def measure(
     graph: Graph,
     hierarchy: Hierarchy,
     method: str | None = None,
     dist: Sequence[Sequence[int]] | None = None,
 ) -> StretchReport:
-    """Route every ordered pair and report both stretch factors."""
+    """Length of every ordered pair's route and both stretch factors."""
     n = graph.n_nodes
     if n < 2:
         raise ValueError("stretch measurement needs at least two nodes")
     if dist is None:
         dist = all_pairs_shortest_lengths(graph)
     tables = build_tables(graph, hierarchy, dist)
-    total_hier = 0
-    total_short = 0
+    lengths = _route_lengths(_next_hops(tables, hierarchy))
+    # the per-pair ratios summed one by one in source-major order: cumsum
+    # accumulates sequentially, unlike np.sum, and the diagonal adds 0.0
     ratio_sum = 0.0
-    hist: Counter[int] = Counter()
     for src in range(n):
-        drow = dist[src]
-        for dst in range(n):
-            if dst == src:
-                continue
-            hier_len = len(route(tables, graph, hierarchy, src, dst)) - 1
-            total_hier += hier_len
-            total_short += drow[dst]
-            ratio_sum += hier_len / drow[dst]
-            hist[hier_len] += 1
+        short = np.array(dist[src], dtype=np.float64)
+        short[src] = 1.0
+        ratios = lengths[src] / short
+        ratios[0] += ratio_sum
+        ratio_sum = float(np.cumsum(ratios)[-1])
+    counts = np.bincount(lengths.ravel())
+    counts[0] -= n
     pairs = n * (n - 1)
-    mean_hier = total_hier / pairs
-    mean_short = total_short / pairs
+    mean_hier = int(lengths.sum(dtype=np.int64)) / pairs
+    mean_short = sum(map(sum, dist)) / pairs
     mean_table = sum(t.length for t in tables) / n
     return StretchReport(
         n_nodes=n,
@@ -300,5 +397,5 @@ def measure(
         mean_hier_path=mean_hier,
         mean_shortest_path=mean_short,
         mean_path_ratio=ratio_sum / pairs,
-        histogram=tuple(sorted(hist.items())),
+        histogram=tuple((k, c) for k, c in enumerate(counts.tolist()) if c),
     )

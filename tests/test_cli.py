@@ -241,6 +241,24 @@ def test_fit_missing_column_exit_2(tmp_path, capsys):
     assert "missing column(s)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["linear", "ipea", "eq3"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc", ""])
+def test_fit_rejects_non_finite_value_exit_2(tmp_path, capsys, model, cell):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"n,levels,s_p,s_t\n10,2,1.2,0.5\n10,3,{cell},0.25\n")
+    assert main(["fit", "--model", model, "--input", str(pts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{pts}: line 3: s_p is not a finite number" in captured.err
+
+
+def test_fit_short_row_exit_2(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("levels,s_p\n2,1.2\n3\n")
+    assert main(["fit", "--model", "linear", "--input", str(pts)]) == 2
+    assert "line 3: s_p is not a finite number" in capsys.readouterr().err
+
+
 def test_simulate_csv_appends(tmp_path):
     graph = tmp_path / "g.graph"
     hier = tmp_path / "h.clusters"

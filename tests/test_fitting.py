@@ -104,6 +104,20 @@ def test_eq3_error_paths():
         ft.fit_alpha_eq3([(0.9, 0.5), (2.0, 0.4)], 10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fit", [
+    ft.fit_alpha_linear,
+    ft.fit_alpha_ipea,
+    lambda pts: ft.fit_alpha_eq3(pts, 10),
+], ids=["linear", "ipea", "eq3"])
+def test_non_finite_points_rejected(fit, bad):
+    # a NaN once slipped through eq3 as alpha_hat 0.0002 with a nan SSE
+    good = [(2.0, 0.5), (3.0, 0.25)]
+    for pt in ((bad, 0.5), (2.0, bad)):
+        with pytest.raises(ValueError, match="point 1 is not finite"):
+            fit([good[0], pt])
+
+
 def test_curve_deviation_against_default_sweep():
     series = an.sweep_curve(an.AnalyticParams(n_nodes=10, alpha=0.987))
     got = ft.curve_deviation(series, [(2.2, 0.6264), (2.2, 0.7)])

@@ -174,6 +174,61 @@ def test_missing_entry_raises():
         rt.route(tables, g, h, 3, 4)
 
 
+def measure_with(monkeypatch, tables, g, h):
+    monkeypatch.setattr(rt, "build_tables", lambda *args: tables)
+    return rt.measure(g, h)
+
+
+def walker_error(tables, g, h):
+    """What routing every pair with route() in source-major order raises first."""
+    for src in range(g.n_nodes):
+        for dst in range(g.n_nodes):
+            if src != dst:
+                try:
+                    rt.route(tables, g, h, src, dst)
+                except rt.RoutingError as exc:
+                    return exc
+    return None
+
+
+def test_measure_reports_loop_from_next_hops(monkeypatch):
+    g, h, tables = ring8_setup()
+    tables[0].cluster_entries[(1, 1)] = 1
+    tables[1].cluster_entries[(1, 1)] = 0
+    want = walker_error(tables, g, h)
+    with pytest.raises(rt.RoutingLoopError) as exc:
+        measure_with(monkeypatch, tables, g, h)
+    cycle = exc.value.cycle
+    assert cycle[0] == cycle[-1]
+    assert set(cycle) == {0, 1}
+    assert str(exc.value) == str(want)
+    assert cycle == want.cycle
+
+
+def test_measure_reports_missing_entry(monkeypatch):
+    g, h, tables = ring8_setup()
+    del tables[3].node_entries[4]
+    with pytest.raises(rt.RoutingError, match="no entry covering destination 4") as exc:
+        measure_with(monkeypatch, tables, g, h)
+    assert not isinstance(exc.value, rt.RoutingLoopError)
+    assert str(exc.value) == str(walker_error(tables, g, h))
+
+
+@pytest.mark.parametrize("block_cells", [1, 20, 1 << 16])
+def test_measure_names_the_walkers_first_fault(monkeypatch, block_cells):
+    # faults in several destination blocks: the one raised is the walker's
+    # first faulty pair in source-major order, whatever the block size
+    monkeypatch.setattr(rt, "_BLOCK_CELLS", block_cells)
+    g, h, tables = ring8_setup()
+    del tables[7].node_entries[0]  # faults toward 0 from sources 3..7
+    tables[0].cluster_entries[(1, 1)] = 1  # a loop from 0 to 3 comes first
+    tables[1].cluster_entries[(1, 1)] = 0
+    want = walker_error(tables, g, h)
+    with pytest.raises(type(want)) as exc:
+        measure_with(monkeypatch, tables, g, h)
+    assert str(exc.value) == str(want)
+
+
 def test_route_argument_guards():
     g, h, tables = ring8_setup()
     with pytest.raises(ValueError):
