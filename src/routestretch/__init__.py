@@ -39,7 +39,6 @@ from .graphs import (
     bfs_lengths,
     generate,
     grid_graph,
-    mean_pairwise_distance,
     random_graph,
     ring_graph,
     torus_graph,

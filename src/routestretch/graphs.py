@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class GraphFormatError(ValueError):
@@ -59,6 +59,11 @@ class Graph:
             seen.add(e)
             canon.append(e)
         canon.sort()
+        message = f"graph with {n_nodes} nodes and {len(canon)} edges is not connected"
+        # fewer than n - 1 edges cannot connect n nodes: fail before
+        # allocating adjacency for a node count read from a file
+        if len(canon) < n_nodes - 1:
+            raise DisconnectedGraphError(message)
         self.n_nodes = n_nodes
         self.edges: tuple[tuple[int, int], ...] = tuple(canon)
         adj: list[list[int]] = [[] for _ in range(n_nodes)]
@@ -66,10 +71,8 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(ns)) for ns in adj)
-        if not _connected(n_nodes, self.adj):
-            raise DisconnectedGraphError(
-                f"graph with {n_nodes} nodes and {len(canon)} edges is not connected"
-            )
+        if not _connected_set(set(range(n_nodes)), self.adj):
+            raise DisconnectedGraphError(message)
 
     @property
     def num_edges(self) -> int:
@@ -93,19 +96,20 @@ class Graph:
         return f"Graph(n_nodes={self.n_nodes}, num_edges={self.num_edges})"
 
 
-def _connected(n: int, adj: Sequence[Sequence[int]]) -> bool:
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
+def _connected_set(nodes: set[int], adj) -> bool:
+    """Whether `nodes` induce a connected subgraph (the empty set does)."""
+    if len(nodes) <= 1:
+        return True
+    start = next(iter(nodes))
+    seen = {start}
+    queue = deque([start])
     while queue:
         u = queue.popleft()
         for w in adj[u]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
+            if w in nodes and w not in seen:
+                seen.add(w)
                 queue.append(w)
-    return count == n
+    return len(seen) == len(nodes)
 
 
 def ring_graph(n: int) -> Graph:
@@ -281,11 +285,3 @@ def all_pairs_shortest_lengths(graph: Graph) -> list[list[int]]:
     """Full hop-distance matrix, one BFS per source."""
     return [bfs_lengths(graph, s) for s in range(graph.n_nodes)]
 
-
-def mean_pairwise_distance(dist: Sequence[Sequence[int]]) -> float:
-    """Mean over ordered distinct pairs of a distance matrix."""
-    n = len(dist)
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    total = sum(sum(row) for row in dist)
-    return total / (n * (n - 1))

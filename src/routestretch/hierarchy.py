@@ -29,8 +29,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
-from .graphs import Graph
+from .graphs import Graph, _connected_set
 
 
 class HierarchyFormatError(ValueError):
@@ -84,14 +85,6 @@ class Hierarchy:
             groups.setdefault(p[level - 1], []).append(u)
         return groups
 
-    def leaf_groups(self) -> dict[tuple[int, ...], list[int]]:
-        """Members keyed by full label path; one group holding everyone when flat."""
-        self._require_uniform()
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for u, p in enumerate(self.label_paths):
-            groups.setdefault(p, []).append(u)
-        return groups
-
 
 @dataclass(frozen=True)
 class HierarchyStats:
@@ -120,21 +113,6 @@ def stats(hierarchy: Hierarchy) -> HierarchyStats:
 def flat_hierarchy(graph: Graph) -> Hierarchy:
     """The trivial single-level hierarchy (every table keeps all N entries)."""
     return Hierarchy(1, tuple(() for _ in range(graph.n_nodes)), method="flat")
-
-
-def _connected_set(nodes: set[int], adj) -> bool:
-    if len(nodes) <= 1:
-        return True
-    start = next(iter(nodes))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w in nodes and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(nodes)
 
 
 def _components(nodes: set[int], adj) -> list[list[int]]:
@@ -335,18 +313,6 @@ def build_grid_blocks(
     return nest_grid_blocks(graph, rows, cols, [(block_rows, block_cols)])
 
 
-def _induced_connected(members: list[int], member_set: set[int], adj) -> bool:
-    seen = {members[0]}
-    queue = deque([members[0]])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w in member_set and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(members)
-
-
 def validate(hierarchy: Hierarchy, graph: Graph) -> list[str]:
     """Check the three hierarchy invariants; returns violations, empty if valid.
 
@@ -382,7 +348,7 @@ def validate(hierarchy: Hierarchy, graph: Graph) -> list[str]:
                         f"nesting: level {level} cluster {cid} spans "
                         f"{len(prefixes)} parent clusters"
                     )
-            if not _induced_connected(members, set(members), graph.adj):
+            if not _connected_set(set(members), graph.adj):
                 violations.append(
                     f"connectivity: level {level} cluster {cid} induces a "
                     "disconnected subgraph"
@@ -427,9 +393,10 @@ def load(path: str, method: str = "file") -> Hierarchy:
     if not rows:
         raise HierarchyFormatError("file lists no nodes")
     n = max(rows) + 1
-    missing = [u for u in range(n) if u not in rows]
+    # a bounded scan: one node id read from the file can be huge
+    missing = list(islice((u for u in range(n) if u not in rows), 5))
     if missing:
-        raise HierarchyFormatError(f"missing entries for nodes {missing[:5]}")
+        raise HierarchyFormatError(f"missing entries for nodes {missing}")
     paths = tuple(rows[u] for u in range(n))
     levels = 1 + max(len(p) for p in paths)
     return Hierarchy(levels, paths, method=method)

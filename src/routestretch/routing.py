@@ -7,12 +7,22 @@ at that level - 1).  Next hops take the first edge of a breadth-first
 shortest path computed inside the tightest cluster enclosing both the
 owner and the target: the leaf cluster for node entries, the owner's
 parent cluster at the key's level for sibling-cluster entries (the
-whole graph for top-level keys).  Routes therefore descend through a
+entire graph for top-level keys).  Routes therefore descend through a
 common parent and never leave it, which is what keeps stateless
 per-hop forwarding loop-free.  Where several first edges tie, the
 lowest node id wins.  An entry for a sibling cluster aims at that
 cluster's nearest member (nearest by hop count inside the parent, ties
 by lowest member id, then lowest next-hop id).
+
+Tables come from breadth-first searches that carry gateways, and no
+distance matrix is kept.  Each sibling cluster gets one search started
+from all of its members and confined to its parent; each leaf member
+gets one search started from itself and confined to its leaf.  A
+reached node records its distance, its gateway (nearest source, lowest
+id among ties) and its next hop (lowest-id neighbor one layer closer
+with that gateway).  That costs O(branching * edges) per level for the
+sibling entries plus one search of the leaf per leaf member, and
+memory for one search's results beyond the tables themselves.
 
 Forwarding resolves the destination to the finest key the current node
 can see: the destination itself inside the node's own leaf cluster,
@@ -29,10 +39,11 @@ whose jumps never reach its destination hits a missing entry or a
 cycle; the first such pair in source-major order is walked along the
 next-hop array and raises exactly what route() raises for it.  The
 result, including the bits of the per-pair ratio sum, equals routing
-every ordered pair with route() in source-major order.  The headline
-s_p is the ratio of means (mean hierarchical route length over mean
-shortest length); the mean of per-pair ratios is reported alongside for
-transparency but it is not s_p.
+every ordered pair with route() in source-major order.  Shortest
+lengths come from one breadth-first search per source, one row at a
+time.  The headline s_p is the ratio of means (mean hierarchical route
+length over mean shortest length); the mean of per-pair ratios is
+reported alongside for transparency but it is not s_p.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, all_pairs_shortest_lengths
+from .graphs import Graph, bfs_lengths
 from .hierarchy import Hierarchy
 
 
@@ -75,109 +86,95 @@ class RoutingTable:
         return 1 + len(self.node_entries) + len(self.cluster_entries)
 
 
-def _induced_distances(nodes: Sequence[int], adj) -> dict[int, dict[int, int]]:
-    """All-pairs BFS hop counts inside the induced subgraph of `nodes`."""
-    node_set = set(nodes)
-    out: dict[int, dict[int, int]] = {}
-    for s in nodes:
-        d = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w in node_set and w not in d:
-                    d[w] = d[u] + 1
+def _prefix_groups(paths: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
+    """Members under every label-path prefix, in ascending id order: the
+    empty prefix is the entire graph, a full path is a leaf cluster."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for u, p in enumerate(paths):
+        for k in range(len(p) + 1):
+            groups.setdefault(p[:k], []).append(u)
+    return groups
+
+
+def _gateway_bfs(
+    adj, sources: Sequence[int], inside: set[int]
+) -> dict[int, tuple[int, int, int]]:
+    """node -> (distance, gateway, next hop) for every node of `inside`
+    that a breadth-first search from `sources` reaches without leaving it.
+
+    The gateway is the nearest source, ties going to the lowest id; the
+    next hop is the lowest-id neighbor one step closer to that gateway.
+    A node's nearest sources are the union of those of its neighbors one
+    layer closer, so both follow from the minimum (gateway, hop) pair
+    over that layer, which is complete before the node is popped.
+    """
+    found = {s: (0, s, s) for s in sources}
+    queue = deque(sources)
+    while queue:
+        u = queue.popleft()
+        d, g, _ = found[u]
+        d += 1
+        for w in adj[u]:
+            if w in inside:
+                old = found.get(w)
+                if old is None:
+                    found[w] = (d, g, u)
                     queue.append(w)
-        out[s] = d
-    return out
+                elif old[0] == d and (g < old[1] or g == old[1] and u < old[2]):
+                    found[w] = (d, g, u)
+    return found
 
 
-def _hop_toward(adj, d_ctx: dict[int, dict[int, int]], u: int, t: int) -> int:
-    """First edge of a shortest u->t path inside the context whose
-    distances are d_ctx; adj rows are sorted, so the first qualifying
-    neighbor is the lowest id."""
-    du = d_ctx[u].get(t)
-    if du is None:
-        raise RoutingError(f"{t} unreachable from {u} inside its cluster")
-    for w in adj[u]:
-        row = d_ctx.get(w)
-        if row is not None and row.get(t) == du - 1:
-            return w
-    raise RoutingError(f"no shortest-path edge from {u} toward {t}")
-
-
-def build_tables(
-    graph: Graph,
-    hierarchy: Hierarchy,
-    dist: Sequence[Sequence[int]] | None = None,
-) -> tuple[RoutingTable, ...]:
-    """Tables for every node; pass a precomputed distance matrix to reuse it.
+def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]:
+    """Tables for every node.
 
     Next hops for a key are computed inside the induced subgraph of the
     tightest cluster enclosing both the owner and the key (see the
-    module docstring); hierarchy invariants guarantee those subgraphs
-    are connected.
+    module docstring).  A disconnected cluster raises RoutingError
+    naming a node and the target it cannot reach.
     """
     n = graph.n_nodes
     if hierarchy.n_nodes != n:
         raise ValueError(
             f"hierarchy covers {hierarchy.n_nodes} nodes, graph has {n}"
         )
-    if dist is None:
-        dist = all_pairs_shortest_lengths(graph)
-    # the whole graph is the context for top-level keys (and for a flat leaf)
-    whole: dict[int, dict[int, int]] = {
-        u: {v: dist[u][v] for v in range(n)} for u in range(n)
-    }
+    hierarchy._require_uniform()
+    adj = graph.adj
     paths = hierarchy.label_paths
-    leaf_groups = hierarchy.leaf_groups()
-    leaf_dist: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
-    for key, members in leaf_groups.items():
-        leaf_dist[key] = whole if len(members) == n else _induced_distances(members, graph.adj)
-    # per level: members of each cluster, sibling groups keyed by parent
-    # prefix, and induced distances of each parent cluster
-    level_members: list[dict[int, list[int]]] = []
-    level_siblings: list[dict[tuple[int, ...], list[int]]] = []
-    parent_dist: list[dict[tuple[int, ...], dict[int, dict[int, int]]]] = []
-    prev_members: dict[int, list[int]] | None = None
-    for level in range(1, hierarchy.levels):
-        members = hierarchy.clusters_at_level(level)
-        level_members.append(members)
-        sib: dict[tuple[int, ...], list[int]] = {}
-        for cid, mem in members.items():
-            sib.setdefault(paths[mem[0]][: level - 1], []).append(cid)
-        level_siblings.append(sib)
-        ctx: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
-        if level == 1:
-            ctx[()] = whole
-        else:
-            assert prev_members is not None
-            for pcid, pmem in prev_members.items():
-                prefix = paths[pmem[0]][: level - 1]
-                ctx[prefix] = _induced_distances(pmem, graph.adj)
-        parent_dist.append(ctx)
-        prev_members = members
-    tables = []
-    for u in range(n):
-        pu = paths[u]
-        node_entries: dict[int, int] = {}
-        d_leaf = leaf_dist[pu]
-        for v in leaf_groups[pu]:
-            if v != u:
-                node_entries[v] = _hop_toward(graph.adj, d_leaf, u, v)
-        cluster_entries: dict[tuple[int, int], int] = {}
-        for level in range(1, hierarchy.levels):
-            own = pu[level - 1]
-            d_ctx = parent_dist[level - 1][pu[: level - 1]]
-            du = d_ctx[u]
-            for cid in level_siblings[level - 1][pu[: level - 1]]:
-                if cid == own:
-                    continue
-                members = level_members[level - 1][cid]
-                gateway = min(members, key=lambda mm: (du[mm], mm))
-                cluster_entries[(level, cid)] = _hop_toward(graph.adj, d_ctx, u, gateway)
-        tables.append(RoutingTable(u, node_entries, cluster_entries))
-    return tuple(tables)
+    depth = hierarchy.levels - 1
+    groups = _prefix_groups(paths)
+    node_entries: list[dict[int, int]] = [{} for _ in range(n)]
+    cluster_entries: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    # by prefix length, so every table lists its cluster entries level by level
+    for key in sorted(groups, key=len):
+        members = groups[key]
+        if key:
+            # a sibling-cluster entry for every node of the parent outside key
+            level, cid = len(key), key[-1]
+            parent = groups[key[:-1]]
+            found = _gateway_bfs(adj, members, set(parent))
+            for u in parent:
+                if paths[u][level - 1] != cid:
+                    if u not in found:
+                        raise RoutingError(
+                            f"node {u} cannot reach level {level} cluster {cid} "
+                            f"inside level {level - 1} cluster {key[-2]}"
+                        )
+                    cluster_entries[u][(level, cid)] = found[u][2]
+        if len(key) == depth:
+            inside = set(members)
+            for t in members:
+                found = _gateway_bfs(adj, [t], inside)
+                for u in members:
+                    if u != t:
+                        if u not in found:
+                            raise RoutingError(
+                                f"node {u} cannot reach node {t} inside its leaf cluster"
+                            )
+                        node_entries[u][t] = found[u][2]
+    return tuple(
+        RoutingTable(u, node_entries[u], cluster_entries[u]) for u in range(n)
+    )
 
 
 def route(
@@ -286,13 +283,10 @@ def _next_hops(
     resolves it, x itself on the diagonal, -1 where no entry covers t."""
     n = hierarchy.n_nodes
     paths = hierarchy.label_paths
-    # members under every label-path prefix: a node entry covers its target
-    # inside the owner's leaf, and a cluster entry (level, cid) covers the
-    # destinations whose paths first leave the owner's at that level into cid
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for u, p in enumerate(paths):
-        for k in range(len(p) + 1):
-            groups.setdefault(p[:k], []).append(u)
+    # a node entry covers its target inside the owner's leaf, and a cluster
+    # entry (level, cid) covers the destinations whose paths first leave
+    # the owner's at that level into cid
+    groups = _prefix_groups(paths)
     members = {key: np.array(mem, dtype=np.intp) for key, mem in groups.items()}
     nxt = np.full((n, n), -1, dtype=np.int32)
     for x, table in enumerate(tables):
@@ -362,21 +356,21 @@ def measure(
     graph: Graph,
     hierarchy: Hierarchy,
     method: str | None = None,
-    dist: Sequence[Sequence[int]] | None = None,
 ) -> StretchReport:
     """Length of every ordered pair's route and both stretch factors."""
     n = graph.n_nodes
     if n < 2:
         raise ValueError("stretch measurement needs at least two nodes")
-    if dist is None:
-        dist = all_pairs_shortest_lengths(graph)
-    tables = build_tables(graph, hierarchy, dist)
+    tables = build_tables(graph, hierarchy)
     lengths = _route_lengths(_next_hops(tables, hierarchy))
     # the per-pair ratios summed one by one in source-major order: cumsum
     # accumulates sequentially, unlike np.sum, and the diagonal adds 0.0
     ratio_sum = 0.0
+    short_sum = 0
     for src in range(n):
-        short = np.array(dist[src], dtype=np.float64)
+        row = bfs_lengths(graph, src)
+        short_sum += sum(row)
+        short = np.array(row, dtype=np.float64)
         short[src] = 1.0
         ratios = lengths[src] / short
         ratios[0] += ratio_sum
@@ -385,7 +379,7 @@ def measure(
     counts[0] -= n
     pairs = n * (n - 1)
     mean_hier = int(lengths.sum(dtype=np.int64)) / pairs
-    mean_short = sum(map(sum, dist)) / pairs
+    mean_short = short_sum / pairs
     mean_table = sum(t.length for t in tables) / n
     return StretchReport(
         n_nodes=n,

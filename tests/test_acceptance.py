@@ -197,11 +197,10 @@ def test_criterion_7_torus_slope_fit(capsys):
     def body():
         start = time.perf_counter()
         g = gr.torus_graph(16, 16)
-        dist = gr.all_pairs_shortest_lengths(g)
         pts = []
         for levels in (1, 2, 3, 4):
             h = hi.build_balanced(g, levels=levels, branching=2)
-            rep = rt.measure(g, h, dist=dist)
+            rep = rt.measure(g, h)
             pts.append((levels, rep.s_p))
         fit = ft.fit_alpha_linear(pts)
         elapsed = time.perf_counter() - start

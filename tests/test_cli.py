@@ -139,6 +139,14 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     assert main([
         "cluster", "--graph", str(bad), "--out", str(tmp_path / "h.clusters"),
     ]) == 2
+    # a huge node count with too few edges fails before any allocation
+    huge = tmp_path / "huge.graph"
+    huge.write_text("n 1000000000000\n0 1\n")
+    hier = tmp_path / "two.clusters"
+    hier.write_text("0\n1\n")
+    capsys.readouterr()
+    assert main(["simulate", "--graph", str(huge), "--hierarchy", str(hier)]) == 2
+    assert "graph with 1000000000000 nodes and 1 edges is not connected" in capsys.readouterr().err
     # negative sweep step
     assert main([
         "curve", "--n-nodes", "10", "--step", "-0.1",

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from routestretch import graphs as gr
+from routestretch import hierarchy as hi
+from routestretch import routing as rt
 
 
 def floyd_warshall(n, edges):
@@ -48,6 +50,9 @@ def test_graph_rejections():
     # two disjoint triangles
     with pytest.raises(gr.DisconnectedGraphError):
         gr.Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    # too few edges to connect the nodes: rejected before adjacency is built
+    with pytest.raises(gr.DisconnectedGraphError, match="10 nodes and 1 edges is not connected"):
+        gr.Graph(10, [(0, 1)])
 
 
 def test_graph_equality_and_hash():
@@ -168,11 +173,13 @@ def test_bfs_matches_floyd_warshall():
 
 
 def test_mean_pairwise_distance_hand_values():
+    # the mean over ordered pairs is reported as measure(...).mean_shortest_path
+    def mean_pairwise(g):
+        return rt.measure(g, hi.flat_hierarchy(g)).mean_shortest_path
+
     # ring8: per node distances 1,1,2,2,3,3,4 -> mean 16/7
-    d8 = gr.all_pairs_shortest_lengths(gr.ring_graph(8))
-    assert math.isclose(gr.mean_pairwise_distance(d8), 16.0 / 7.0, rel_tol=1e-15)
+    assert math.isclose(mean_pairwise(gr.ring_graph(8)), 16.0 / 7.0, rel_tol=1e-15)
     # path on 2 nodes
-    d2 = gr.all_pairs_shortest_lengths(gr.Graph(2, [(0, 1)]))
-    assert gr.mean_pairwise_distance(d2) == 1.0
+    assert mean_pairwise(gr.Graph(2, [(0, 1)])) == 1.0
     with pytest.raises(ValueError):
-        gr.mean_pairwise_distance([[0]])
+        mean_pairwise(gr.Graph(1, []))

@@ -15,7 +15,6 @@ def test_flat_hierarchy():
     assert h.levels == 1
     assert h.n_nodes == 8
     assert h.method == "flat"
-    assert h.leaf_groups() == {(): list(range(8))}
     with pytest.raises(ValueError):
         h.clusters_at_level(1)
     st = hi.stats(h)
@@ -181,6 +180,9 @@ def test_load_rejects_malformed_files(tmp_path):
     assert attempt("0 -1\n").line_no == 1
     assert attempt("0 0\n0 1\n").line_no == 2
     assert "missing entries" in str(attempt("0 0\n3 1\n"))
+    # a huge node id: the scan stops at the first five missing ids
+    e = attempt("0 0\n1000000000000 1\n")
+    assert str(e) == "missing entries for nodes [1, 2, 3, 4, 5]"
     assert "no nodes" in str(attempt("# only a comment\n"))
 
 

@@ -126,9 +126,8 @@ def test_torus_regression_two_level():
 
 def test_torus_balanced_b2_frozen_numbers():
     g = gr.torus_graph(16, 16)
-    dist = gr.all_pairs_shortest_lengths(g)
     h = hi.build_balanced(g, levels=2, branching=2)
-    rep = rt.measure(g, h, dist=dist)
+    rep = rt.measure(g, h)
     assert rep.mean_table_length == 129.0
     assert rep.s_t == 129.0 / 256.0
     assert rep.mean_shortest_path == 8.031372549019608
@@ -237,6 +236,36 @@ def test_route_argument_guards():
         rt.route(tables, g, h, -1, 4)
     with pytest.raises(ValueError):
         rt.route(tables, g, h, 0, 8)
+
+
+def test_disconnected_parent_cluster_raises_routing_error():
+    # level-1 cluster 0 = {0, 1, 4, 5} falls apart on the ring; its level-2
+    # clusters {0, 1} and {4, 5} are connected but cannot reach each other
+    g = gr.ring_graph(8)
+    h = hi.Hierarchy(3, ((0, 0), (0, 0), (1, 2), (1, 2), (0, 1), (0, 1), (1, 3), (1, 3)))
+    for call in (rt.build_tables, rt.measure):
+        with pytest.raises(
+            rt.RoutingError, match="node 4 cannot reach level 2 cluster 0 inside level 1 cluster 0"
+        ):
+            call(g, h)
+
+
+def test_disconnected_leaf_raises_routing_error():
+    # leaf 0 = {0, 4} has no edge inside it; leaves {1, 2, 3} and {5, 6, 7} do
+    g = gr.ring_graph(8)
+    h = hi.Hierarchy(2, ((0,), (1,), (1,), (1,), (0,), (2,), (2,), (2,)))
+    for call in (rt.build_tables, rt.measure):
+        with pytest.raises(rt.RoutingError, match="node 4 cannot reach node 0"):
+            call(g, h)
+
+
+def test_non_uniform_label_paths_raise_value_error():
+    g = gr.ring_graph(8)
+    h = hi.Hierarchy(2, ((0,),) * 7 + ((),))
+    for call in (rt.build_tables, rt.measure):
+        with pytest.raises(ValueError, match="node 7 has a label path of length 0") as exc:
+            call(g, h)
+        assert not isinstance(exc.value, rt.RoutingError)
 
 
 def test_build_tables_rejects_mismatched_sizes():
