@@ -24,9 +24,7 @@ from .analytic import (
     tree_pair_distance,
 )
 from .fitting import (
-    DeviationReport,
     FitResult,
-    curve_deviation,
     fit_alpha_eq3,
     fit_alpha_ipea,
     fit_alpha_linear,

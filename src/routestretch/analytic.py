@@ -23,7 +23,6 @@ Every function is pure and raises ValueError on out-of-domain input.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -225,24 +224,6 @@ class CurveSeries:
     def grid_min(self) -> tuple[float, float, float]:
         """The sweep point with the smallest table stretch (first on ties)."""
         return min(self.points, key=lambda p: p[2])
-
-    def table_stretch_at(self, s_p: float) -> float:
-        """Linear interpolation of s_t at s_p; ValueError outside the sweep range."""
-        lo, hi = self.points[0][0], self.points[-1][0]
-        if s_p < lo or s_p > hi:
-            raise ValueError(f"s_p={s_p} outside the sweep range [{lo}, {hi}]")
-        xs = [p[0] for p in self.points]
-        i = bisect.bisect_right(xs, s_p)
-        if i == len(xs):
-            return self.points[-1][2]
-        if i == 0:
-            return self.points[0][2]
-        x0, _, y0 = self.points[i - 1]
-        x1, _, y1 = self.points[i]
-        if x1 == x0:
-            return y0
-        t = (s_p - x0) / (x1 - x0)
-        return y0 + t * (y1 - y0)
 
 
 def sweep_curve(

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import CurveSeries, golden_section_min
+from .analytic import golden_section_min
 
 _GRID_STEP = 1e-4
 _ALPHA_CAP = 40.0
@@ -202,25 +202,3 @@ def fit_alpha_eq3(
         n_points=len(pts),
         model="eq3",
     )
-
-
-@dataclass(frozen=True)
-class DeviationReport:
-    residuals: tuple[float, ...]
-    max_abs: float
-
-
-def curve_deviation(
-    series: CurveSeries, points: Sequence[tuple[float, float]]
-) -> DeviationReport:
-    """Residuals of observed (s_p, s_t) points against an analytic sweep.
-
-    Each residual is observed s_t minus the series linearly interpolated
-    at the observed s_p; points outside the sweep range raise.
-    """
-    if not points:
-        raise ValueError("need at least one point")
-    residuals = []
-    for sp, st in points:
-        residuals.append(st - series.table_stretch_at(sp))
-    return DeviationReport(tuple(residuals), max(abs(r) for r in residuals))

@@ -96,11 +96,8 @@ class Graph:
         return f"Graph(n_nodes={self.n_nodes}, num_edges={self.num_edges})"
 
 
-def _connected_set(nodes: set[int], adj) -> bool:
-    """Whether `nodes` induce a connected subgraph (the empty set does)."""
-    if len(nodes) <= 1:
-        return True
-    start = next(iter(nodes))
+def _component(start: int, nodes: set[int], adj) -> set[int]:
+    """The nodes of `nodes` that `start` (one of them) reaches inside them."""
     seen = {start}
     queue = deque([start])
     while queue:
@@ -109,7 +106,25 @@ def _connected_set(nodes: set[int], adj) -> bool:
             if w in nodes and w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return len(seen) == len(nodes)
+    return seen
+
+
+def _connected_set(nodes: set[int], adj) -> bool:
+    """Whether `nodes` induce a connected subgraph (the empty set does)."""
+    return len(nodes) <= 1 or len(_component(next(iter(nodes)), nodes, adj)) == len(nodes)
+
+
+def _components(nodes: set[int], adj) -> list[list[int]]:
+    """Connected components of the subgraph `nodes` induce, each sorted,
+    ordered by (size, lowest id)."""
+    remaining = set(nodes)
+    comps: list[list[int]] = []
+    while remaining:
+        comp = _component(min(remaining), remaining, adj)
+        comps.append(sorted(comp))
+        remaining -= comp
+    comps.sort(key=lambda c: (len(c), c[0]))
+    return comps
 
 
 def ring_graph(n: int) -> Graph:

@@ -20,6 +20,15 @@ Invariants of a well-formed hierarchy over a graph:
 ``validate`` reports violations instead of raising so broken files can
 be inspected.  Builders only ever produce valid hierarchies.
 
+``build_balanced`` grows each region breadth-first and never takes a
+node whose loss would disconnect the nodes still unassigned.  That test
+is exact but local: searches from the node's unassigned neighbours stop
+as soon as they all meet or one runs dry (``_severed``), and a node
+found to cut the remainder is not searched again while nodes are left
+on both sides of the cut (see ``_grow_regions``).  A candidate whose
+neighbours meet only far away still costs a search of the whole
+remainder, so the worst case stays quadratic in the cluster size.
+
 File format: one line per node, ``node_id path_0 path_1 ...``, sorted
 by node id; ``#`` comments and blank lines are skipped.
 """
@@ -31,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .graphs import Graph, _connected_set
+from .graphs import Graph, _components, _connected_set
 
 
 class HierarchyFormatError(ValueError):
@@ -115,22 +124,52 @@ def flat_hierarchy(graph: Graph) -> Hierarchy:
     return Hierarchy(1, tuple(() for _ in range(graph.n_nodes)), method="flat")
 
 
-def _components(nodes: set[int], adj) -> list[list[int]]:
-    remaining = set(nodes)
-    comps: list[list[int]] = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        queue = deque([start])
-        while queue:
+def _severed(w: int, nodes: set[int], adj) -> set[int] | None:
+    """Whether taking w out of a connected set left `nodes` (the rest)
+    disconnected: None if not, else one closed component of `nodes`.
+
+    Every node of `nodes` reaches w through one of w's neighbours in
+    `nodes`, so `nodes` is connected exactly when those neighbours reach
+    one another inside it.  One BFS starts at each neighbour; the
+    searches take turns expanding one node each and merge when they
+    meet.  When all have merged the answer is connected; a search that
+    runs dry first has explored a whole component, which is returned.
+    """
+    starts = [x for x in adj[w] if x in nodes]
+    if len(starts) <= 1:
+        return None
+    owner = {x: i for i, x in enumerate(starts)}
+    merged_into = list(range(len(starts)))
+
+    def root(i: int) -> int:
+        while merged_into[i] != i:
+            i = merged_into[i]
+        return i
+
+    queues = [deque([x]) for x in starts]
+    alive = len(starts)
+    while True:
+        for i, queue in enumerate(queues):
+            if merged_into[i] != i:
+                continue
+            if not queue:
+                return {x for x, j in owner.items() if root(j) == i}
             u = queue.popleft()
-            for w in adj[u]:
-                if w in remaining and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(sorted(seen))
-        remaining -= seen
-    return comps
+            for x in adj[u]:
+                if x not in nodes:
+                    continue
+                j = owner.get(x)
+                if j is None:
+                    owner[x] = i
+                    queue.append(x)
+                elif j != i:
+                    j = root(j)
+                    if j != i:
+                        merged_into[j] = i
+                        queue.extend(queues[j])
+                        alive -= 1
+                        if alive == 1:
+                            return None
 
 
 def _grow_regions(
@@ -151,6 +190,18 @@ def _grow_regions(
     whose severed fragments fit and swallows those fragments whole, so
     the surviving remainder is a single connected piece.  Deterministic;
     raises when a region cannot reach its target size any other way.
+
+    The disconnect test is exact but local.  After a successful pick or
+    a swallow the remainder is connected, so ``_severed`` only has to
+    check that the candidate's unassigned neighbours still meet.  Right
+    after a seed is taken unchecked, connectivity is unknown and the
+    whole remainder is searched instead, until the next pick.  A cut
+    vertex is remembered with the closed component it cut off and the
+    length of the `taken` log at that time; what is left of a closed
+    component stays closed as nodes are taken, so the vertex is re-tested
+    only once that component or everything outside it and the vertex has
+    been taken.  Worst case: a pick whose neighbours meet only around
+    the far side of the remainder still costs a search of all of it.
     """
     total = len(members)
     if parts > total:
@@ -159,12 +210,45 @@ def _grow_regions(
             f"level {level}: cannot split {where} of {total} nodes into {parts} parts"
         )
     unassigned = set(members)
+    taken: list[int] = []  # every node assigned so far, in order
+    # w -> (a closed component of unassigned - {w}, len(taken) and how
+    # many of the component were still unassigned when last checked)
+    cuts: dict[int, tuple[set[int], int, int]] = {}
+    connected = False  # whether unassigned is known to be connected
+
+    def take(x: int) -> None:
+        unassigned.remove(x)
+        taken.append(x)
+
+    def severs(w: int) -> bool:
+        """Whether taking w would disconnect the unassigned set."""
+        memo = cuts.get(w)
+        if memo is not None:
+            # what is left of a closed component stays closed, so w is
+            # a cut vertex while nodes are left on both sides of it
+            comp, since, left = memo
+            left -= sum(1 for x in taken[since:] if x in comp)
+            if 0 < left < len(unassigned) - 1:
+                cuts[w] = (comp, len(taken), left)
+                return True
+        unassigned.remove(w)
+        if connected:
+            comp = _severed(w, unassigned, adj)
+            if comp is not None:
+                cuts[w] = (comp, len(taken), len(comp))
+            cut = comp is not None
+        else:
+            cut = not _connected_set(unassigned, adj)
+        unassigned.add(w)
+        return cut
+
     base, rem = divmod(total, parts)
     regions: list[list[int]] = []
     for i in range(parts):
         target = base + (1 if i < rem else 0)
         seed = min(unassigned)
-        unassigned.remove(seed)
+        take(seed)
+        connected = False  # unchecked: the seed may cut the remainder
         region = [seed]
         layer = {seed: 0}
         heap: list[tuple[int, int]] = []
@@ -183,15 +267,15 @@ def _grow_regions(
                 lay, w = heapq.heappop(heap)
                 if w not in unassigned:
                     continue
-                unassigned.remove(w)
-                if _connected_set(unassigned, adj):
+                if not severs(w):
                     pick = (lay, w)
                     break
-                unassigned.add(w)
                 deferred.append((lay, w))
             if pick is not None:
                 for item in deferred:
                     heapq.heappush(heap, item)
+                take(pick[1])
+                connected = True
                 region.append(pick[1])
                 push_frontier(pick[1], pick[0])
                 continue
@@ -207,7 +291,6 @@ def _grow_regions(
             chosen = None
             for lay, w in deferred:
                 comps = _components(unassigned - {w}, adj)
-                comps.sort(key=lambda c: (len(c), c[0]))
                 eaten = sum(len(c) for c in comps[:-1])
                 if len(region) + 1 + eaten <= target:
                     chosen = (lay, w, comps[:-1])
@@ -219,14 +302,15 @@ def _grow_regions(
                     f"remainder connected at {len(region)} of {target} nodes"
                 )
             lay, w, fragments = chosen
-            unassigned.remove(w)
+            take(w)
             region.append(w)
             push_frontier(w, lay)
             for comp in fragments:
                 for x in comp:
-                    unassigned.remove(x)
+                    take(x)
                     region.append(x)
                     push_frontier(x, lay)
+            connected = True  # what is left is the largest component
             for item in deferred:
                 if item[1] in unassigned:
                     heapq.heappush(heap, item)

@@ -145,19 +145,6 @@ def test_grid_min_lands_near_the_reported_minimum():
     assert 0.6259 <= s_t <= 0.6265
 
 
-def test_table_stretch_at_interpolates():
-    series = an.sweep_curve(an.AnalyticParams(n_nodes=100), 1.0, 3.0, 0.5)
-    # exact grid point comes back unchanged
-    assert series.table_stretch_at(2.0) == series.points[2][2]
-    # midpoint is the average of its neighbors
-    mid = series.table_stretch_at(2.25)
-    assert math.isclose(mid, 0.5 * (series.points[2][2] + series.points[3][2]), rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        series.table_stretch_at(0.5)
-    with pytest.raises(ValueError):
-        series.table_stretch_at(3.5)
-
-
 def test_golden_section_min_on_a_parabola():
     x, fx = an.golden_section_min(lambda x: (x - 2.0) ** 2 + 1.0, 0.0, 5.0)
     assert math.isclose(x, 2.0, abs_tol=1e-6)

@@ -118,18 +118,6 @@ def test_non_finite_points_rejected(fit, bad):
             fit([good[0], pt])
 
 
-def test_curve_deviation_against_default_sweep():
-    series = an.sweep_curve(an.AnalyticParams(n_nodes=10, alpha=0.987))
-    got = ft.curve_deviation(series, [(2.2, 0.6264), (2.2, 0.7)])
-    assert math.isclose(got.residuals[0], 2.446689735802199e-05, rel_tol=1e-9)
-    assert math.isclose(got.residuals[1], 0.07362446689735802, rel_tol=1e-12)
-    assert got.max_abs == abs(got.residuals[1])
-    with pytest.raises(ValueError):
-        ft.curve_deviation(series, [(5.5, 0.5)])
-    with pytest.raises(ValueError):
-        ft.curve_deviation(series, [])
-
-
 def test_fit_result_guards_and_text():
     with pytest.raises(ValueError):
         ft.FitResult(0.0, 0.0, 1.0, 2, "eq3")

@@ -1,14 +1,24 @@
-"""Property checks of build_tables() and measure() against references.
+"""Property checks of build_balanced(), build_tables() and measure()
+against references.
 
-build_tables() finds next hops by gateway-carrying BFS runs; the table
-oracle below finds them from all-pairs distances inside each cluster,
-the definition the tables must reproduce exactly.  measure() resolves
-all route lengths at once from a next-hop array; the walker reference
-routes every pair with route() and must be reproduced exactly, down to
-the bits of the per-pair ratio sum.
+build_balanced() decides whether taking a node disconnects the
+unassigned remainder with a search near the node and a memo of known
+cut vertices; the clustering oracle below searches the whole remainder
+for every candidate, and its label paths and error messages must be
+reproduced exactly.  build_tables() finds next hops by gateway-carrying
+BFS runs; the table oracle below finds them from all-pairs distances
+inside each cluster, the definition the tables must reproduce exactly.
+measure() resolves all route lengths at once from a next-hop array; the
+walker reference routes every pair with route() and must be reproduced
+exactly, down to the bits of the per-pair ratio sum.
 """
 
+import hashlib
+import heapq
+import math
+import random
 from collections import Counter, deque
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -205,3 +215,223 @@ def test_torus_ladder_tables_equal_oracle(levels):
     g = gr.torus_graph(20, 20)
     h = hi.build_balanced(g, levels, 2)
     assert rt.build_tables(g, h) == oracle_tables(g, h)
+
+
+def _old_components(nodes, adj):
+    remaining = set(nodes)
+    comps = []
+    while remaining:
+        start = min(remaining)
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w in remaining and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        comps.append(sorted(seen))
+        remaining -= seen
+    return comps
+
+
+def oracle_regions(members, adj, parts, level, parent_id):
+    """The region-growing rule with one whole-remainder connectivity
+    search per candidate tried."""
+    where = "the node set" if parent_id is None else f"cluster {parent_id}"
+    total = len(members)
+    if parts > total:
+        raise hi.HierarchyBuildError(
+            f"level {level}: cannot split {where} of {total} nodes into {parts} parts"
+        )
+    unassigned = set(members)
+    base, rem = divmod(total, parts)
+    regions = []
+    for i in range(parts):
+        target = base + (1 if i < rem else 0)
+        seed = min(unassigned)
+        unassigned.remove(seed)
+        region = [seed]
+        layer = {seed: 0}
+        heap = []
+
+        def push_frontier(w, lay):
+            for x in adj[w]:
+                if x in unassigned and x not in layer:
+                    layer[x] = lay + 1
+                    heapq.heappush(heap, (lay + 1, x))
+
+        push_frontier(seed, 0)
+        while len(region) < target:
+            deferred = []
+            pick = None
+            while heap:
+                lay, w = heapq.heappop(heap)
+                if w not in unassigned:
+                    continue
+                unassigned.remove(w)
+                if gr._connected_set(unassigned, adj):
+                    pick = (lay, w)
+                    break
+                unassigned.add(w)
+                deferred.append((lay, w))
+            if pick is not None:
+                for item in deferred:
+                    heapq.heappush(heap, item)
+                region.append(pick[1])
+                push_frontier(pick[1], pick[0])
+                continue
+            if not deferred:
+                raise hi.HierarchyBuildError(
+                    f"level {level}, part {i} of {where}: stranded at "
+                    f"{len(region)} of {target} nodes (remainder disconnected)"
+                )
+            chosen = None
+            for lay, w in deferred:
+                comps = _old_components(unassigned - {w}, adj)
+                comps.sort(key=lambda c: (len(c), c[0]))
+                eaten = sum(len(c) for c in comps[:-1])
+                if len(region) + 1 + eaten <= target:
+                    chosen = (lay, w, comps[:-1])
+                    break
+            if chosen is None:
+                raise hi.HierarchyBuildError(
+                    f"level {level}, part {i} of {where}: cannot keep the "
+                    f"remainder connected at {len(region)} of {target} nodes"
+                )
+            lay, w, fragments = chosen
+            unassigned.remove(w)
+            region.append(w)
+            push_frontier(w, lay)
+            for comp in fragments:
+                for x in comp:
+                    unassigned.remove(x)
+                    region.append(x)
+                    push_frontier(x, lay)
+            for item in deferred:
+                if item[1] in unassigned:
+                    heapq.heappush(heap, item)
+        regions.append(sorted(region))
+    return regions
+
+
+def oracle_balanced(g, levels, branching):
+    """Label paths of the balanced clustering, built with oracle_regions."""
+    paths = [[] for _ in range(g.n_nodes)]
+    current = [(None, list(range(g.n_nodes)))]
+    for level in range(1, levels):
+        nxt = []
+        for parent_id, members in current:
+            for region in oracle_regions(members, g.adj, branching, level, parent_id):
+                for u in region:
+                    paths[u].append(len(nxt))
+                nxt.append((len(nxt), region))
+        current = nxt
+    return tuple(tuple(p) for p in paths)
+
+
+def balanced_outcome(build, g, levels, branching):
+    """Label paths, or the HierarchyBuildError message."""
+    try:
+        return build(g, levels, branching)
+    except hi.HierarchyBuildError as exc:
+        return f"HierarchyBuildError: {exc}"
+
+
+def new_balanced(g, levels, branching):
+    return hi.build_balanced(g, levels, branching).label_paths
+
+
+@st.composite
+def balanced_cases(draw):
+    levels = draw(st.integers(2, 4))
+    branching = draw(st.integers(2, 3))
+    n = draw(st.integers(branching ** (levels - 1), 60))
+    # from near-trees, which often cannot be split, to dense graphs
+    p = draw(st.floats(min(0.5, math.log(n) / n), 0.6))
+    try:
+        g = gr.random_graph(n, p, seed=draw(st.integers(0, 2**16)))
+    except gr.DisconnectedGraphError:
+        assume(False)
+    return g, levels, branching
+
+
+@settings(max_examples=300, deadline=None)
+@given(balanced_cases())
+def test_build_balanced_equals_oracle(case):
+    g, levels, branching = case
+    assert balanced_outcome(new_balanced, g, levels, branching) == balanced_outcome(
+        oracle_balanced, g, levels, branching
+    )
+
+
+def relabelled_torus(rows, cols, seed):
+    """A torus whose ids are permuted by the seed (seed 0 keeps them)."""
+    g = gr.torus_graph(rows, cols)
+    perm = list(range(g.n_nodes))
+    if seed:
+        random.Random(seed).shuffle(perm)
+    return gr.Graph(g.n_nodes, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_relabelled_torus_equals_oracle():
+    for seed in range(40):
+        g = relabelled_torus(20, 20, seed)
+        got = balanced_outcome(new_balanced, g, 4, 2)
+        assert got == balanced_outcome(oracle_balanced, g, 4, 2), seed
+
+
+@pytest.mark.parametrize("seed, at", [(19, 49), (29, 49), (33, 42)])
+def test_relabelled_torus_error_messages(seed, at):
+    # a known defect of the region-growing rule, kept message for message
+    with pytest.raises(hi.HierarchyBuildError) as info:
+        hi.build_balanced(relabelled_torus(20, 20, seed), 4, 2)
+    assert str(info.value) == (
+        f"level 3, part 0 of cluster 3: cannot keep the remainder connected "
+        f"at {at} of 50 nodes"
+    )
+
+
+@pytest.mark.parametrize("levels, digest", [
+    (2, "142ee2ed6829aaae38b072947849b41b9f202d9343ddf6cc9d8340036c024ac9"),
+    (3, "2b4373910325d4d96fb4c706c3f268690de627913c9394ea333556807790e611"),
+    (4, "1974316515d0810d69d88b42b8fe1133c8ee8815e2014bd7e6f7f69a42dd6459"),
+    (5, "000b024ef8488cd7d2880dbe1bdd8846ef3c6e1e4359d6d3811a9f4c72ca87f8"),
+])
+def test_torus_40_hierarchy_files_frozen(tmp_path, levels, digest):
+    # sha256 of the files written with one whole-remainder search per candidate
+    path = tmp_path / "torus.clusters"
+    hi.save(hi.build_balanced(gr.torus_graph(40, 40), levels, 2), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+SMALL_GRAPHS = {
+    "path-6": gr.Graph(6, [(i, i + 1) for i in range(5)]),
+    "ring-7": gr.ring_graph(7),
+    "star-5": gr.Graph(6, [(0, i) for i in range(1, 6)]),
+    "bowtie": gr.Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+    "grid-3x3": gr.grid_graph(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_GRAPHS)
+def test_local_cut_test_exhaustive(name):
+    # every connected remainder and every candidate in it
+    g = SMALL_GRAPHS[name]
+    adj = g.adj
+    for size in range(1, g.n_nodes + 1):
+        for chosen in combinations(range(g.n_nodes), size):
+            remainder = set(chosen)
+            if not gr._connected_set(remainder, adj):
+                continue
+            for w in chosen:
+                rest = remainder - {w}
+                comps = gr._components(rest, adj)
+                assert comps == sorted(comps, key=lambda c: (len(c), c[0]))
+                assert sorted(x for c in comps for x in c) == sorted(rest)
+                got = hi._severed(w, rest, adj)
+                assert (got is None) == gr._connected_set(rest, adj), (chosen, w)
+                if got is not None:
+                    # one whole component, reached from a neighbour of w
+                    assert sorted(got) in comps
+                    assert any(x in got for x in adj[w])
