@@ -34,7 +34,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     all_pairs_shortest_lengths,
-    bfs_lengths,
     generate,
     grid_graph,
     random_graph,

@@ -1,4 +1,4 @@
-"""Undirected unweighted graphs: generators, text files, BFS distances.
+"""Undirected unweighted graphs: generators, text files, hop distances.
 
 Node ids are dense integers 0..n-1.  Grid and torus generators number
 nodes row-major (id = row * cols + col).  Every Graph is connected; the
@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class GraphFormatError(ValueError):
@@ -280,23 +283,93 @@ def load(path: str) -> Graph:
     return Graph(n, edges)
 
 
-def bfs_lengths(graph: Graph, source: int) -> list[int]:
-    """Hop distances from source to every node."""
-    if not 0 <= source < graph.n_nodes:
-        raise ValueError(f"source {source} out of range")
-    dist = [-1] * graph.n_nodes
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in graph.adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+def _ranked_neighbors(adj, members: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(order, ranks) of the subgraph the ascending `members` induce, as
+    member positions.  `order` sorts the members by falling degree, ties
+    by position; ranks[r] holds neighbor r (counting from 0, lowest
+    first) of each of order[:len(ranks[r])], the members with more than
+    r neighbors."""
+    index = {u: i for i, u in enumerate(members)}
+    rows = [[index[w] for w in adj[u] if w in index] for u in members]
+    offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    neighbors = np.fromiter(chain.from_iterable(rows), np.intp, offsets[-1])
+    degree = np.diff(offsets)
+    order = np.argsort(-degree, kind="stable")
+    ranks = [
+        neighbors[offsets[order[: np.count_nonzero(degree > r)]] + r]
+        for r in range(degree.max(initial=0))
+    ]
+    return order, ranks
+
+
+# cells (sources x members) per search block: keeps a block's distances
+# and bit sets to a few MB whatever the graph's size
+_SEARCH_CELLS = 1 << 18
+
+
+def _induced_lengths(adj, members: Sequence[int]) -> Iterator[np.ndarray]:
+    """Hop distances inside the subgraph the ascending `members` induce,
+    one block of sources at a time.  Each block is a (sources x members)
+    int32 array; its rows are the next sources in member order, its
+    columns the members, and -1 marks a member the source cannot reach.
+
+    One level-synchronous search serves a whole block.  Every member
+    holds its frontier and its unreached set as bits, one per source of
+    the block, packed into 64-bit words.  At each level a member's new
+    frontier is the OR of its neighbors' frontiers, minus what it has
+    reached; a bit that turns on at level L means a distance of L, and
+    is added to the bit planes of L's binary digits.  A level costs one
+    pass over the induced edges per 64 sources.
+    """
+    m = len(members)
+    # search positions follow `order`, so the members with more than r
+    # neighbors are the first len(ranks[r])
+    order, ranks = _ranked_neighbors(adj, members)
+    place = np.empty(m, dtype=np.intp)
+    place[order] = np.arange(m)
+    ranks = [place[rank] for rank in ranks]
+    block = max(1, _SEARCH_CELLS // max(m, 1))
+    for s0 in range(0, m, block):
+        k = min(block, m - s0)
+        sources = np.arange(k)
+        frontier = np.zeros((m, (k + 63) // 64), dtype="<u8")
+        frontier[place[s0 + sources], sources // 64] = np.uint64(1) << (
+            sources % 64
+        ).astype(np.uint64)
+        unreached = ~frontier
+        planes: list[np.ndarray] = []  # planes[b]: reached at a level with bit b set
+        level = 0
+        while frontier.any():
+            level += 1
+            new = np.zeros_like(frontier)
+            for rank in ranks:
+                new[: len(rank)] |= frontier.take(rank, axis=0)
+            new &= unreached
+            unreached ^= new
+            for b in range(level.bit_length()):
+                if level >> b & 1:
+                    if b == len(planes):
+                        planes.append(np.zeros_like(new))
+                    planes[b] |= new
+            frontier = new
+        dist = np.zeros((m, k), dtype=np.int32)
+        for b, plane in enumerate(planes):
+            dist += _bit_columns(plane, k) * np.int32(1 << b)
+        dist[_bit_columns(unreached, k).view(bool)] = -1
+        yield dist.take(place, axis=0).T.copy()
+
+
+def _bit_columns(words: np.ndarray, k: int) -> np.ndarray:
+    """(rows x k) uint8 0/1 array of the first k bits of each row of
+    little-endian 64-bit words."""
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :k]
 
 
 def all_pairs_shortest_lengths(graph: Graph) -> list[list[int]]:
-    """Full hop-distance matrix, one BFS per source."""
-    return [bfs_lengths(graph, s) for s in range(graph.n_nodes)]
-
+    """Full hop-distance matrix, one row per source."""
+    return [
+        row
+        for block in _induced_lengths(graph.adj, range(graph.n_nodes))
+        for row in block.tolist()
+    ]

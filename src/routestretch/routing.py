@@ -14,15 +14,19 @@ lowest node id wins.  An entry for a sibling cluster aims at that
 cluster's nearest member (nearest by hop count inside the parent, ties
 by lowest member id, then lowest next-hop id).
 
-Tables come from breadth-first searches that carry gateways, and no
-distance matrix is kept.  Each sibling cluster gets one search started
-from all of its members and confined to its parent; each leaf member
-gets one search started from itself and confined to its leaf.  A
+Tables come from breadth-first searches, and no all-pairs distance
+matrix is kept.  Each sibling cluster gets one search that carries
+gateways, started from all of its members and confined to its parent: a
 reached node records its distance, its gateway (nearest source, lowest
 id among ties) and its next hop (lowest-id neighbor one layer closer
-with that gateway).  That costs O(branching * edges) per level for the
-sibling entries plus one search of the leaf per leaf member, and
-memory for one search's results beyond the tables themselves.
+with that gateway).  That costs O(branching * edges) per level.  Each
+leaf gets one bit-parallel search of the distances between its members
+(graphs._induced_lengths), run over blocks of targets; the next hop
+from u toward t is the lowest-id neighbor w inside the leaf with
+d(w, t) = d(u, t) - 1.  A leaf of m members costs about m / 64 passes
+over its edges per search level, plus one vectorised pass over its
+edges per target block for the next hops.  Memory beyond the tables
+is one block of distances, bounded by graphs._SEARCH_CELLS cells.
 
 Forwarding resolves the destination to the finest key the current node
 can see: the destination itself inside the node's own leaf cluster,
@@ -40,8 +44,9 @@ cycle; the first such pair in source-major order is walked along the
 next-hop array and raises exactly what route() raises for it.  The
 result, including the bits of the per-pair ratio sum, equals routing
 every ordered pair with route() in source-major order.  Shortest
-lengths come from one breadth-first search per source, one row at a
-time.  The headline s_p is the ratio of means (mean hierarchical route
+lengths come from the same bit-parallel search over the entire graph,
+one block of sources at a time, so no n x n shortest-length matrix is
+held.  The headline s_p is the ratio of means (mean hierarchical route
 length over mean shortest length); the mean of per-pair ratios is
 reported alongside for transparency but it is not s_p.
 """
@@ -50,11 +55,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, bfs_lengths
+from .graphs import Graph, _induced_lengths, _ranked_neighbors
 from .hierarchy import Hierarchy
 
 
@@ -125,6 +131,42 @@ def _gateway_bfs(
     return found
 
 
+def _leaf_entries(adj, members: list[int], node_entries: list[dict[int, int]]) -> None:
+    """Add every member's node entries toward the other members of its
+    leaf cluster, `members` (ascending).
+
+    The next hop from u toward t is the lowest-id neighbor w inside the
+    leaf with d(w, t) = d(u, t) - 1, the first edge that a breadth-first
+    search from t finds.  The distances toward a block of targets come
+    from one search; the neighbors are tried from the last rank down, so
+    the lowest-id match is written last.  Entries store the members' own
+    int objects.
+    """
+    m = len(members)
+    order, ranks = _ranked_neighbors(adj, members)
+    s0 = 0
+    for dist in _induced_lengths(adj, members):
+        k = len(dist)
+        missing = np.argwhere(dist < 0)  # ordered by target, then node
+        if len(missing):
+            r, i = missing[0]
+            raise RoutingError(
+                f"node {members[i]} cannot reach node {members[s0 + r]} "
+                "inside its leaf cluster"
+            )
+        dist = np.ascontiguousarray(dist.T)  # [u, t]
+        closer = dist - 1
+        hop = np.full((m, k), -1, dtype=np.int32)  # -1 stays on u == t
+        for w in reversed(ranks):
+            nodes = order[: len(w)]
+            hop[nodes] = np.where(dist[w] == closer[nodes], w[:, None], hop[nodes])
+        targets = members[s0 : s0 + k]
+        for u, row in zip(members, hop):
+            hops = map(members.__getitem__, row.tolist())
+            node_entries[u].update(compress(zip(targets, hops), (row >= 0).tolist()))
+        s0 += k
+
+
 def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]:
     """Tables for every node.
 
@@ -162,16 +204,7 @@ def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]
                         )
                     cluster_entries[u][(level, cid)] = found[u][2]
         if len(key) == depth:
-            inside = set(members)
-            for t in members:
-                found = _gateway_bfs(adj, [t], inside)
-                for u in members:
-                    if u != t:
-                        if u not in found:
-                            raise RoutingError(
-                                f"node {u} cannot reach node {t} inside its leaf cluster"
-                            )
-                        node_entries[u][t] = found[u][2]
+            _leaf_entries(adj, members, node_entries)
     return tuple(
         RoutingTable(u, node_entries[u], cluster_entries[u]) for u in range(n)
     )
@@ -362,25 +395,31 @@ def measure(
     if n < 2:
         raise ValueError("stretch measurement needs at least two nodes")
     tables = build_tables(graph, hierarchy)
-    lengths = _route_lengths(_next_hops(tables, hierarchy))
+    mean_table = sum(t.length for t in tables) / n
+    nxt = _next_hops(tables, hierarchy)
+    del tables  # the largest structures; nothing below reads them
+    lengths = _route_lengths(nxt)
+    del nxt
     # the per-pair ratios summed one by one in source-major order: cumsum
     # accumulates sequentially, unlike np.sum, and the diagonal adds 0.0
     ratio_sum = 0.0
     short_sum = 0
-    for src in range(n):
-        row = bfs_lengths(graph, src)
-        short_sum += sum(row)
-        short = np.array(row, dtype=np.float64)
-        short[src] = 1.0
-        ratios = lengths[src] / short
+    s0 = 0
+    for short in _induced_lengths(graph.adj, range(n)):
+        k = len(short)
+        short_sum += int(short.sum(dtype=np.int64))
+        ratios = short.astype(np.float64)
+        ratios[np.arange(k), np.arange(s0, s0 + k)] = 1.0
+        np.divide(lengths[s0 : s0 + k], ratios, out=ratios)
+        ratios = ratios.ravel()
         ratios[0] += ratio_sum
-        ratio_sum = float(np.cumsum(ratios)[-1])
+        ratio_sum = float(np.cumsum(ratios, out=ratios)[-1])
+        s0 += k
     counts = np.bincount(lengths.ravel())
     counts[0] -= n
     pairs = n * (n - 1)
     mean_hier = int(lengths.sum(dtype=np.int64)) / pairs
     mean_short = short_sum / pairs
-    mean_table = sum(t.length for t in tables) / n
     return StretchReport(
         n_nodes=n,
         levels=hierarchy.levels,

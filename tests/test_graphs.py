@@ -169,7 +169,6 @@ def test_bfs_matches_floyd_warshall():
         got = gr.all_pairs_shortest_lengths(g)
         for u in range(g.n_nodes):
             assert list(got[u]) == want[u]
-            assert list(gr.bfs_lengths(g, u)) == want[u]
 
 
 def test_mean_pairwise_distance_hand_values():

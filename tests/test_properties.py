@@ -5,12 +5,16 @@ build_balanced() decides whether taking a node disconnects the
 unassigned remainder with a search near the node and a memo of known
 cut vertices; the clustering oracle below searches the whole remainder
 for every candidate, and its label paths and error messages must be
-reproduced exactly.  build_tables() finds next hops by gateway-carrying
-BFS runs; the table oracle below finds them from all-pairs distances
-inside each cluster, the definition the tables must reproduce exactly.
-measure() resolves all route lengths at once from a next-hop array; the
-walker reference routes every pair with route() and must be reproduced
-exactly, down to the bits of the per-pair ratio sum.
+reproduced exactly.  graphs._induced_lengths() finds the hop distances
+of a block of sources with one bit-parallel search; the reference is
+one breadth-first search per source (induced_distances below), which
+every other oracle here uses too.  build_tables() finds next hops from
+that search and from gateway-carrying BFS runs; the table oracle below
+finds them from all-pairs distances inside each cluster, the definition
+the tables must reproduce exactly.  measure() resolves all route lengths
+at once from a next-hop array; the walker reference routes every pair
+with route() and must be reproduced exactly, down to the bits of the
+per-pair ratio sum.
 """
 
 import hashlib
@@ -58,8 +62,7 @@ def oracle_tables(g, h):
     for each sibling cluster inside the parent (the entire graph at level
     1), its nearest member by (distance, id) and the hop toward it."""
     n = g.n_nodes
-    dist = gr.all_pairs_shortest_lengths(g)
-    entire = {u: dict(enumerate(dist[u])) for u in range(n)}
+    entire = induced_distances(range(n), g.adj)
     paths = h.label_paths
     leaves = {}
     for u, p in enumerate(paths):
@@ -105,7 +108,7 @@ def oracle_tables(g, h):
 def reference(g, h):
     """route() every ordered pair, summing in source-major order."""
     n = g.n_nodes
-    dist = gr.all_pairs_shortest_lengths(g)
+    dist = induced_distances(range(n), g.adj)
     tables = rt.build_tables(g, h)
     total_hier = 0
     total_short = 0
@@ -152,13 +155,14 @@ def clustered_graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(clustered_graphs(), st.sampled_from([1, 40, 1 << 16]))
-def test_measure_equals_route_walker(gh, block_cells):
+@given(clustered_graphs(), st.sampled_from([1, 40, 1 << 16]), st.sampled_from([1, 40, 1 << 18]))
+def test_measure_equals_route_walker(gh, block_cells, search_cells):
     g, h = gh
     assert hi.validate(h, g) == []
-    # block sizes from one destination per block to all in one
+    # block sizes from one destination (or source) per block to all in one
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rt, "_BLOCK_CELLS", block_cells)
+        mp.setattr(gr, "_SEARCH_CELLS", search_cells)
         rep = rt.measure(g, h)
     assert rep == reference(g, h)
     assert rep.s_p >= 1.0
@@ -174,9 +178,21 @@ def test_torus_ladder_equals_route_walker(levels):
 
 
 @settings(max_examples=150, deadline=None)
-@given(clustered_graphs())
-def test_build_tables_equals_oracle(gh):
+@given(clustered_graphs(), st.sampled_from([1, 40, 1 << 18]))
+def test_build_tables_equals_oracle(gh, search_cells):
     g, h = gh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_SEARCH_CELLS", search_cells)
+        tables = rt.build_tables(g, h)
+    assert tables == oracle_tables(g, h)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_flat_tables_equal_oracle(seed):
+    # one leaf holding every node: its entries come from searches of the
+    # entire graph
+    g = gr.random_graph(60, 0.1, seed=seed)
+    h = hi.flat_hierarchy(g)
     assert rt.build_tables(g, h) == oracle_tables(g, h)
 
 
@@ -186,8 +202,9 @@ def test_routes_never_beat_bfs(gh):
     g, h = gh
     tables = rt.build_tables(g, h)
     edges = set(g.edges)
+    dist = induced_distances(range(g.n_nodes), g.adj)
     for src in range(g.n_nodes):
-        short = gr.bfs_lengths(g, src)
+        short = dist[src]
         for dst in range(g.n_nodes):
             if src != dst:
                 path = rt.route(tables, g, h, src, dst)
@@ -215,6 +232,66 @@ def test_torus_ladder_tables_equal_oracle(levels):
     g = gr.torus_graph(20, 20)
     h = hi.build_balanced(g, levels, 2)
     assert rt.build_tables(g, h) == oracle_tables(g, h)
+
+
+def search_blocks(adj, members, per_block):
+    """The search's blocks, with the block constant set to give
+    `per_block` sources a block (None: all sources in one)."""
+    cells = (per_block or len(members)) * len(members)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_SEARCH_CELLS", cells)
+        return [block.tolist() for block in gr._induced_lengths(adj, members)]
+
+
+def check_search(adj, members, per_block):
+    blocks = search_blocks(adj, members, per_block)
+    size = per_block or len(members)
+    assert [len(b) for b in blocks] == [
+        min(size, len(members) - s0) for s0 in range(0, len(members), size)
+    ]
+    d = induced_distances(members, adj)
+    assert [row for b in blocks for row in b] == [
+        [d[s].get(v, -1) for v in members] for s in members
+    ]
+
+
+BLOCK_SOURCES = [1, 8, 13, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.floats(0.1, 0.6),
+    st.integers(0, 2**16),
+    st.one_of(st.none(), st.sets(st.integers(0, 39), min_size=1)),
+    st.sampled_from(BLOCK_SOURCES),
+)
+def test_search_equals_per_source_bfs(n, p, seed, subset, per_block):
+    # the entire connected graph, or the subgraph a subset induces, which
+    # may be disconnected and may hold members with no neighbor inside
+    try:
+        g = gr.random_graph(n, p, seed=seed)
+    except gr.DisconnectedGraphError:
+        assume(False)
+    members = range(n) if subset is None else sorted(u for u in subset if u < n)
+    assume(len(members) > 0)
+    check_search(g.adj, members, per_block)
+
+
+@pytest.mark.parametrize("per_block", BLOCK_SOURCES)
+@pytest.mark.parametrize("members", [[3], [0, 2, 4, 6], [0, 1, 2, 5, 6, 9], list(range(10))])
+def test_search_singletons_and_components(members, per_block):
+    # ring-10: an isolated member, members with no neighbor inside, two
+    # components, and the whole ring
+    check_search(gr.ring_graph(10).adj, members, per_block)
+
+
+def test_search_of_long_paths_spans_many_levels():
+    # more than 64 levels and more than 64 sources in a block: distances
+    # reach the seventh bit plane, and sources span several words
+    for g in (gr.grid_graph(2, 75), gr.torus_graph(3, 50)):
+        for per_block in (8, 70, None):
+            check_search(g.adj, range(g.n_nodes), per_block)
 
 
 def _old_components(nodes, adj):

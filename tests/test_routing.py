@@ -259,6 +259,20 @@ def test_disconnected_leaf_raises_routing_error():
             call(g, h)
 
 
+@pytest.mark.parametrize("search_cells", [1, 12, 1 << 18])
+def test_disconnected_leaf_names_lowest_pair(monkeypatch, search_cells):
+    # ring-10 leaf 0 = {0, 1, 2, 5, 6, 9} has components {0, 1, 2, 9} and
+    # {5, 6}; blocks of 1, 2 and all 6 targets name the same pair
+    monkeypatch.setattr(gr, "_SEARCH_CELLS", search_cells)
+    g = gr.ring_graph(10)
+    h = hi.Hierarchy(2, tuple((0,) if u in (0, 1, 2, 5, 6, 9) else (1,) for u in range(10)))
+    for call in (rt.build_tables, rt.measure):
+        with pytest.raises(
+            rt.RoutingError, match="^node 5 cannot reach node 0 inside its leaf cluster$"
+        ):
+            call(g, h)
+
+
 def test_non_uniform_label_paths_raise_value_error():
     g = gr.ring_graph(8)
     h = hi.Hierarchy(2, ((0,),) * 7 + ((),))
