@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -313,10 +313,23 @@ def _induced_lengths(adj, members: Sequence[int]) -> Iterator[np.ndarray]:
     one block of sources at a time.  Each block is a (sources x members)
     int32 array; its rows are the next sources in member order, its
     columns the members, and -1 marks a member the source cannot reach.
+    """
+    m = len(members)
+    search = _induced_search(adj, members)
+    block = max(1, _SEARCH_CELLS // max(m, 1))
+    for s0 in range(0, m, block):
+        yield search(np.arange(s0, min(s0 + block, m))).T.copy()
 
-    One level-synchronous search serves a whole block.  Every member
-    holds its frontier and its unreached set as bits, one per source of
-    the block, packed into 64-bit words.  At each level a member's new
+
+def _induced_search(adj, members: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
+    """The search of the subgraph the ascending `members` induce, set up
+    once: called with the positions of some members, it returns their
+    hop distances as a (members x sources) int32 array, -1 where a
+    source cannot reach a member.
+
+    One level-synchronous search serves all the sources of a call.
+    Every member holds its frontier and its unreached set as bits, one
+    per source, packed into 64-bit words.  At each level a member's new
     frontier is the OR of its neighbors' frontiers, minus what it has
     reached; a bit that turns on at level L means a distance of L, and
     is added to the bit planes of L's binary digits.  A level costs one
@@ -329,14 +342,12 @@ def _induced_lengths(adj, members: Sequence[int]) -> Iterator[np.ndarray]:
     place = np.empty(m, dtype=np.intp)
     place[order] = np.arange(m)
     ranks = [place[rank] for rank in ranks]
-    block = max(1, _SEARCH_CELLS // max(m, 1))
-    for s0 in range(0, m, block):
-        k = min(block, m - s0)
-        sources = np.arange(k)
+
+    def search(positions: np.ndarray) -> np.ndarray:
+        k = len(positions)
+        bits = np.arange(k)
         frontier = np.zeros((m, (k + 63) // 64), dtype="<u8")
-        frontier[place[s0 + sources], sources // 64] = np.uint64(1) << (
-            sources % 64
-        ).astype(np.uint64)
+        frontier[place[positions], bits // 64] = np.uint64(1) << (bits % 64).astype(np.uint64)
         unreached = ~frontier
         planes: list[np.ndarray] = []  # planes[b]: reached at a level with bit b set
         level = 0
@@ -357,7 +368,9 @@ def _induced_lengths(adj, members: Sequence[int]) -> Iterator[np.ndarray]:
         for b, plane in enumerate(planes):
             dist += _bit_columns(plane, k) * np.int32(1 << b)
         dist[_bit_columns(unreached, k).view(bool)] = -1
-        yield dist.take(place, axis=0).T.copy()
+        return dist.take(place, axis=0)
+
+    return search
 
 
 def _bit_columns(words: np.ndarray, k: int) -> np.ndarray:

@@ -16,17 +16,16 @@ by lowest member id, then lowest next-hop id).
 
 Tables come from breadth-first searches, and no all-pairs distance
 matrix is kept.  Each sibling cluster gets one search that carries
-gateways, started from all of its members and confined to its parent: a
-reached node records its distance, its gateway (nearest source, lowest
-id among ties) and its next hop (lowest-id neighbor one layer closer
-with that gateway).  That costs O(branching * edges) per level.  Each
-leaf gets one bit-parallel search of the distances between its members
-(graphs._induced_lengths), run over blocks of targets; the next hop
-from u toward t is the lowest-id neighbor w inside the leaf with
-d(w, t) = d(u, t) - 1.  A leaf of m members costs about m / 64 passes
-over its edges per search level, plus one vectorised pass over its
-edges per target block for the next hops.  Memory beyond the tables
-is one block of distances, bounded by graphs._SEARCH_CELLS cells.
+gateways, started from all of its members in ascending order and
+confined to its parent: a reached node records its distance and its
+gateway (nearest source, lowest id among ties), and its next hop is its
+lowest-id neighbor one step closer with the same gateway.  That costs
+O(branching * edges) per level.  Each leaf gets one bit-parallel search
+of the distances between its members (graphs._induced_lengths), run over
+blocks of targets; the next hop from u toward t is the lowest-id
+neighbor w inside the leaf with d(w, t) = d(u, t) - 1.  A leaf of m
+members costs about m / 64 passes over its edges per search level, plus
+one vectorised pass over its edges per target block for the next hops.
 
 Forwarding resolves the destination to the finest key the current node
 can see: the destination itself inside the node's own leaf cluster,
@@ -34,33 +33,37 @@ otherwise the destination's ancestor cluster at the first level where
 the two label paths diverge.  Hops are counted against a loop guard of
 n_nodes; exceeding it raises RoutingLoopError naming the cycle.
 
-Measurement never walks routes one by one.  Forwarding is stateless, so
-a route's length obeys L(x, t) = 1 + L(next(x, t), t): measure fills an
-n x n next-hop array, one row per node, where each table entry covers
-every destination its key resolves to, then resolves all lengths
-toward a block of destinations at once by pointer jumping.  A pair
-whose jumps never reach its destination hits a missing entry or a
-cycle; the first such pair in source-major order is walked along the
-next-hop array and raises exactly what route() raises for it.  The
-result, including the bits of the per-pair ratio sum, equals routing
-every ordered pair with route() in source-major order.  Shortest
-lengths come from the same bit-parallel search over the entire graph,
-one block of sources at a time, so no n x n shortest-length matrix is
-held.  The headline s_p is the ratio of means (mean hierarchical route
-length over mean shortest length); the mean of per-pair ratios is
-reported alongside for transparency but it is not s_p.
+Measurement builds no tables and walks no routes.  Forwarding toward a
+sibling cluster C keeps the distance to C falling and the gateway fixed,
+so a route's length obeys L(x, t) = d_P(x, C) + L(g_C(x), t), where P
+is the finest cluster holding both x and t, C the child of P holding t,
+and g_C(x) the gateway of x to C; inside t's leaf, L(x, t) is the
+leaf's own distance d(x, t).  measure fills the lengths toward a block
+of targets from the leaf outward, one array gather per level, next to
+the block's shortest lengths from one bit-parallel search of the entire
+graph; a block holds about graphs._SEARCH_CELLS (node, target) cells,
+so no n x n array is held whatever n is.  Each block adds to a count of
+(route length, shortest length) pairs, from which the means follow as
+exact integer sums, and the mean of per-pair ratios as one correctly
+rounded division of exact integers.  The result equals routing every
+ordered pair with route().  The headline s_p is the ratio of means
+(mean hierarchical route length over mean shortest length); the mean of
+per-pair ratios is reported alongside for transparency but it is not
+s_p.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _induced_lengths, _ranked_neighbors
+from . import graphs
+from .graphs import Graph, _component, _induced_lengths, _induced_search, _ranked_neighbors
 from .hierarchy import Hierarchy
 
 
@@ -102,38 +105,80 @@ def _prefix_groups(paths: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], li
     return groups
 
 
-def _gateway_bfs(
-    adj, sources: Sequence[int], inside: set[int]
-) -> dict[int, tuple[int, int, int]]:
-    """node -> (distance, gateway, next hop) for every node of `inside`
-    that a breadth-first search from `sources` reaches without leaving it.
+def _gateways(adj, sources: list[int], inside: set[int]) -> dict[int, tuple[int, int]]:
+    """node -> (distance, gateway) for every node of `inside` that a
+    breadth-first search from the ascending `sources` reaches without
+    leaving it.  The gateway is the nearest source, ties going to the
+    lowest id.
 
-    The gateway is the nearest source, ties going to the lowest id; the
-    next hop is the lowest-id neighbor one step closer to that gateway.
-    A node's nearest sources are the union of those of its neighbors one
-    layer closer, so both follow from the minimum (gateway, hop) pair
-    over that layer, which is complete before the node is popped.
+    The queue starts with the sources in ascending order, so every layer
+    is queued in non-decreasing gateway order: the neighbor that first
+    discovers a node carries the lowest gateway of its nearest sources.
     """
-    found = {s: (0, s, s) for s in sources}
+    found = {s: (0, s) for s in sources}
     queue = deque(sources)
     while queue:
         u = queue.popleft()
-        d, g, _ = found[u]
-        d += 1
+        d, g = found[u]
+        step = (d + 1, g)
         for w in adj[u]:
-            if w in inside:
-                old = found.get(w)
-                if old is None:
-                    found[w] = (d, g, u)
-                    queue.append(w)
-                elif old[0] == d and (g < old[1] or g == old[1] and u < old[2]):
-                    found[w] = (d, g, u)
+            if w in inside and w not in found:
+                found[w] = step
+                queue.append(w)
     return found
+
+
+def _clusters(
+    graph: Graph, hierarchy: Hierarchy
+) -> Iterator[tuple[tuple[int, ...], list[int], dict[int, tuple[int, int]] | None]]:
+    """(key, members, gateways) for every cluster, coarsest level first:
+    key is the cluster's label-path prefix (empty for the entire graph),
+    members its nodes in ascending order, and gateways maps every node of
+    its parent to (distance, gateway) toward it (None for the entire
+    graph).
+
+    Raises ValueError for a hierarchy of another size or with label
+    paths of several lengths, and RoutingError when a node cannot reach
+    a sibling cluster inside their parent, or a member of its leaf
+    inside the leaf: the leaf's lowest member and the lowest member that
+    cannot reach it.
+    """
+    n = graph.n_nodes
+    if hierarchy.n_nodes != n:
+        raise ValueError(
+            f"hierarchy covers {hierarchy.n_nodes} nodes, graph has {n}"
+        )
+    hierarchy._require_uniform()
+    adj = graph.adj
+    depth = hierarchy.levels - 1
+    groups = _prefix_groups(hierarchy.label_paths)
+    for key in sorted(groups, key=len):
+        members = groups[key]
+        found = None
+        if key:
+            level = len(key)
+            parent = groups[key[:-1]]
+            found = _gateways(adj, members, set(parent))
+            if len(found) < len(parent):
+                u = next(u for u in parent if u not in found)
+                raise RoutingError(
+                    f"node {u} cannot reach level {level} cluster {key[-1]} "
+                    f"inside level {level - 1} cluster {key[-2]}"
+                )
+            if level == depth:  # a leaf; the entire graph is connected
+                reached = _component(members[0], set(members), adj)
+                if len(reached) < len(members):
+                    u = next(u for u in members if u not in reached)
+                    raise RoutingError(
+                        f"node {u} cannot reach node {members[0]} "
+                        "inside its leaf cluster"
+                    )
+        yield key, members, found
 
 
 def _leaf_entries(adj, members: list[int], node_entries: list[dict[int, int]]) -> None:
     """Add every member's node entries toward the other members of its
-    leaf cluster, `members` (ascending).
+    leaf cluster, `members` (ascending, connected).
 
     The next hop from u toward t is the lowest-id neighbor w inside the
     leaf with d(w, t) = d(u, t) - 1, the first edge that a breadth-first
@@ -147,13 +192,6 @@ def _leaf_entries(adj, members: list[int], node_entries: list[dict[int, int]]) -
     s0 = 0
     for dist in _induced_lengths(adj, members):
         k = len(dist)
-        missing = np.argwhere(dist < 0)  # ordered by target, then node
-        if len(missing):
-            r, i = missing[0]
-            raise RoutingError(
-                f"node {members[i]} cannot reach node {members[s0 + r]} "
-                "inside its leaf cluster"
-            )
         dist = np.ascontiguousarray(dist.T)  # [u, t]
         closer = dist - 1
         hop = np.full((m, k), -1, dtype=np.int32)  # -1 stays on u == t
@@ -176,33 +214,23 @@ def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]
     naming a node and the target it cannot reach.
     """
     n = graph.n_nodes
-    if hierarchy.n_nodes != n:
-        raise ValueError(
-            f"hierarchy covers {hierarchy.n_nodes} nodes, graph has {n}"
-        )
-    hierarchy._require_uniform()
     adj = graph.adj
-    paths = hierarchy.label_paths
     depth = hierarchy.levels - 1
-    groups = _prefix_groups(paths)
     node_entries: list[dict[int, int]] = [{} for _ in range(n)]
     cluster_entries: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-    # by prefix length, so every table lists its cluster entries level by level
-    for key in sorted(groups, key=len):
-        members = groups[key]
-        if key:
-            # a sibling-cluster entry for every node of the parent outside key
-            level, cid = len(key), key[-1]
-            parent = groups[key[:-1]]
-            found = _gateway_bfs(adj, members, set(parent))
-            for u in parent:
-                if paths[u][level - 1] != cid:
-                    if u not in found:
-                        raise RoutingError(
-                            f"node {u} cannot reach level {level} cluster {cid} "
-                            f"inside level {level - 1} cluster {key[-2]}"
-                        )
-                    cluster_entries[u][(level, cid)] = found[u][2]
+    # coarsest first, so every table lists its cluster entries level by level
+    for key, members, found in _clusters(graph, hierarchy):
+        if found is not None:
+            # a sibling-cluster entry for every node of the parent outside
+            # key: the lowest-id neighbor one step closer to its gateway
+            entry = (len(key), key[-1])
+            for u, (d, g) in found.items():
+                if d:
+                    closer = (d - 1, g)
+                    for w in adj[u]:
+                        if found.get(w) == closer:
+                            cluster_entries[u][entry] = w
+                            break
         if len(key) == depth:
             _leaf_entries(adj, members, node_entries)
     return tuple(
@@ -309,80 +337,35 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-def _next_hops(
-    tables: Sequence[RoutingTable], hierarchy: Hierarchy
-) -> np.ndarray:
-    """n x n int32 array: [x, t] is x's next hop toward t as route()
-    resolves it, x itself on the diagonal, -1 where no entry covers t."""
-    n = hierarchy.n_nodes
-    paths = hierarchy.label_paths
-    # a node entry covers its target inside the owner's leaf, and a cluster
-    # entry (level, cid) covers the destinations whose paths first leave
-    # the owner's at that level into cid
-    groups = _prefix_groups(paths)
-    members = {key: np.array(mem, dtype=np.intp) for key, mem in groups.items()}
-    nxt = np.full((n, n), -1, dtype=np.int32)
-    for x, table in enumerate(tables):
-        row = nxt[x]
-        px = paths[x]
-        leaf = groups[px]
-        row[members[px]] = [table.node_entries.get(v, -1) for v in leaf]
-        for (level, cid), hop in table.cluster_entries.items():
-            if cid != px[level - 1]:
-                covered = members.get(px[: level - 1] + (cid,))
-                if covered is not None:
-                    row[covered] = hop
-        row[x] = x
-    return nxt
+def _target_blocks(leaves: list, size: int) -> Iterator[list]:
+    """Every node as a target, leaf by leaf, cut into blocks of `size`
+    targets; a block is a list of (leaf, i0, i1) runs, the leaf's
+    members at positions i0..i1-1."""
+    block, room = [], size
+    for leaf in leaves:
+        m = len(leaf[0])
+        i0 = 0
+        while i0 < m:
+            i1 = min(m, i0 + room)
+            block.append((leaf, i0, i1))
+            room -= i1 - i0
+            i0 = i1
+            if not room:
+                yield block
+                block, room = [], size
+    if block:
+        yield block
 
 
-# cells (destinations x (n + 1)) per pointer-jumping block: keeps each
-# block's temporaries to a few hundred kB whatever n is
-_BLOCK_CELLS = 1 << 16
-
-
-def _route_lengths(nxt: np.ndarray) -> np.ndarray:
-    """n x n int32 hop counts of every route, [src, dst], 0 on the diagonal.
-
-    Each block of destinations is resolved by pointer jumping: after r
-    rounds every node points 2**r hops down its route and holds the hops
-    it skipped.  Column n is a sink that absorbs missing entries.  The
-    first pair in source-major order that does not reach its destination
-    within n - 1 hops is walked along nxt, which raises what route()
-    raises for it.
-    """
-    n = len(nxt)
-    lengths = np.empty((n, n), dtype=np.int32)
-    block = max(1, _BLOCK_CELLS // (n + 1))
-    first_bad: tuple[int, int] | None = None
-    for t0 in range(0, n, block):
-        t1 = min(t0 + block, n)
-        rows = np.arange(t1 - t0)
-        targets = (t0 + rows)[:, None]
-        hop = np.full((t1 - t0, n + 1), n, dtype=np.int32)
-        hop[:, :n] = nxt[:, t0:t1].T
-        hop[hop < 0] = n
-        skipped = np.ones_like(hop)
-        skipped[rows, t0 + rows] = 0
-        skipped[:, n] = 0
-        offsets = (rows * (n + 1))[:, None]
-        for _ in range((n - 2).bit_length()):  # 2**rounds >= n - 1 hops
-            flat = hop + offsets
-            jumped = hop.ravel()[flat]
-            if np.array_equal(jumped, hop):
-                break
-            skipped += skipped.ravel()[flat]
-            hop = jumped
-        bad = hop[:, :n] != targets
-        if bad.any():
-            src = int(np.flatnonzero(bad.any(axis=0))[0])
-            pair = (src, t0 + int(np.flatnonzero(bad[:, src])[0]))
-            first_bad = pair if first_bad is None else min(first_bad, pair)
-        lengths[:, t0:t1] = skipped[:, :n].T
-    if first_bad is not None:
-        src, dst = first_bad
-        _follow(lambda x: int(nxt[x, dst]) if nxt[x, dst] >= 0 else None, n, src, dst)
-    return lengths
+def _tally(joint: np.ndarray, lengths: np.ndarray, short: np.ndarray) -> np.ndarray:
+    """joint, grown as needed, plus the count of every (route length,
+    shortest length) pair of two arrays of one shape."""
+    rows, width = int(lengths.max()) + 1, int(short.max()) + 1
+    cells = np.bincount((lengths * width + short).ravel(), minlength=rows * width)
+    grow = [(0, max(0, want - have)) for want, have in zip((rows, width), joint.shape)]
+    joint = np.pad(joint, grow)
+    joint[:rows, :width] += cells.reshape(rows, width)
+    return joint
 
 
 def measure(
@@ -394,31 +377,56 @@ def measure(
     n = graph.n_nodes
     if n < 2:
         raise ValueError("stretch measurement needs at least two nodes")
-    tables = build_tables(graph, hierarchy)
-    mean_table = sum(t.length for t in tables) / n
-    nxt = _next_hops(tables, hierarchy)
-    del tables  # the largest structures; nothing below reads them
-    lengths = _route_lengths(nxt)
-    del nxt
-    # the per-pair ratios summed one by one in source-major order: cumsum
-    # accumulates sequentially, unlike np.sum, and the diagonal adds 0.0
-    ratio_sum = 0.0
-    short_sum = 0
-    s0 = 0
-    for short in _induced_lengths(graph.adj, range(n)):
-        k = len(short)
-        short_sum += int(short.sum(dtype=np.int64))
-        ratios = short.astype(np.float64)
-        ratios[np.arange(k), np.arange(s0, s0 + k)] = 1.0
-        np.divide(lengths[s0 : s0 + k], ratios, out=ratios)
-        ratios = ratios.ravel()
-        ratios[0] += ratio_sum
-        ratio_sum = float(np.cumsum(ratios, out=ratios)[-1])
-        s0 += k
-    counts = np.bincount(lengths.ravel())
-    counts[0] -= n
+    adj = graph.adj
+    depth = hierarchy.levels - 1
+    entries = n  # self entries
+    toward = {}  # key -> (parent nodes outside it, their distances, their gateways)
+    leaves = []  # (members, their search, the toward arrays from the leaf outward)
+    for key, members, found in _clusters(graph, hierarchy):
+        if found is not None:
+            nodes = np.fromiter(found, np.intp, len(found))
+            dist, gw = np.array(list(found.values())).T
+            out = dist > 0
+            toward[key] = (nodes[out], dist[out, None].astype(np.int32), gw[out])
+            entries += int(np.count_nonzero(out))
+        if len(key) == depth:
+            m = len(members)
+            entries += m * (m - 1)
+            search = _induced_search(adj, members) if m < n else None
+            chain = [toward[key[:k]] for k in range(depth, 0, -1)]
+            leaves.append((np.array(members, dtype=np.intp), search, chain))
+    # from the leaf outward: L(x, t) = d_P(x, C) + L(g_C(x), t) for the
+    # nodes x of P outside C, the child of P holding t (module docstring)
+    whole = _induced_search(adj, range(n))
+    joint = np.zeros((1, 1), dtype=np.int64)  # [route length, shortest length]
+    for block in _target_blocks(leaves, max(1, graphs._SEARCH_CELLS // n)):
+        targets = np.concatenate([leaf[0][i0:i1] for leaf, i0, i1 in block])
+        short = whole(targets)  # [x, t]
+        lengths = np.empty_like(short)
+        c0 = 0
+        for (members, search, chain), i0, i1 in block:
+            cols = slice(c0, c0 + i1 - i0)
+            c0 = cols.stop
+            if search is None:  # the leaf is the entire graph
+                lengths[:, cols] = short[:, cols]
+            else:
+                lengths[members, cols] = search(np.arange(i0, i1))
+            for out, dist, gw in chain:
+                lengths[out, cols] = dist + lengths[gw, cols]
+        joint = _tally(joint, lengths, short)
+    joint[0, 0] = 0  # each node toward itself
     pairs = n * (n - 1)
-    mean_hier = int(lengths.sum(dtype=np.int64)) / pairs
+    route_lens, short_lens = np.nonzero(joint)
+    counts = joint[route_lens, short_lens]
+    cells = list(zip(route_lens.tolist(), short_lens.tolist(), counts.tolist()))
+    hier_sum = sum(c * r for r, _, c in cells)
+    short_sum = sum(c * d for _, d, c in cells)
+    # the per-pair ratios summed exactly over one common denominator, and
+    # rounded once
+    scale = math.lcm(*short_lens.tolist())
+    ratio_sum = sum(c * r * (scale // d) for r, d, c in cells)
+    mean_table = entries / n
+    mean_hier = hier_sum / pairs
     mean_short = short_sum / pairs
     return StretchReport(
         n_nodes=n,
@@ -429,6 +437,8 @@ def measure(
         mean_table_length=mean_table,
         mean_hier_path=mean_hier,
         mean_shortest_path=mean_short,
-        mean_path_ratio=ratio_sum / pairs,
-        histogram=tuple((k, c) for k, c in enumerate(counts.tolist()) if c),
+        mean_path_ratio=ratio_sum / (scale * pairs),
+        histogram=tuple(
+            (r, c) for r, c in enumerate(joint.sum(axis=1).tolist()) if c
+        ),
     )

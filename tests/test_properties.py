@@ -11,17 +11,20 @@ one breadth-first search per source (induced_distances below), which
 every other oracle here uses too.  build_tables() finds next hops from
 that search and from gateway-carrying BFS runs; the table oracle below
 finds them from all-pairs distances inside each cluster, the definition
-the tables must reproduce exactly.  measure() resolves all route lengths
-at once from a next-hop array; the walker reference routes every pair
-with route() and must be reproduced exactly, down to the bits of the
-per-pair ratio sum.
+the tables must reproduce exactly.  measure() composes route lengths
+from gateway distances and leaf distances without building tables; the
+walker reference routes every pair with route() and must be reproduced
+exactly, with the mean per-pair ratio as the correctly rounded exact
+mean.
 """
 
 import hashlib
 import heapq
 import math
 import random
+import tracemalloc
 from collections import Counter, deque
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -106,13 +109,14 @@ def oracle_tables(g, h):
 
 
 def reference(g, h):
-    """route() every ordered pair, summing in source-major order."""
+    """route() every ordered pair; the mean per-pair ratio is the exact
+    mean, rounded once."""
     n = g.n_nodes
     dist = induced_distances(range(n), g.adj)
     tables = rt.build_tables(g, h)
     total_hier = 0
     total_short = 0
-    ratio_sum = 0.0
+    ratios = Counter()
     hist = Counter()
     for src in range(n):
         for dst in range(n):
@@ -121,9 +125,10 @@ def reference(g, h):
             hops = len(rt.route(tables, g, h, src, dst)) - 1
             total_hier += hops
             total_short += dist[src][dst]
-            ratio_sum += hops / dist[src][dst]
+            ratios[hops, dist[src][dst]] += 1
             hist[hops] += 1
     pairs = n * (n - 1)
+    ratio_sum = sum(Fraction(c * hops, short) for (hops, short), c in ratios.items())
     mean_hier = total_hier / pairs
     mean_short = total_short / pairs
     mean_table = sum(t.length for t in tables) / n
@@ -136,7 +141,7 @@ def reference(g, h):
         mean_table_length=mean_table,
         mean_hier_path=mean_hier,
         mean_shortest_path=mean_short,
-        mean_path_ratio=ratio_sum / pairs,
+        mean_path_ratio=float(ratio_sum / pairs),
         histogram=tuple(sorted(hist.items())),
     )
 
@@ -155,13 +160,12 @@ def clustered_graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(clustered_graphs(), st.sampled_from([1, 40, 1 << 16]), st.sampled_from([1, 40, 1 << 18]))
-def test_measure_equals_route_walker(gh, block_cells, search_cells):
+@given(clustered_graphs(), st.sampled_from([1, 40, 1 << 18]))
+def test_measure_equals_route_walker(gh, search_cells):
     g, h = gh
     assert hi.validate(h, g) == []
-    # block sizes from one destination (or source) per block to all in one
+    # target blocks from one target per block to all in one
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rt, "_BLOCK_CELLS", block_cells)
         mp.setattr(gr, "_SEARCH_CELLS", search_cells)
         rep = rt.measure(g, h)
     assert rep == reference(g, h)
@@ -175,6 +179,118 @@ def test_torus_ladder_equals_route_walker(levels):
     g = gr.torus_graph(20, 20)
     h = hi.build_balanced(g, levels, 2)
     assert rt.measure(g, h) == reference(g, h)
+
+
+def test_measure_reads_no_tables(monkeypatch):
+    # measure composes route lengths without tables; route() alone reports
+    # corrupted tables (test_routing.py)
+    g = gr.torus_graph(6, 6)
+    h = hi.build_balanced(g, 3, 2)
+    want = reference(g, h)
+
+    def no_tables(*args):
+        raise AssertionError("measure built routing tables")
+
+    monkeypatch.setattr(rt, "build_tables", no_tables)
+    monkeypatch.setattr(rt, "RoutingTable", no_tables)
+    assert rt.measure(g, h) == want
+
+
+def test_measure_holds_no_n_by_n_array():
+    g = gr.torus_graph(48, 48)
+    h = hi.build_balanced(g, 3, 2)
+    tracemalloc.start()
+    try:
+        rt.measure(g, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n_nodes**2 * 4  # one n x n int32 array
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A small connected graph with random label paths: clusters may be
+    disconnected or split across parents, one path may be cut short, and
+    the hierarchy may cover one node too many."""
+    n = draw(st.integers(2, 12))
+    try:
+        g = gr.random_graph(n, draw(st.floats(0.15, 0.6)), seed=draw(st.integers(0, 2**16)))
+    except gr.DisconnectedGraphError:
+        assume(False)
+    levels = draw(st.integers(1, 4))
+    size = n + draw(st.sampled_from([0] * 9 + [1]))
+    paths = draw(st.lists(
+        st.tuples(*[st.integers(0, 2)] * (levels - 1)), min_size=size, max_size=size
+    ))
+    if levels > 1 and draw(st.integers(0, 9)) == 0:
+        u = draw(st.integers(0, size - 1))
+        paths[u] = paths[u][:-1]
+    return g, hi.Hierarchy(levels, tuple(paths))
+
+
+def oracle_failure(g, h):
+    """(exception type, message) of the first check table construction
+    fails, or None: the sizes, the path lengths, then every cluster by
+    prefix length, whether each node of its parent reaches it inside the
+    parent and, for a leaf, the first target in id order that some member
+    cannot reach inside the leaf, with the lowest such member."""
+    if h.n_nodes != g.n_nodes:
+        return ValueError, f"hierarchy covers {h.n_nodes} nodes, graph has {g.n_nodes}"
+    depth = h.levels - 1
+    for u, p in enumerate(h.label_paths):
+        if len(p) != depth:
+            return ValueError, (
+                f"node {u} has a label path of length {len(p)}, expected {depth}; "
+                "run validate() for a full report"
+            )
+    groups = {}
+    for u, p in enumerate(h.label_paths):
+        for k in range(depth + 1):
+            groups.setdefault(p[:k], []).append(u)
+    for key in sorted(groups, key=len):
+        members = groups[key]
+        if key:
+            parent = groups[key[:-1]]
+            d = induced_distances(parent, g.adj)
+            for u in parent:
+                if not any(m in d[u] for m in members):
+                    return rt.RoutingError, (
+                        f"node {u} cannot reach level {len(key)} cluster {key[-1]} "
+                        f"inside level {len(key) - 1} cluster {key[-2]}"
+                    )
+        if len(key) == depth:
+            d = induced_distances(members, g.adj)
+            for t in members:
+                for u in members:
+                    if t not in d[u]:
+                        return rt.RoutingError, (
+                            f"node {u} cannot reach node {t} inside its leaf cluster"
+                        )
+    return None
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_graphs(), st.sampled_from([1, 40, 1 << 18]))
+def test_measure_fails_as_build_tables_does(gh, search_cells):
+    g, h = gh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_SEARCH_CELLS", search_cells)
+        tables = outcome(rt.build_tables, g, h)
+        rep = outcome(rt.measure, g, h)
+    want = oracle_failure(g, h)
+    if want is None:
+        assert rep == reference(g, h)
+    else:
+        assert tables == want
+        assert rep == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -173,58 +173,63 @@ def test_missing_entry_raises():
         rt.route(tables, g, h, 3, 4)
 
 
-def measure_with(monkeypatch, tables, g, h):
+def walker_error(g, h, tables=None):
+    """What building the tables, then routing every pair with route() in
+    source-major order, raises first."""
+    try:
+        if tables is None:
+            tables = rt.build_tables(g, h)
+        for src in range(g.n_nodes):
+            for dst in range(g.n_nodes):
+                if src != dst:
+                    rt.route(tables, g, h, src, dst)
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def measure_given(monkeypatch, tables, g, h):
     monkeypatch.setattr(rt, "build_tables", lambda *args: tables)
     return rt.measure(g, h)
 
 
-def walker_error(tables, g, h):
-    """What routing every pair with route() in source-major order raises first."""
-    for src in range(g.n_nodes):
-        for dst in range(g.n_nodes):
-            if src != dst:
-                try:
-                    rt.route(tables, g, h, src, dst)
-                except rt.RoutingError as exc:
-                    return exc
-    return None
-
-
-def test_measure_reports_loop_from_next_hops(monkeypatch):
+def test_measure_ignores_looping_tables(monkeypatch):
+    # measure composes route lengths without tables, so next hops that
+    # loop, which route() reports, leave its report as it is
     g, h, tables = ring8_setup()
+    want = rt.measure(g, h)
     tables[0].cluster_entries[(1, 1)] = 1
     tables[1].cluster_entries[(1, 1)] = 0
-    want = walker_error(tables, g, h)
-    with pytest.raises(rt.RoutingLoopError) as exc:
-        measure_with(monkeypatch, tables, g, h)
-    cycle = exc.value.cycle
-    assert cycle[0] == cycle[-1]
-    assert set(cycle) == {0, 1}
-    assert str(exc.value) == str(want)
-    assert cycle == want.cycle
+    fault = walker_error(g, h, tables)
+    assert isinstance(fault, rt.RoutingLoopError)
+    assert set(fault.cycle) == {0, 1}
+    assert measure_given(monkeypatch, tables, g, h) == want
 
 
-def test_measure_reports_missing_entry(monkeypatch):
+def test_measure_ignores_tables_missing_an_entry(monkeypatch):
     g, h, tables = ring8_setup()
+    want = rt.measure(g, h)
     del tables[3].node_entries[4]
-    with pytest.raises(rt.RoutingError, match="no entry covering destination 4") as exc:
-        measure_with(monkeypatch, tables, g, h)
-    assert not isinstance(exc.value, rt.RoutingLoopError)
-    assert str(exc.value) == str(walker_error(tables, g, h))
+    fault = walker_error(g, h, tables)
+    assert "no entry covering destination 4" in str(fault)
+    assert not isinstance(fault, rt.RoutingLoopError)
+    assert measure_given(monkeypatch, tables, g, h) == want
 
 
-@pytest.mark.parametrize("block_cells", [1, 20, 1 << 16])
-def test_measure_names_the_walkers_first_fault(monkeypatch, block_cells):
-    # faults in several destination blocks: the one raised is the walker's
-    # first faulty pair in source-major order, whatever the block size
-    monkeypatch.setattr(rt, "_BLOCK_CELLS", block_cells)
-    g, h, tables = ring8_setup()
-    del tables[7].node_entries[0]  # faults toward 0 from sources 3..7
-    tables[0].cluster_entries[(1, 1)] = 1  # a loop from 0 to 3 comes first
-    tables[1].cluster_entries[(1, 1)] = 0
-    want = walker_error(tables, g, h)
+@pytest.mark.parametrize("search_cells", [1, 20, 1 << 16])
+def test_measure_names_the_walkers_first_fault(monkeypatch, search_cells):
+    # faults in several clusters of a hierarchy: both level 1 clusters
+    # are disconnected (6 and 7 are cut off from their siblings), and so
+    # are leaves {0, 2} and {4, 7}; the one raised is the walker's first,
+    # whatever the search block size
+    monkeypatch.setattr(gr, "_SEARCH_CELLS", search_cells)
+    g = gr.ring_graph(8)
+    paths = ((0, 0), (0, 1), (0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 0))
+    h = hi.Hierarchy(3, paths)
+    want = walker_error(g, h)
+    assert isinstance(want, rt.RoutingError)
     with pytest.raises(type(want)) as exc:
-        measure_with(monkeypatch, tables, g, h)
+        rt.measure(g, h)
     assert str(exc.value) == str(want)
 
 
