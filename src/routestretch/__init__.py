@@ -7,9 +7,6 @@ from .analytic import (
     AnalyticParams,
     CurveSeries,
     MinTableStretch,
-    StretchPair,
-    TreeDistanceModel,
-    cluster_path_distance,
     find_min_table_stretch,
     golden_section_min,
     height_from_path_stretch,
@@ -20,8 +17,6 @@ from .analytic import (
     sweep_curve,
     table_stretch_from_path_stretch,
     table_stretch_kk,
-    tree_diameter,
-    tree_pair_distance,
 )
 from .fitting import (
     FitResult,

@@ -13,9 +13,8 @@ The relations implemented:
     s_t = m * N ** (1/m - 1)                 (Kleinrock-Kamoun table stretch)
     s_p = 1 - alpha * ln(s_t)                (information-per-entry form)
 
-plus the composition of the first two, the optimal table lengths
-m * N**(1/m) (fixed level count) and e * ln(N) (free level count), and
-small tree-distance helpers used to reason about cluster trees.
+plus the composition of the first two and the optimal table lengths
+m * N**(1/m) (fixed level count) and e * ln(N) (free level count).
 
 All logarithms are natural; a different base only rescales alpha.
 Every function is pure and raises ValueError on out-of-domain input.
@@ -44,74 +43,18 @@ class AnalyticParams:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError(f"n_nodes must be a positive integer (got {self.n_nodes})")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0 (got {self.alpha})")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0 (got {self.alpha})")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1 (got {self.levels})")
-
-
-@dataclass(frozen=True)
-class StretchPair:
-    """One (path stretch, table stretch) operating point."""
-
-    s_p: float
-    s_t: float
-
-    def __post_init__(self) -> None:
-        if self.s_p < 1:
-            raise ValueError(f"s_p must be >= 1 (got {self.s_p})")
-        if not 0 < self.s_t <= 1:
-            raise ValueError(f"s_t must lie in (0, 1] (got {self.s_t})")
-
-
-@dataclass(frozen=True)
-class TreeDistanceModel:
-    """Distance bookkeeping for a cluster tree.
-
-    intra_cluster_dist is the hop distance between adjacent tree levels,
-    height the number of levels, avg_path_len the network's mean
-    shortest-path length, and beta the path-stretch slope normalized by
-    that mean (beta = alpha / avg_path_len).
-    """
-
-    intra_cluster_dist: float
-    height: int
-    avg_path_len: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if self.intra_cluster_dist < 0:
-            raise ValueError("intra_cluster_dist must be >= 0")
-        if self.height < 1:
-            raise ValueError("height must be >= 1")
-        if not self.avg_path_len > 0:
-            raise ValueError("avg_path_len must be > 0")
-        if not self.beta > 0:
-            raise ValueError("beta must be > 0")
-
-    @classmethod
-    def from_slope(
-        cls, intra_cluster_dist: float, height: int, avg_path_len: float, alpha: float
-    ) -> "TreeDistanceModel":
-        if not alpha > 0:
-            raise ValueError(f"alpha must be > 0 (got {alpha})")
-        if not avg_path_len > 0:
-            raise ValueError(f"avg_path_len must be > 0 (got {avg_path_len})")
-        return cls(intra_cluster_dist, height, avg_path_len, alpha / avg_path_len)
-
-    def diameter(self) -> float:
-        return tree_diameter(self.height, self.intra_cluster_dist)
-
-    def expected_path_stretch(self) -> float:
-        return 1.0 + self.beta * (self.height - 1)
 
 
 def path_stretch_from_height(h: float, alpha: float) -> float:
     """s_p = 1 + alpha*(h - 1); the height-1 boundary gives exactly 1."""
     if h < 1:
         raise ValueError(f"h must be >= 1 (got {h})")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0 (got {alpha})")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0 (got {alpha})")
     return 1.0 + alpha * (h - 1.0)
 
 
@@ -119,8 +62,8 @@ def height_from_path_stretch(s_p: float, alpha: float) -> float:
     """Inverse of path_stretch_from_height: m = 1 + (s_p - 1)/alpha."""
     if s_p < 1:
         raise ValueError(f"s_p must be >= 1 (got {s_p})")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0 (got {alpha})")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0 (got {alpha})")
     return 1.0 + (s_p - 1.0) / alpha
 
 
@@ -167,38 +110,9 @@ def path_stretch_from_table_stretch_ipea(s_t: float, alpha: float) -> float:
     """
     if not 0 < s_t <= 1:
         raise ValueError(f"s_t must lie in (0, 1] (got {s_t})")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0 (got {alpha})")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0 (got {alpha})")
     return 1.0 - alpha * math.log(s_t)
-
-
-def cluster_path_distance(k: int, d_i: float) -> float:
-    """Hop distance (1 + d_i)*k - 1 along a k-cluster chain with inter-level gap d_i."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1 (got {k})")
-    if d_i < 0:
-        raise ValueError(f"d_i must be >= 0 (got {d_i})")
-    return (1.0 + d_i) * k - 1.0
-
-
-def tree_pair_distance(h1: float, h2: float, d_i: float) -> float:
-    """Distance h1*(d_i+1) + h2*(d_i+1) - 2 between nodes h1 and h2 levels below their meet."""
-    if h1 < 0 or h2 < 0:
-        raise ValueError(f"subtree heights must be >= 0 (got {h1}, {h2})")
-    if h1 + h2 < 1:
-        raise ValueError("at least one endpoint must sit strictly below the meeting level")
-    if d_i < 0:
-        raise ValueError(f"d_i must be >= 0 (got {d_i})")
-    return h1 * (d_i + 1.0) + h2 * (d_i + 1.0) - 2.0
-
-
-def tree_diameter(h: int, d_i: float) -> float:
-    """Worst-case distance 2*h*(d_i+1) + d_i across a height-h cluster tree."""
-    if h < 1:
-        raise ValueError(f"h must be >= 1 (got {h})")
-    if d_i < 0:
-        raise ValueError(f"d_i must be >= 0 (got {d_i})")
-    return 2.0 * h * (d_i + 1.0) + d_i
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,10 @@ def cmd_fit(args) -> int:
                 raise ValueError(
                     "eq3 fit needs --n-nodes when the CSV mixes network sizes"
                 )
-            n = int(seen.pop())
+            n = seen.pop()
+            if not n.is_integer():
+                raise ValueError(f"{args.input}: n is not a whole number ({n!r})")
+            n = int(n)
         pts = _read_csv_columns(args.input, ["s_p", "s_t"])
         result = fitting.fit_alpha_eq3(pts, n)
     text = result.to_text()

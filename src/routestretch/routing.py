@@ -19,13 +19,14 @@ matrix is kept.  Each sibling cluster gets one search that carries
 gateways, started from all of its members in ascending order and
 confined to its parent: a reached node records its distance and its
 gateway (nearest source, lowest id among ties), and its next hop is its
-lowest-id neighbor one step closer with the same gateway.  That costs
-O(branching * edges) per level.  Each leaf gets one bit-parallel search
-of the distances between its members (graphs._induced_lengths), run over
-blocks of targets; the next hop from u toward t is the lowest-id
-neighbor w inside the leaf with d(w, t) = d(u, t) - 1.  A leaf of m
-members costs about m / 64 passes over its edges per search level, plus
-one vectorised pass over its edges per target block for the next hops.
+lowest-id neighbor one step closer with the same gateway.  A node entry
+toward t is a sibling entry toward the one-member cluster {t} inside the
+leaf, so each leaf member gets the same search, confined to the leaf;
+the next hop from u toward t is then the lowest-id neighbor w inside the
+leaf with d(w, t) = d(u, t) - 1.  That costs O(branching * edges) per
+level plus one pass over a leaf's edges per member, O(n * edges) for a
+flat hierarchy.  Only the reference walk (route() over these tables) and
+the benchmark's traced probe pay it: measure builds no tables.
 
 Forwarding resolves the destination to the finest key the current node
 can see: the destination itself inside the node's own leaf cluster,
@@ -57,13 +58,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import graphs
-from .graphs import Graph, _component, _induced_lengths, _induced_search, _ranked_neighbors
+from .graphs import Graph, _component, _induced_search
 from .hierarchy import Hierarchy
 
 
@@ -176,35 +176,6 @@ def _clusters(
         yield key, members, found
 
 
-def _leaf_entries(adj, members: list[int], node_entries: list[dict[int, int]]) -> None:
-    """Add every member's node entries toward the other members of its
-    leaf cluster, `members` (ascending, connected).
-
-    The next hop from u toward t is the lowest-id neighbor w inside the
-    leaf with d(w, t) = d(u, t) - 1, the first edge that a breadth-first
-    search from t finds.  The distances toward a block of targets come
-    from one search; the neighbors are tried from the last rank down, so
-    the lowest-id match is written last.  Entries store the members' own
-    int objects.
-    """
-    m = len(members)
-    order, ranks = _ranked_neighbors(adj, members)
-    s0 = 0
-    for dist in _induced_lengths(adj, members):
-        k = len(dist)
-        dist = np.ascontiguousarray(dist.T)  # [u, t]
-        closer = dist - 1
-        hop = np.full((m, k), -1, dtype=np.int32)  # -1 stays on u == t
-        for w in reversed(ranks):
-            nodes = order[: len(w)]
-            hop[nodes] = np.where(dist[w] == closer[nodes], w[:, None], hop[nodes])
-        targets = members[s0 : s0 + k]
-        for u, row in zip(members, hop):
-            hops = map(members.__getitem__, row.tolist())
-            node_entries[u].update(compress(zip(targets, hops), (row >= 0).tolist()))
-        s0 += k
-
-
 def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]:
     """Tables for every node.
 
@@ -218,21 +189,28 @@ def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]
     depth = hierarchy.levels - 1
     node_entries: list[dict[int, int]] = [{} for _ in range(n)]
     cluster_entries: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+
+    def add_entries(entries, key, found) -> None:
+        # an entry toward key for every reached node but the sources: the
+        # lowest-id neighbor one step closer to the same gateway
+        for u, (d, g) in found.items():
+            if d:
+                closer = (d - 1, g)
+                for w in adj[u]:
+                    if found.get(w) == closer:
+                        entries[u][key] = w
+                        break
+
     # coarsest first, so every table lists its cluster entries level by level
     for key, members, found in _clusters(graph, hierarchy):
         if found is not None:
-            # a sibling-cluster entry for every node of the parent outside
-            # key: the lowest-id neighbor one step closer to its gateway
-            entry = (len(key), key[-1])
-            for u, (d, g) in found.items():
-                if d:
-                    closer = (d - 1, g)
-                    for w in adj[u]:
-                        if found.get(w) == closer:
-                            cluster_entries[u][entry] = w
-                            break
+            # toward a sibling cluster, for every node of the parent outside it
+            add_entries(cluster_entries, (len(key), key[-1]), found)
         if len(key) == depth:
-            _leaf_entries(adj, members, node_entries)
+            # toward each member t of a leaf: a sibling entry toward {t}
+            leaf = set(members)
+            for t in members:
+                add_entries(node_entries, t, _gateways(adj, [t], leaf))
     return tuple(
         RoutingTable(u, node_entries[u], cluster_entries[u]) for u in range(n)
     )
@@ -245,7 +223,11 @@ def route(
     src: int,
     dst: int,
 ) -> list[int]:
-    """Forward a packet hop by hop; returns the node sequence src..dst."""
+    """Forward a packet hop by hop; returns the node sequence src..dst.
+
+    Raises RoutingError when a node has no entry covering dst, and
+    RoutingLoopError, carrying the cycle, after more than n_nodes hops.
+    """
     n = graph.n_nodes
     if not (0 <= src < n and 0 <= dst < n):
         raise ValueError(f"src/dst must lie in [0, {n}) (got {src}, {dst})")
@@ -253,24 +235,15 @@ def route(
         raise ValueError("src and dst must differ")
     paths = hierarchy.label_paths
     p_dst = paths[dst]
-
-    def next_hop(x: int) -> int | None:
-        px = paths[x]
-        if px == p_dst:
-            return tables[x].node_entries.get(dst)
-        j = next(i for i in range(len(px)) if px[i] != p_dst[i])
-        return tables[x].cluster_entries.get((j + 1, p_dst[j]))
-
-    return _follow(next_hop, n, src, dst)
-
-
-def _follow(next_hop: Callable[[int], int | None], n: int, src: int, dst: int) -> list[int]:
-    """Hop sequence src..dst along next_hop (None: no entry covers dst),
-    with the loop guard: more than n hops raises RoutingLoopError."""
     hops = [src]
     x = src
     while x != dst:
-        nxt = next_hop(x)
+        px = paths[x]
+        if px == p_dst:
+            nxt = tables[x].node_entries.get(dst)
+        else:
+            j = next(i for i in range(len(px)) if px[i] != p_dst[i])
+            nxt = tables[x].cluster_entries.get((j + 1, p_dst[j]))
         if nxt is None:
             raise RoutingError(f"node {x} has no entry covering destination {dst}")
         hops.append(nxt)

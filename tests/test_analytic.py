@@ -100,26 +100,6 @@ def test_boundary_identities_random_samples():
         assert an.path_stretch_from_table_stretch_ipea(1.0, alpha) == 1.0
 
 
-def test_tree_distance_hand_values():
-    # (1 + 2) * 3 - 1
-    assert an.cluster_path_distance(3, 2.0) == 8.0
-    assert an.cluster_path_distance(1, 0.0) == 0.0
-    # 2*(1+1) + 2*(1+1) - 2
-    assert an.tree_pair_distance(2, 2, 1.0) == 6.0
-    # 0 + 1*(4+1) - 2
-    assert an.tree_pair_distance(0, 1, 4.0) == 3.0
-    # 2*2*(4+1) + 4
-    assert an.tree_diameter(2, 4.0) == 24.0
-    assert an.tree_diameter(1, 0.0) == 2.0
-
-
-def test_tree_distance_model():
-    model = an.TreeDistanceModel.from_slope(2.0, 3, 4.0, 0.987)
-    assert model.beta == 0.987 / 4.0
-    assert model.expected_path_stretch() == 1.0 + (0.987 / 4.0) * 2
-    assert model.diameter() == an.tree_diameter(3, 2.0)
-
-
 def test_sweep_curve_default_grid():
     series = an.sweep_curve(an.AnalyticParams(n_nodes=10))
     assert len(series.points) == 401
@@ -188,19 +168,17 @@ def test_domain_rejections():
     with pytest.raises(ValueError):
         an.path_stretch_from_table_stretch_ipea(1.5, 1.0)
     with pytest.raises(ValueError):
-        an.cluster_path_distance(0, 1.0)
-    with pytest.raises(ValueError):
-        an.tree_pair_distance(0, 0, 1.0)
-    with pytest.raises(ValueError):
-        an.tree_diameter(2, -0.1)
-    with pytest.raises(ValueError):
         an.AnalyticParams(n_nodes=0)
     with pytest.raises(ValueError):
         an.AnalyticParams(n_nodes=10, alpha=-1.0)
     with pytest.raises(ValueError):
-        an.StretchPair(0.5, 0.5)
+        an.AnalyticParams(n_nodes=10, alpha=math.inf)
     with pytest.raises(ValueError):
-        an.StretchPair(1.5, 0.0)
+        an.path_stretch_from_height(2.0, math.inf)
+    with pytest.raises(ValueError):
+        an.height_from_path_stretch(2.0, math.inf)
+    with pytest.raises(ValueError):
+        an.path_stretch_from_table_stretch_ipea(0.5, math.inf)
     with pytest.raises(ValueError):
         an.sweep_curve(an.AnalyticParams(n_nodes=10), 2.0, 1.0)
     with pytest.raises(ValueError):

@@ -182,6 +182,20 @@ def test_validate_reports_failures(capsys):
     assert "check(s) failed" in out
 
 
+def test_validate_rejects_infinite_alpha(capsys):
+    assert main(["validate", "--alpha", "inf"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL boundary identities" in out
+    assert "all checks passed" not in out
+
+
+def test_curve_rejects_infinite_alpha(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["curve", "--n-nodes", "10", "--alpha", "inf", "--out", str(out)]) == 2
+    assert "alpha must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_with_files(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     hier = tmp_path / "h.clusters"
@@ -225,6 +239,15 @@ def test_fit_eq3_infers_n_from_column(tmp_path, capsys):
     pts.write_text("n,s_p,s_t\n10,1.2,0.9\n20,1.4,0.8\n")
     assert main(["fit", "--model", "eq3", "--input", str(pts)]) == 2
     assert "mixes network sizes" in capsys.readouterr().err
+
+
+def test_fit_eq3_rejects_fractional_n(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("n,s_p,s_t\n10.7,1.2,0.9\n10.7,1.8,0.6\n")
+    assert main(["fit", "--model", "eq3", "--input", str(pts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{pts}: n is not a whole number (10.7)" in captured.err
 
 
 def test_fit_ipea_from_csv(tmp_path, capsys):

@@ -8,10 +8,11 @@ for every candidate, and its label paths and error messages must be
 reproduced exactly.  graphs._induced_lengths() finds the hop distances
 of a block of sources with one bit-parallel search; the reference is
 one breadth-first search per source (induced_distances below), which
-every other oracle here uses too.  build_tables() finds next hops from
-that search and from gateway-carrying BFS runs; the table oracle below
-finds them from all-pairs distances inside each cluster, the definition
-the tables must reproduce exactly.  measure() composes route lengths
+every other oracle here uses too.  build_tables() finds every next hop
+from gateway-carrying BFS runs, one per sibling cluster and one per leaf
+member; the table oracle below finds them from all-pairs distances
+inside each cluster, the definition the tables must reproduce exactly,
+and a frozen digest pins their order.  measure() composes route lengths
 from gateway distances and leaf distances without building tables; the
 walker reference routes every pair with route() and must be reproduced
 exactly, with the mean per-pair ratio as the correctly rounded exact
@@ -596,6 +597,24 @@ def test_torus_40_hierarchy_files_frozen(tmp_path, levels, digest):
     path = tmp_path / "torus.clusters"
     hi.save(hi.build_balanced(gr.torus_graph(40, 40), levels, 2), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("graph, levels, digest", [
+    ("torus", 2, "dbf20a5b03556ed12a892ca873f89cd1dc8f2f664b598722eb4e569e2fc3201f"),
+    ("torus", 3, "bee50c7072879fa81fef6a04b955500e9de1d9ffcc903bf6aa5e9feb64c08674"),
+    ("torus", 4, "51595e1c95799fc7dd2df926c521a4d2b84b56f3d3c84c1c3f12bc2f42bd33af"),
+    ("random", 3, "f6f6eb31a82b4bcc6a6e983ea28d18211358ae30a42a85f5e27f1b77dbf4048c"),
+])
+def test_build_tables_frozen(graph, levels, digest):
+    # sha256 of repr(tables) from the bit-parallel leaf builder: it pins
+    # each dict's order and every hop, where == against oracle_tables
+    # ignores dict order
+    if graph == "torus":
+        g = gr.torus_graph(20, 20)
+    else:
+        g = gr.random_graph(700, 0.043, seed=1)
+    tables = rt.build_tables(g, hi.build_balanced(g, levels, 2))
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
 
 
 SMALL_GRAPHS = {
