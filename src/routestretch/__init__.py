@@ -41,11 +41,9 @@ from .hierarchy import (
     Hierarchy,
     HierarchyBuildError,
     HierarchyFormatError,
-    HierarchyStats,
     build_balanced,
     build_grid_blocks,
     flat_hierarchy,
-    nest_grid_blocks,
     stats,
     validate,
 )

@@ -34,19 +34,16 @@ DEFAULT_ALPHA = 0.987
 
 @dataclass(frozen=True)
 class AnalyticParams:
-    """Shared parameter bundle: network size, stretch slope, level count."""
+    """Shared parameter bundle: network size and stretch slope."""
 
     n_nodes: int
     alpha: float = DEFAULT_ALPHA
-    levels: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError(f"n_nodes must be a positive integer (got {self.n_nodes})")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and > 0 (got {self.alpha})")
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1 (got {self.levels})")
 
 
 def path_stretch_from_height(h: float, alpha: float) -> float:
@@ -157,6 +154,8 @@ def sweep_curve(
         raise ValueError("s_p_max must exceed s_p_min")
     if not step > 0:
         raise ValueError(f"step must be > 0 (got {step})")
+    if s_p_min + step == s_p_min:
+        raise ValueError(f"step {step} is too small to move s_p from {s_p_min}")
     count = int(math.floor((s_p_max - s_p_min) / step + 1e-9)) + 1
     pts = []
     for i in range(count):
@@ -200,21 +199,14 @@ class MinTableStretch(NamedTuple):
 def find_min_table_stretch(params: AnalyticParams) -> MinTableStretch:
     """Continuous minimum of the tradeoff curve over s_p >= 1.
 
-    Golden-section search on m in [1, max(2, 4*ln N)] with absolute
-    tolerance 1e-9, cross-checked against the closed form m* = ln N
-    (clamped to the m >= 1 boundary, which only binds for N = 2).
+    m * N**(1/m) is least at m* = ln N (see optimal_table_length_variable),
+    clamped to the m >= 1 boundary, which only binds for N = 2.
     """
     n = params.n_nodes
     if n < 2:
         raise ValueError(f"n_nodes must be >= 2 (got {n})")
-    hi = max(2.0, 4.0 * math.log(n))
-    m_num, _ = golden_section_min(lambda m: table_stretch_kk(n, m), 1.0, hi, tol=1e-9)
-    m_closed = max(1.0, math.log(n))
-    if abs(m_num - m_closed) > 1e-6:
-        raise ArithmeticError(
-            f"search and closed form disagree: m={m_num} vs ln N={m_closed}"
-        )
+    m = max(1.0, math.log(n))
     return MinTableStretch(
-        s_p_at_min=path_stretch_from_height(m_num, params.alpha),
-        s_t_min=table_stretch_kk(n, m_num),
+        s_p_at_min=path_stretch_from_height(m, params.alpha),
+        s_t_min=table_stretch_kk(n, m),
     )

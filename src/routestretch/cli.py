@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import random
 import sys
 
@@ -143,11 +142,10 @@ def cmd_cluster(args) -> int:
                 "grid method needs --rows, --cols, --block-rows and --block-cols"
             )
         h = hierarchy.build_grid_blocks(
-            g, args.rows, args.cols, args.block_rows, args.block_cols
+            g, args.rows, args.cols, [(args.block_rows, args.block_cols)]
         )
     hierarchy.save(h, args.out)
-    st = hierarchy.stats(h)
-    counts = ",".join(map(str, st.cluster_counts)) or "-"
+    counts = ",".join(map(str, hierarchy.stats(h))) or "-"
     print(
         f"wrote {h.levels}-level hierarchy ({h.method}; clusters per level: {counts}) "
         f"to {args.out}"
@@ -170,9 +168,8 @@ def cmd_simulate(args) -> int:
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     if args.csv:
-        new_file = not os.path.exists(args.csv)
         with open(args.csv, "a", encoding="utf-8", newline="\n") as fh:
-            if new_file:
+            if fh.tell() == 0:  # a missing or empty file gets the header
                 fh.write(routing.StretchReport.CSV_HEADER + "\n")
             fh.write(report.csv_record() + "\n")
     return EXIT_OK
@@ -311,7 +308,7 @@ def cmd_validate(args) -> int:
 
     def grid_oracle() -> None:
         g = graphs.grid_graph(4, 4)
-        h = hierarchy.build_grid_blocks(g, 4, 4, 2, 2)
+        h = hierarchy.build_grid_blocks(g, 4, 4, [(2, 2)])
         report = routing.measure(g, h)
         assert report.s_t == 0.4375, f"grid s_t {report.s_t} != 0.4375"
         assert report.s_p >= 1.0

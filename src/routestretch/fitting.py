@@ -30,6 +30,7 @@ import numpy as np
 from .analytic import golden_section_min
 
 _GRID_STEP = 1e-4
+_ALPHA_START = 5.0
 _ALPHA_CAP = 40.0
 
 
@@ -133,16 +134,11 @@ def _eq3_sse_vector(alphas: np.ndarray, d: np.ndarray, st: np.ndarray, ln_n: flo
     return (resid * resid).sum(axis=1)
 
 
-def fit_alpha_eq3(
-    points: Sequence[tuple[float, float]],
-    n_nodes: int,
-    *,
-    alpha_max: float = 5.0,
-) -> FitResult:
+def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitResult:
     """Fit the composed tradeoff curve to (path stretch, table stretch) points.
 
     n_nodes is the network size the observations came from.  The search
-    range (0, alpha_max] doubles with a warning whenever the optimum
+    range (0, 5] doubles with a warning whenever the optimum
     lands on its upper edge, up to a hard cap.
     """
     pts = _finite_points(points)
@@ -160,7 +156,7 @@ def fit_alpha_eq3(
     ln_n = math.log(n_nodes)
 
     lo = _GRID_STEP
-    hi = alpha_max
+    hi = _ALPHA_START
     while True:
         count = int(round((hi - lo) / _GRID_STEP)) + 1
         best_sse = math.inf

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -80,12 +80,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adj[u]
-
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -168,7 +162,11 @@ def torus_graph(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, sorted(edges))
 
 
-def random_graph(n: int, edge_prob: float, seed: int, max_tries: int = 100) -> Graph:
+# draws random_graph makes before it gives up on a connected sample
+_MAX_TRIES = 100
+
+
+def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """Connected G(n, p) sample.
 
     Each attempt draws every unordered pair once from the seeded stream;
@@ -180,7 +178,7 @@ def random_graph(n: int, edge_prob: float, seed: int, max_tries: int = 100) -> G
     if not 0 < edge_prob <= 1:
         raise ValueError(f"edge_prob must lie in (0, 1] (got {edge_prob})")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         edges = [
             (i, j)
             for i in range(n)
@@ -192,7 +190,7 @@ def random_graph(n: int, edge_prob: float, seed: int, max_tries: int = 100) -> G
         except DisconnectedGraphError:
             continue
     raise DisconnectedGraphError(
-        f"no connected G({n}, {edge_prob}) sample in {max_tries} attempts (seed {seed})"
+        f"no connected G({n}, {edge_prob}) sample in {_MAX_TRIES} attempts (seed {seed})"
     )
 
 
@@ -308,19 +306,6 @@ def _ranked_neighbors(adj, members: Sequence[int]) -> tuple[np.ndarray, list[np.
 _SEARCH_CELLS = 1 << 18
 
 
-def _induced_lengths(adj, members: Sequence[int]) -> Iterator[np.ndarray]:
-    """Hop distances inside the subgraph the ascending `members` induce,
-    one block of sources at a time.  Each block is a (sources x members)
-    int32 array; its rows are the next sources in member order, its
-    columns the members, and -1 marks a member the source cannot reach.
-    """
-    m = len(members)
-    search = _induced_search(adj, members)
-    block = max(1, _SEARCH_CELLS // max(m, 1))
-    for s0 in range(0, m, block):
-        yield search(np.arange(s0, min(s0 + block, m))).T.copy()
-
-
 def _induced_search(adj, members: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
     """The search of the subgraph the ascending `members` induce, set up
     once: called with the positions of some members, it returns their
@@ -380,9 +365,12 @@ def _bit_columns(words: np.ndarray, k: int) -> np.ndarray:
 
 
 def all_pairs_shortest_lengths(graph: Graph) -> list[list[int]]:
-    """Full hop-distance matrix, one row per source."""
-    return [
-        row
-        for block in _induced_lengths(graph.adj, range(graph.n_nodes))
-        for row in block.tolist()
-    ]
+    """Full hop-distance matrix, one row per source, searched a block of
+    sources at a time."""
+    n = graph.n_nodes
+    search = _induced_search(graph.adj, range(n))
+    block = max(1, _SEARCH_CELLS // n)
+    rows: list[list[int]] = []
+    for s0 in range(0, n, block):
+        rows += search(np.arange(s0, min(s0 + block, n))).T.tolist()
+    return rows

@@ -95,28 +95,12 @@ class Hierarchy:
         return groups
 
 
-@dataclass(frozen=True)
-class HierarchyStats:
-    cluster_counts: tuple[int, ...]
-    mean_leaf_size: float
-    height: int
-
-
-def stats(hierarchy: Hierarchy) -> HierarchyStats:
-    """Cluster count per level, mean leaf-cluster size, and height.
-
-    For equal-size leaf clusters mean_leaf_size / n == 1 / p exactly,
-    with p the leaf-level cluster count: that ratio is the flat-table
-    fraction each node keeps.  A flat hierarchy reports zero cluster
-    levels and the whole graph as its single leaf group.
-    """
+def stats(hierarchy: Hierarchy) -> tuple[int, ...]:
+    """Cluster count per level, coarsest first; () for a flat hierarchy."""
     hierarchy._require_uniform()
-    n = hierarchy.n_nodes
-    counts = []
-    for k in range(hierarchy.levels - 1):
-        counts.append(len({p[k] for p in hierarchy.label_paths}))
-    mean_leaf = n / counts[-1] if counts else float(n)
-    return HierarchyStats(tuple(counts), mean_leaf, hierarchy.levels)
+    return tuple(
+        len({p[k] for p in hierarchy.label_paths}) for k in range(hierarchy.levels - 1)
+    )
 
 
 def flat_hierarchy(graph: Graph) -> Hierarchy:
@@ -328,6 +312,13 @@ def build_balanced(graph: Graph, levels: int, branching: int = 2) -> Hierarchy:
         raise ValueError(f"levels must be >= 1 (got {levels})")
     if branching < 2:
         raise ValueError(f"branching must be >= 2 (got {branching})")
+    if levels - 1 > graph.n_nodes.bit_length():
+        # branching ** (levels - 1) > 2 ** bit_length > n_nodes: too large
+        # to compute or print in good time
+        raise ValueError(
+            f"branching {branching} with {levels} levels needs more nodes "
+            f"than the graph's {graph.n_nodes}"
+        )
     if branching ** (levels - 1) > graph.n_nodes:
         raise ValueError(
             f"branching {branching} with {levels} levels needs at least "
@@ -353,7 +344,7 @@ def build_balanced(graph: Graph, levels: int, branching: int = 2) -> Hierarchy:
     )
 
 
-def nest_grid_blocks(
+def build_grid_blocks(
     graph: Graph,
     rows: int,
     cols: int,
@@ -388,13 +379,6 @@ def nest_grid_blocks(
         paths.append(tuple(path))
     tag = "+".join(f"{br}x{bc}" for br, bc in block_dims)
     return Hierarchy(len(block_dims) + 1, tuple(paths), method=f"grid-blocks-{tag}")
-
-
-def build_grid_blocks(
-    graph: Graph, rows: int, cols: int, block_rows: int, block_cols: int
-) -> Hierarchy:
-    """Two-level rectangular-block clustering of a row-major grid or torus."""
-    return nest_grid_blocks(graph, rows, cols, [(block_rows, block_cols)])
 
 
 def validate(hierarchy: Hierarchy, graph: Graph) -> list[str]:
@@ -447,7 +431,7 @@ def save(hierarchy: Hierarchy, path: str) -> None:
             fh.write(" ".join([str(u), *map(str, p)]) + "\n")
 
 
-def load(path: str, method: str = "file") -> Hierarchy:
+def load(path: str) -> Hierarchy:
     """Parse a hierarchy file; errors name the offending line.
 
     The level count is inferred from the longest path so malformed files
@@ -483,4 +467,4 @@ def load(path: str, method: str = "file") -> Hierarchy:
         raise HierarchyFormatError(f"missing entries for nodes {missing}")
     paths = tuple(rows[u] for u in range(n))
     levels = 1 + max(len(p) for p in paths)
-    return Hierarchy(levels, paths, method=method)
+    return Hierarchy(levels, paths, method="file")

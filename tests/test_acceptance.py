@@ -165,7 +165,7 @@ def test_criterion_6_small_network_simulation(capsys):
             (gr.ring_graph(8), hi.build_balanced(gr.ring_graph(8), 2, 2), 5, 0.625),
             (
                 gr.grid_graph(4, 4),
-                hi.build_grid_blocks(gr.grid_graph(4, 4), 4, 4, 2, 2),
+                hi.build_grid_blocks(gr.grid_graph(4, 4), 4, 4, [(2, 2)]),
                 7,
                 0.4375,
             ),

@@ -148,6 +148,25 @@ def test_find_min_clamps_tiny_networks():
     assert math.isclose(got.s_t_min, 1.0, abs_tol=1e-6)
 
 
+def test_find_min_is_the_closed_form_from_2_to_1e18():
+    # a golden-section search on m landed more than 1e-6 from ln N at
+    # some sizes (772254611 and 10**11 among them)
+    sizes = {max(2, int(10 ** (k / 20))) for k in range(361)}
+    sizes |= {772254611, 10**11, 15_800_000_000, 10**12, 10**18}
+    for n in sorted(sizes):
+        m = max(1.0, math.log(n))
+        got = an.find_min_table_stretch(an.AnalyticParams(n_nodes=n, alpha=0.987))
+        assert got == (an.path_stretch_from_height(m, 0.987), an.table_stretch_kk(n, m)), n
+
+
+def test_sweep_rejects_a_step_that_cannot_move_the_grid():
+    params = an.AnalyticParams(n_nodes=10)
+    with pytest.raises(ValueError, match="too small to move s_p"):
+        an.sweep_curve(params, step=1e-17)
+    with pytest.raises(ValueError, match="too small to move s_p"):
+        an.sweep_curve(params, 1e6, 2e6, 1e-11)
+
+
 def test_domain_rejections():
     with pytest.raises(ValueError):
         an.path_stretch_from_height(0.5, 1.0)

@@ -302,3 +302,37 @@ def test_simulate_csv_appends(tmp_path):
     lines = csv.read_text().splitlines()
     assert len(lines) == 3
     assert lines[1] == lines[2]
+
+
+def test_simulate_csv_onto_an_empty_file_writes_the_header(tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    csv = tmp_path / "out.csv"
+    csv.write_text("")
+    main(["gen", "ring", "--n", "8", "--out", str(graph)])
+    for levels in (2, 3):
+        hier = tmp_path / f"h{levels}.clusters"
+        main(["cluster", "--graph", str(graph), "--levels", str(levels), "--out", str(hier)])
+        assert main(["simulate", "--graph", str(graph), "--hierarchy", str(hier),
+                     "--csv", str(csv)]) == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "n,levels,method,s_p,s_t,mean_table,mean_hier,mean_short"
+    assert len(lines) == 3
+    capsys.readouterr()
+    assert main(["fit", "--model", "linear", "--input", str(csv)]) == 0
+    assert alpha_from(capsys.readouterr().out) > 0
+
+
+def test_curve_rejects_a_step_that_cannot_move_the_grid(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["curve", "--n-nodes", "10", "--step", "1e-17", "--out", str(out)]) == 2
+    assert "too small to move s_p" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cluster_rejects_huge_levels_at_once(tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    main(["gen", "ring", "--n", "8", "--out", str(graph)])
+    assert main(["cluster", "--graph", str(graph), "--levels", "100000",
+                 "--out", str(tmp_path / "h.clusters")]) == 2
+    err = capsys.readouterr().err
+    assert "branching 2 with 100000 levels needs more nodes than the graph's 8" in err

@@ -17,10 +17,7 @@ def test_flat_hierarchy():
     assert h.method == "flat"
     with pytest.raises(ValueError):
         h.clusters_at_level(1)
-    st = hi.stats(h)
-    assert st.cluster_counts == ()
-    assert st.mean_leaf_size == 8.0
-    assert st.height == 1
+    assert hi.stats(h) == ()
 
 
 def test_balanced_ring8_splits_into_contiguous_arcs():
@@ -51,13 +48,8 @@ def test_balanced_three_levels_on_a_complete_graph():
     n = 64
     g = gr.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     h = hi.build_balanced(g, levels=3, branching=4)
-    st = hi.stats(h)
-    assert st.cluster_counts == (4, 16)
-    assert st.mean_leaf_size == 4.0
-    assert st.height == 3
+    assert hi.stats(h) == (4, 16)
     assert hi.validate(h, g) == []
-    # equal-size leaves: mean size times leaf count recovers n
-    assert st.mean_leaf_size * st.cluster_counts[-1] == n
 
 
 def test_balanced_argument_guards():
@@ -69,6 +61,16 @@ def test_balanced_argument_guards():
     with pytest.raises(ValueError, match="needs at least 16 nodes"):
         hi.build_balanced(g, levels=5, branching=2)
     assert hi.build_balanced(g, levels=1).method == "flat"
+
+
+def test_balanced_rejects_huge_levels_at_once():
+    # 2 ** 99999 is never computed: the message names levels, branching
+    # and node count instead of a 30000-digit node count
+    with pytest.raises(ValueError) as exc:
+        hi.build_balanced(gr.ring_graph(8), levels=100_000, branching=3)
+    assert str(exc.value) == (
+        "branching 3 with 100000 levels needs more nodes than the graph's 8"
+    )
 
 
 def test_balanced_fails_honestly_on_a_star():
@@ -83,7 +85,7 @@ def test_balanced_fails_honestly_on_a_star():
 
 def test_grid_blocks_two_level():
     g = gr.grid_graph(4, 4)
-    h = hi.build_grid_blocks(g, 4, 4, 2, 2)
+    h = hi.build_grid_blocks(g, 4, 4, [(2, 2)])
     assert h.levels == 2
     assert h.method == "grid-blocks-2x2"
     assert h.clusters_at_level(1) == {
@@ -97,25 +99,23 @@ def test_grid_blocks_two_level():
 
 def test_grid_blocks_nested_on_torus():
     g = gr.torus_graph(16, 16)
-    h = hi.nest_grid_blocks(g, 16, 16, [(8, 8), (4, 4), (2, 2)])
+    h = hi.build_grid_blocks(g, 16, 16, [(8, 8), (4, 4), (2, 2)])
     assert h.levels == 4
     assert h.method == "grid-blocks-8x8+4x4+2x2"
-    st = hi.stats(h)
-    assert st.cluster_counts == (4, 16, 64)
-    assert st.mean_leaf_size == 4.0
+    assert hi.stats(h) == (4, 16, 64)
     assert hi.validate(h, g) == []
 
 
 def test_grid_blocks_guards():
     g = gr.grid_graph(4, 4)
     with pytest.raises(ValueError, match="does not match"):
-        hi.nest_grid_blocks(g, 4, 5, [(2, 2)])
+        hi.build_grid_blocks(g, 4, 5, [(2, 2)])
     with pytest.raises(ValueError, match="does not divide"):
-        hi.nest_grid_blocks(g, 4, 4, [(3, 2)])
+        hi.build_grid_blocks(g, 4, 4, [(3, 2)])
     with pytest.raises(ValueError, match="does not divide"):
-        hi.nest_grid_blocks(g, 4, 4, [(2, 2), (2, 1), (2, 2)])
+        hi.build_grid_blocks(g, 4, 4, [(2, 2), (2, 1), (2, 2)])
     with pytest.raises(ValueError, match="at least one block"):
-        hi.nest_grid_blocks(g, 4, 4, [])
+        hi.build_grid_blocks(g, 4, 4, [])
 
 
 def test_validate_node_count_mismatch():

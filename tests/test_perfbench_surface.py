@@ -1,17 +1,24 @@
-"""The program attributes perfbench/ reads.
+"""The program attributes perfbench/ reads, and one traced toy run.
 
 perfbench's traced mode wraps the functions named in tracer.TRACED and
 its worker's probes call the program directly.  The tracer skips a name
-its module lacks, and tier-1 never runs the traced mode, so a removed
-name would pass unnoticed; these checks name it instead.
+its module lacks, so a removed name would pass unnoticed; the first two
+checks name it instead.  The last runs the toy workload traced, which
+calls every worker probe and checks every step's output against the
+recorded toy digests, so a changed signature or output fails it too.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import pathlib
+import shutil
+import subprocess
+import sys
 
-BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 
 
 def test_traced_attributes_exist():
@@ -48,3 +55,18 @@ def test_worker_attributes_exist():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_traced_toy_run_is_correct(tmp_path):
+    skip = shutil.ignore_patterns("__pycache__", ".perfbench")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "toy", "--seed", "0",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), done.stdout

@@ -5,7 +5,7 @@ build_balanced() decides whether taking a node disconnects the
 unassigned remainder with a search near the node and a memo of known
 cut vertices; the clustering oracle below searches the whole remainder
 for every candidate, and its label paths and error messages must be
-reproduced exactly.  graphs._induced_lengths() finds the hop distances
+reproduced exactly.  graphs._induced_search() finds the hop distances
 of a block of sources with one bit-parallel search; the reference is
 one breadth-first search per source (induced_distances below), which
 every other oracle here uses too.  build_tables() finds every next hop
@@ -28,6 +28,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -352,20 +353,18 @@ def test_torus_ladder_tables_equal_oracle(levels):
 
 
 def search_blocks(adj, members, per_block):
-    """The search's blocks, with the block constant set to give
-    `per_block` sources a block (None: all sources in one)."""
-    cells = (per_block or len(members)) * len(members)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gr, "_SEARCH_CELLS", cells)
-        return [block.tolist() for block in gr._induced_lengths(adj, members)]
+    """The search's hop distances for consecutive blocks of `per_block`
+    sources (None: all sources in one block), one row per source."""
+    search = gr._induced_search(adj, members)
+    size = per_block or len(members)
+    return [
+        search(np.arange(s0, min(s0 + size, len(members)))).T.tolist()
+        for s0 in range(0, len(members), size)
+    ]
 
 
 def check_search(adj, members, per_block):
     blocks = search_blocks(adj, members, per_block)
-    size = per_block or len(members)
-    assert [len(b) for b in blocks] == [
-        min(size, len(members) - s0) for s0 in range(0, len(members), size)
-    ]
     d = induced_distances(members, adj)
     assert [row for b in blocks for row in b] == [
         [d[s].get(v, -1) for v in members] for s in members

@@ -89,7 +89,7 @@ def test_ring8_csv_and_text():
 
 def test_grid44_blocks_report():
     g = gr.grid_graph(4, 4)
-    h = hi.build_grid_blocks(g, 4, 4, 2, 2)
+    h = hi.build_grid_blocks(g, 4, 4, [(2, 2)])
     rep = rt.measure(g, h)
     assert rep.s_p == 1.0
     assert rep.s_t == 0.4375
