@@ -137,6 +137,10 @@ class CurveSeries:
         return min(self.points, key=lambda p: p[2])
 
 
+# Most points one sweep may ask for; the default grid has 401.
+_MAX_POINTS = 10**6
+
+
 def sweep_curve(
     params: AnalyticParams,
     s_p_min: float = 1.0,
@@ -146,8 +150,11 @@ def sweep_curve(
     """Sample the tradeoff curve on a regular s_p grid, inclusive of the start.
 
     The end point is included when it lands on the grid (the defaults
-    produce 401 points over [1, 5]).
+    produce 401 points over [1, 5]).  Raises ValueError for a grid of
+    more than a million points.
     """
+    if not (math.isfinite(s_p_min) and math.isfinite(s_p_max)):
+        raise ValueError(f"s_p bounds must be finite (got {s_p_min}, {s_p_max})")
     if s_p_min < 1:
         raise ValueError(f"s_p_min must be >= 1 (got {s_p_min})")
     if not s_p_max > s_p_min:
@@ -156,7 +163,13 @@ def sweep_curve(
         raise ValueError(f"step must be > 0 (got {step})")
     if s_p_min + step == s_p_min:
         raise ValueError(f"step {step} is too small to move s_p from {s_p_min}")
-    count = int(math.floor((s_p_max - s_p_min) / step + 1e-9)) + 1
+    span = (s_p_max - s_p_min) / step + 1e-9
+    if span >= _MAX_POINTS:  # floor(span) + 1 points
+        raise ValueError(
+            f"s_p from {s_p_min} to {s_p_max} in steps of {step} needs "
+            f"{span + 1:.0f} points, more than {_MAX_POINTS}"
+        )
+    count = int(math.floor(span)) + 1
     pts = []
     for i in range(count):
         s_p = s_p_min + i * step

@@ -28,6 +28,10 @@ found to cut the remainder is not searched again while nodes are left
 on both sides of the cut (see ``_grow_regions``).  A candidate whose
 neighbours meet only far away still costs a search of the whole
 remainder, so the worst case stays quadratic in the cluster size.
+A part that grows past its seed leaves the remainder connected, so the
+last part of each split, every node still unassigned, is taken whole
+without growing it or testing a single cut (when parts are single nodes,
+so is the last).
 
 File format: one line per node, ``node_id path_0 path_1 ...``, sorted
 by node id; ``#`` comments and blank lines are skipped.
@@ -172,8 +176,10 @@ def _grow_regions(
     is deferred while any safe candidate exists, and when every
     candidate disconnects it, the region absorbs the first candidate
     whose severed fragments fit and swallows those fragments whole, so
-    the surviving remainder is a single connected piece.  Deterministic;
-    raises when a region cannot reach its target size any other way.
+    the surviving remainder is a single connected piece.  The last
+    region is therefore that remainder, taken whole: grown from a seed
+    it would reach all of it and never raise.  Deterministic; raises
+    when an earlier region cannot reach its target size any other way.
 
     The disconnect test is exact but local.  After a successful pick or
     a swallow the remainder is connected, so ``_severed`` only has to
@@ -230,6 +236,15 @@ def _grow_regions(
     regions: list[list[int]] = []
     for i in range(parts):
         target = base + (1 if i < rem else 0)
+        if i == parts - 1:
+            # The last part is whatever is left, and it is connected.  A
+            # target of 1 is a single node.  Otherwise every earlier
+            # target was >= 2 too (targets never grow), so each earlier
+            # part ended on a pick that `severs` cleared or on a swallow
+            # that kept the largest component: the remainder is connected,
+            # and growing inside it would reach all of it without failing.
+            regions.append(sorted(unassigned))
+            break
         seed = min(unassigned)
         take(seed)
         connected = False  # unchecked: the seed may cut the remainder

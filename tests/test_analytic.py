@@ -167,6 +167,17 @@ def test_sweep_rejects_a_step_that_cannot_move_the_grid():
         an.sweep_curve(params, 1e6, 2e6, 1e-11)
 
 
+def test_sweep_rejects_infinite_bounds_and_huge_grids():
+    params = an.AnalyticParams(n_nodes=10)
+    for lo, hi in ((1.0, math.inf), (1.0, math.nan), (math.nan, 5.0)):
+        with pytest.raises(ValueError, match="s_p bounds must be finite"):
+            an.sweep_curve(params, lo, hi)
+    with pytest.raises(ValueError, match="needs 4000000000000000 points, more than 1000000"):
+        an.sweep_curve(params, step=1e-15)
+    with pytest.raises(ValueError, match="needs 1000001 points"):
+        an.sweep_curve(params, step=4e-6)
+
+
 def test_domain_rejections():
     with pytest.raises(ValueError):
         an.path_stretch_from_height(0.5, 1.0)

@@ -329,6 +329,15 @@ def test_curve_rejects_a_step_that_cannot_move_the_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_curve_rejects_a_tiny_step_and_an_infinite_bound(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["curve", "--n-nodes", "10", "--step", "1e-15", "--out", str(out)]) == 2
+    assert "points, more than 1000000" in capsys.readouterr().err
+    assert main(["curve", "--n-nodes", "10", "--s-p-max", "inf", "--out", str(out)]) == 2
+    assert "s_p bounds must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cluster_rejects_huge_levels_at_once(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     main(["gen", "ring", "--n", "8", "--out", str(graph)])

@@ -598,6 +598,60 @@ def test_torus_40_hierarchy_files_frozen(tmp_path, levels, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("graph, digest", [
+    ("torus", "168decbb2e692412cad830eb5475314794b104c7082ab827af2878300974fe70"),
+    ("random", "667574cdd6a952e7785b9c64feaae4f07e8f1a754a91305008e93078e1152f04"),
+])
+def test_branching_3_hierarchy_files_frozen(tmp_path, graph, digest):
+    # sha256 of the files written while the last part of each split was
+    # still grown node by node; at b = 3 that part is a third of the work
+    if graph == "torus":
+        g = gr.torus_graph(27, 27)
+    else:
+        g = gr.random_graph(700, 0.043, seed=1)
+    path = tmp_path / "b3.clusters"
+    hi.save(hi.build_balanced(g, 3, 3), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_branching_3_torus_error_message_frozen():
+    with pytest.raises(hi.HierarchyBuildError) as info:
+        hi.build_balanced(gr.torus_graph(27, 27), 4, 3)
+    assert str(info.value) == (
+        "level 3, part 1 of cluster 2: cannot keep the remainder connected "
+        "at 21 of 27 nodes"
+    )
+
+
+def small_shapes(n):
+    return {
+        "ring": gr.ring_graph(n),
+        "path": gr.Graph(n, [(i, i + 1) for i in range(n - 1)]),
+        "star": gr.Graph(n, [(0, i) for i in range(1, n)]),
+        "complete": gr.Graph(n, list(combinations(range(n), 2))),
+    }
+
+
+@pytest.mark.parametrize("branching", [3, 4])
+def test_unit_base_splits_equal_oracle(branching):
+    # n in [b, 2b): every part after the first n - b has a single node
+    for n in range(branching, 2 * branching):
+        for name, g in small_shapes(n).items():
+            got = balanced_outcome(new_balanced, g, 2, branching)
+            assert got == balanced_outcome(oracle_balanced, g, 2, branching), (name, n)
+
+
+@pytest.mark.parametrize("rows, cols, branching, levels", [
+    (3, 30, 2, 2), (3, 30, 2, 3), (3, 30, 2, 4), (3, 30, 3, 2), (3, 30, 3, 3),
+    (1, 12, 2, 2), (1, 12, 2, 3), (1, 12, 3, 2), (1, 12, 3, 3),
+])
+def test_cut_vertex_remainders_equal_oracle(rows, cols, branching, levels):
+    # thin grids and paths: nearly every node of a remainder is a cut vertex
+    g = gr.grid_graph(rows, cols) if rows > 1 else small_shapes(cols)["path"]
+    got = balanced_outcome(new_balanced, g, levels, branching)
+    assert got == balanced_outcome(oracle_balanced, g, levels, branching)
+
+
 @pytest.mark.parametrize("graph, levels, digest", [
     ("torus", 2, "dbf20a5b03556ed12a892ca873f89cd1dc8f2f664b598722eb4e569e2fc3201f"),
     ("torus", 3, "bee50c7072879fa81fef6a04b955500e9de1d9ffcc903bf6aa5e9feb64c08674"),
