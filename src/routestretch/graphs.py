@@ -13,16 +13,30 @@ File format, stable and diffable:
     ...
 
 First significant line is ``n <count>``, then one edge per line with
-u < v, sorted lexicographically.  Lines starting with ``#`` and blank
-lines are ignored.
+u < v, sorted lexicographically.  Lines starting with ``#`` (after
+leading whitespace) and blank lines are ignored.
+
+``load`` reads the text once.  The header is read with ``int`` as a
+Python integer, so any count parses; the edge lines below it go through
+one ``np.loadtxt`` call into int64 rows, with comment lines blanked
+first so that every row keeps its line.  That parse splits fields on
+the whitespace ``str.split`` uses and accepts ASCII decimal integers
+with an optional sign and leading zeros inside the int64 range.  It
+rejects what ``int`` alone would take: digit-group underscores
+(``1_0``), non-ASCII digits and ids beyond int64; such a line is a
+non-integer endpoint.  Field count, u < v, the node range and repeats
+are array checks.  Only once one fails does a scan of the lines run,
+and it only locates the first bad row and names its line: it never
+accepts a file.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from contextlib import suppress
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -41,40 +55,70 @@ class DisconnectedGraphError(ValueError):
     """The node set does not form a single connected component."""
 
 
+class EdgeError(ValueError):
+    """An edge given to Graph is a self-loop, has an endpoint out of range
+    or repeats an earlier edge; `index` is its position in input order."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+# each edge as one (u, v) record: np.fromiter converts tuples this way
+# about three times faster than into a (2,) subarray (map(tuple) passes
+# tuples through and turns other pairs into tuples)
+_EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
+
+
 class Graph:
-    """Immutable connected undirected graph."""
+    """Immutable connected undirected graph.
+
+    `edges` is an (m, 2) int64 array or an iterable of (u, v) pairs, in
+    any order and orientation.  The first edge in input order that is a
+    self-loop, out of range or a repeat raises EdgeError; an endpoint
+    beyond int64 raises ValueError before any edge is checked.
+    """
 
     __slots__ = ("n_nodes", "edges", "adj")
 
-    def __init__(self, n_nodes: int, edges: Iterable[tuple[int, int]]):
+    def __init__(self, n_nodes: int, edges: np.ndarray | Iterable[tuple[int, int]]):
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1 (got {n_nodes})")
-        seen: set[tuple[int, int]] = set()
-        canon: list[tuple[int, int]] = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n_nodes} nodes")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-        canon.sort()
-        message = f"graph with {n_nodes} nodes and {len(canon)} edges is not connected"
+        if isinstance(edges, np.ndarray):
+            pairs = edges.astype(np.int64, copy=False)
+        else:
+            try:
+                pairs = np.fromiter(map(tuple, edges), _EDGE).view(np.int64).reshape(-1, 2)
+            except OverflowError:
+                raise ValueError("an edge endpoint lies outside the int64 range") from None
+        lo, hi = _sorted_edges(n_nodes, pairs)
+        message = f"graph with {n_nodes} nodes and {len(lo)} edges is not connected"
         # fewer than n - 1 edges cannot connect n nodes: fail before
         # allocating adjacency for a node count read from a file
-        if len(canon) < n_nodes - 1:
+        if len(lo) < n_nodes - 1:
             raise DisconnectedGraphError(message)
         self.n_nodes = n_nodes
-        self.edges: tuple[tuple[int, int], ...] = tuple(canon)
-        adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        for u, v in canon:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(ns)) for ns in adj)
-        if not _connected_set(set(range(n_nodes)), self.adj):
+        self.edges: tuple[tuple[int, int], ...] = tuple(zip(lo.tolist(), hi.tolist()))
+        # adjacency in CSR form, rows of (src, dst) in lexicographic order.
+        # Each edge gives (hi, lo) and (lo, hi).  The edges are sorted, so
+        # the (hi, lo) entries of one src list its lower neighbours in
+        # ascending order and its (lo, hi) entries its higher ones: a
+        # stable sort by src, (hi, lo) entries first, sorts every row.
+        src = np.concatenate((hi, lo))
+        dst = np.concatenate((lo, hi))[np.argsort(src, kind="stable")].tolist()
+        ends = np.bincount(src, minlength=n_nodes).cumsum().tolist()
+        self.adj: tuple[tuple[int, ...], ...] = tuple(
+            tuple(dst[a:b]) for a, b in zip([0, *ends], ends)
+        )
+        seen = [False] * n_nodes
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for w in self.adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        if not all(seen):
             raise DisconnectedGraphError(message)
 
     @property
@@ -91,6 +135,32 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n_nodes={self.n_nodes}, num_edges={self.num_edges})"
+
+
+def _sorted_edges(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of every (u, v) row of `pairs` with lo < hi, sorted
+    lexicographically, or EdgeError for the first row in input order
+    that is a self-loop, has an endpoint outside [0, n) or repeats an
+    earlier row in either orientation (one row can be all three; the
+    message names the first of those)."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    out = (lo < 0) | (hi >= n)
+    # a stable sort, so of equal rows the first in input order comes first
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:]] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    bad = (u == v) | out | repeat
+    if bad.any():
+        i = int(bad.argmax())
+        a, b = int(u[i]), int(v[i])
+        if a == b:
+            raise EdgeError(f"self-loop at node {a}", i)
+        if out[i]:
+            raise EdgeError(f"edge ({a}, {b}) out of range for {n} nodes", i)
+        raise EdgeError(f"duplicate edge ({min(a, b)}, {max(a, b)})", i)
+    return lo, hi
 
 
 def _component(start: int, nodes: set[int], adj) -> set[int]:
@@ -225,60 +295,101 @@ def generate(
 
 def save(graph: Graph, path: str) -> None:
     """Write the canonical text form (header line, then sorted edges)."""
+    text = "".join([f"n {graph.n_nodes}\n", *(f"{u} {v}\n" for u, v in graph.edges)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"n {graph.n_nodes}\n")
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+        fh.write(text)
 
 
 def load(path: str) -> Graph:
-    """Parse a graph file; errors name the offending line."""
-    n: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    """Parse a graph file; errors name the offending line.
+
+    Every line below the header goes through one int64 ``np.loadtxt``
+    parse and the edge checks run on the rows as arrays (the module
+    docstring says what the parse accepts: no ``1_0``, no non-ASCII
+    digits, no id beyond int64).  A row the checks reject maps back to
+    its line by counting the non-blank lines above it.  When the parse
+    itself fails, the same parse runs on one line at a time to find the
+    first line that does not parse; a fault in the lines above that one
+    is reported instead, so the line named is always the first bad one.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if n is None:
-                if len(tokens) != 2 or tokens[0] != "n":
-                    raise GraphFormatError("expected header 'n <count>'", line_no)
-                try:
-                    n = int(tokens[1])
-                except ValueError:
-                    raise GraphFormatError(
-                        f"node count {tokens[1]!r} is not an integer", line_no
-                    ) from None
-                if n < 1:
-                    raise GraphFormatError(f"node count must be >= 1 (got {n})", line_no)
-                continue
-            if len(tokens) != 2:
-                raise GraphFormatError(
-                    f"expected 'u v', got {len(tokens)} fields", line_no
-                )
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise GraphFormatError(f"non-integer endpoint in {line!r}", line_no) from None
-            if u == v:
-                raise GraphFormatError(f"self-loop at node {u}", line_no)
-            if not u < v:
-                raise GraphFormatError(
-                    f"edge endpoints must satisfy u < v (got {u} {v})", line_no
-                )
-            if not (0 <= u and v < n):
-                raise GraphFormatError(
-                    f"edge ({u}, {v}) out of range for {n} nodes", line_no
-                )
-            if (u, v) in seen:
-                raise GraphFormatError(f"duplicate edge ({u}, {v})", line_no)
-            seen.add((u, v))
-            edges.append((u, v))
-    if n is None:
+        text = fh.read()
+    lines = text.split("\n")
+    if "#" in text:
+        lines = ["" if line.lstrip().startswith("#") else line for line in lines]
+    head = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if head is None:
         raise GraphFormatError("file has no 'n <count>' header")
-    return Graph(n, edges)
+    tokens = lines[head].split()
+    if len(tokens) != 2 or tokens[0] != "n":
+        raise GraphFormatError("expected header 'n <count>'", head + 1)
+    try:
+        n = int(tokens[1])
+    except ValueError:
+        raise GraphFormatError(
+            f"node count {tokens[1]!r} is not an integer", head + 1
+        ) from None
+    if n < 1:
+        raise GraphFormatError(f"node count must be >= 1 (got {n})", head + 1)
+    return _edge_graph(n, lines[head + 1 :], head + 2)
+
+
+def _parsed(lines: list[str]) -> np.ndarray | None:
+    """The non-blank `lines` as int64 rows of two, or None if they do not
+    parse that way."""
+    if not any(map(str.strip, lines)):
+        return np.empty((0, 2), dtype=np.int64)  # loadtxt warns on no data
+    try:
+        rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == 2 else None
+
+
+def _edge_graph(n: int, lines: list[str], first: int) -> Graph:
+    """The graph whose edge lines are `lines`, from line `first` of the
+    file on; GraphFormatError names the first bad line."""
+    rows = _parsed(lines)
+    if rows is None:
+        _reject_unparsed(n, lines, first)
+    unordered = np.flatnonzero(rows[:, 0] > rows[:, 1])
+    try:
+        if not unordered.size:
+            return Graph(n, rows)
+        _sorted_edges(n, rows[: unordered[0]])  # a fault above the first u > v
+    except EdgeError as exc:
+        raise GraphFormatError(str(exc), _line_of(lines, first, exc.index)) from None
+    i = int(unordered[0])
+    u, v = rows[i].tolist()
+    raise GraphFormatError(
+        f"edge endpoints must satisfy u < v (got {u} {v})", _line_of(lines, first, i)
+    )
+
+
+def _line_of(lines: list[str], first: int, row: int) -> int:
+    """The file line of row `row` (from 0) of the non-blank `lines`."""
+    return first + [i for i, line in enumerate(lines) if line.strip()][row]
+
+
+def _reject_unparsed(n: int, lines: list[str], first: int) -> NoReturn:
+    """Raise GraphFormatError for the first of `lines` that does not
+    parse on its own, or for a fault in the lines above it."""
+    for i, line in enumerate(lines):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 2:
+            message = f"expected 'u v', got {len(fields)} fields"
+        elif _parsed([line]) is None:
+            message = f"non-integer endpoint in {line.strip()!r}"
+        else:
+            continue
+        # the lines above parse, so a fault among them comes first
+        with suppress(DisconnectedGraphError):
+            _edge_graph(n, lines[:i], first)
+        raise GraphFormatError(message, first + i)
+    # the lines parse one at a time but not together: reject all the same
+    raise GraphFormatError("edge lines do not parse", first)
 
 
 def _ranked_neighbors(adj, members: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray]]:

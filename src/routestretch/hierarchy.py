@@ -441,9 +441,11 @@ def validate(hierarchy: Hierarchy, graph: Graph) -> list[str]:
 
 def save(hierarchy: Hierarchy, path: str) -> None:
     """Write one ``node_id path...`` line per node, sorted by node id."""
+    text = "".join(
+        " ".join(map(str, (u, *p))) + "\n" for u, p in enumerate(hierarchy.label_paths)
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u, p in enumerate(hierarchy.label_paths):
-            fh.write(" ".join([str(u), *map(str, p)]) + "\n")
+        fh.write(text)
 
 
 def load(path: str) -> Hierarchy:
@@ -452,34 +454,35 @@ def load(path: str) -> Hierarchy:
     The level count is inferred from the longest path so malformed files
     still load and can be fed to validate().
     """
-    rows: dict[int, tuple[int, ...]] = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            try:
-                values = [int(t) for t in tokens]
-            except ValueError:
-                raise HierarchyFormatError(
-                    f"non-integer field in {line!r}", line_no
-                ) from None
-            u, path_ids = values[0], values[1:]
-            if u < 0:
-                raise HierarchyFormatError(f"negative node id {u}", line_no)
-            if any(c < 0 for c in path_ids):
-                raise HierarchyFormatError(f"negative cluster id for node {u}", line_no)
-            if u in rows:
-                raise HierarchyFormatError(f"duplicate entry for node {u}", line_no)
-            rows[u] = tuple(path_ids)
+        lines = fh.read().split("\n")
+    rows: dict[int, tuple[int, ...]] = {}
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        try:
+            values = tuple(map(int, tokens))
+        except ValueError:
+            raise HierarchyFormatError(
+                f"non-integer field in {line.strip()!r}", line_no
+            ) from None
+        u = values[0]
+        if min(values) < 0:
+            raise HierarchyFormatError(
+                f"negative node id {u}" if u < 0 else f"negative cluster id for node {u}",
+                line_no,
+            )
+        if u in rows:
+            raise HierarchyFormatError(f"duplicate entry for node {u}", line_no)
+        rows[u] = values[1:]
     if not rows:
         raise HierarchyFormatError("file lists no nodes")
     n = max(rows) + 1
-    # a bounded scan: one node id read from the file can be huge
-    missing = list(islice((u for u in range(n) if u not in rows), 5))
-    if missing:
+    if len(rows) < n:
+        # a bounded scan: one node id read from the file can be huge
+        missing = list(islice((u for u in range(n) if u not in rows), 5))
         raise HierarchyFormatError(f"missing entries for nodes {missing}")
-    paths = tuple(rows[u] for u in range(n))
-    levels = 1 + max(len(p) for p in paths)
+    paths = tuple(map(rows.__getitem__, range(n)))
+    levels = 1 + max(map(len, paths))
     return Hierarchy(levels, paths, method="file")

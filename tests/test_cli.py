@@ -345,3 +345,25 @@ def test_cluster_rejects_huge_levels_at_once(tmp_path, capsys):
                  "--out", str(tmp_path / "h.clusters")]) == 2
     err = capsys.readouterr().err
     assert "branching 2 with 100000 levels needs more nodes than the graph's 8" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n 99999999999999999999\n0 1\n",
+     "graph with 99999999999999999999 nodes and 1 edges is not connected"),
+    ("n 3\n0 1\n0 9223372036854775808\n",
+     "line 3: non-integer endpoint in '0 9223372036854775808'"),
+])
+def test_huge_numbers_exit_2_at_once(tmp_path, capsys, text, message):
+    # nothing sized by the node count is allocated (a MemoryError would
+    # escape main()), and an id beyond int64 is named with its line
+    graph = tmp_path / "huge.graph"
+    graph.write_text(text)
+    hier = tmp_path / "two.clusters"
+    hier.write_text("0\n1\n")
+    capsys.readouterr()
+    assert main(["cluster", "--graph", str(graph), "--out", str(tmp_path / "h")]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["simulate", "--graph", str(graph), "--hierarchy", str(hier)]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["validate", "--graph", str(graph), "--hierarchy", str(hier)]) == 2
+    assert message in capsys.readouterr().out

@@ -51,6 +51,8 @@ def test_graph_rejections():
     # too few edges to connect the nodes: rejected before adjacency is built
     with pytest.raises(gr.DisconnectedGraphError, match="10 nodes and 1 edges is not connected"):
         gr.Graph(10, [(0, 1)])
+    with pytest.raises(gr.DisconnectedGraphError, match="1000000000000 nodes and 1 edges"):
+        gr.Graph(10**12, [(0, 1)])
 
 
 def test_graph_equality_and_hash():

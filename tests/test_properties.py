@@ -16,7 +16,11 @@ and a frozen digest pins their order.  measure() composes route lengths
 from gateway distances and leaf distances without building tables; the
 walker reference routes every pair with route() and must be reproduced
 exactly, with the mean per-pair ratio as the correctly rounded exact
-mean.
+mean.  graphs.load() parses every edge line with one numpy call and
+checks the rows as arrays, the Graph constructor checks and orders the
+edges by sorting, and hierarchy.load() reads each line with one
+conversion; the line-by-line readers and the per-edge constructor below
+are their references, down to the message and line of every rejection.
 """
 
 import hashlib
@@ -26,7 +30,7 @@ import random
 import tracemalloc
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -700,3 +704,350 @@ def test_local_cut_test_exhaustive(name):
                     # one whole component, reached from a neighbour of w
                     assert sorted(got) in comps
                     assert any(x in got for x in adj[w])
+
+
+def oracle_graph(n_nodes, edges):
+    """(n, edges, adj) as the per-edge Graph constructor built them: one
+    pass in input order with a set of the edges seen, raising for the
+    first self-loop, out-of-range edge or repeat, then sorted adjacency
+    lists and a connectivity check."""
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1 (got {n_nodes})")
+    seen = set()
+    canon = []
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
+            raise ValueError(f"edge ({u}, {v}) out of range for {n_nodes} nodes")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+        canon.append(e)
+    canon.sort()
+    message = f"graph with {n_nodes} nodes and {len(canon)} edges is not connected"
+    if len(canon) < n_nodes - 1:
+        raise gr.DisconnectedGraphError(message)
+    adj = [[] for _ in range(n_nodes)]
+    for u, v in canon:
+        adj[u].append(v)
+        adj[v].append(u)
+    adj = tuple(tuple(sorted(ns)) for ns in adj)
+    if not gr._connected_set(set(range(n_nodes)), adj):
+        raise gr.DisconnectedGraphError(message)
+    return n_nodes, tuple(canon), adj
+
+
+def oracle_load_graph(path):
+    """The line-by-line graph reader: every check in Python on each line
+    as it is read, then oracle_graph."""
+    n = None
+    edges = []
+    seen = set()
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if n is None:
+                if len(tokens) != 2 or tokens[0] != "n":
+                    raise gr.GraphFormatError("expected header 'n <count>'", line_no)
+                try:
+                    n = int(tokens[1])
+                except ValueError:
+                    raise gr.GraphFormatError(
+                        f"node count {tokens[1]!r} is not an integer", line_no
+                    ) from None
+                if n < 1:
+                    raise gr.GraphFormatError(f"node count must be >= 1 (got {n})", line_no)
+                continue
+            if len(tokens) != 2:
+                raise gr.GraphFormatError(
+                    f"expected 'u v', got {len(tokens)} fields", line_no
+                )
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise gr.GraphFormatError(f"non-integer endpoint in {line!r}", line_no) from None
+            if u == v:
+                raise gr.GraphFormatError(f"self-loop at node {u}", line_no)
+            if not u < v:
+                raise gr.GraphFormatError(
+                    f"edge endpoints must satisfy u < v (got {u} {v})", line_no
+                )
+            if not (0 <= u and v < n):
+                raise gr.GraphFormatError(
+                    f"edge ({u}, {v}) out of range for {n} nodes", line_no
+                )
+            if (u, v) in seen:
+                raise gr.GraphFormatError(f"duplicate edge ({u}, {v})", line_no)
+            seen.add((u, v))
+            edges.append((u, v))
+    if n is None:
+        raise gr.GraphFormatError("file has no 'n <count>' header")
+    return oracle_graph(n, edges)
+
+
+def oracle_load_hierarchy(path):
+    """The line-by-line hierarchy reader."""
+    rows = {}
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            try:
+                values = [int(t) for t in tokens]
+            except ValueError:
+                raise hi.HierarchyFormatError(
+                    f"non-integer field in {line!r}", line_no
+                ) from None
+            u, path_ids = values[0], values[1:]
+            if u < 0:
+                raise hi.HierarchyFormatError(f"negative node id {u}", line_no)
+            if any(c < 0 for c in path_ids):
+                raise hi.HierarchyFormatError(f"negative cluster id for node {u}", line_no)
+            if u in rows:
+                raise hi.HierarchyFormatError(f"duplicate entry for node {u}", line_no)
+            rows[u] = tuple(path_ids)
+    if not rows:
+        raise hi.HierarchyFormatError("file lists no nodes")
+    n = max(rows) + 1
+    missing = list(islice((u for u in range(n) if u not in rows), 5))
+    if missing:
+        raise hi.HierarchyFormatError(f"missing entries for nodes {missing}")
+    paths = tuple(rows[u] for u in range(n))
+    return hi.Hierarchy(1 + max(len(p) for p in paths), paths, method="file")
+
+
+def graph_value(g):
+    return g.n_nodes, g.edges, g.adj
+
+
+def load_outcome(call, *args):
+    """What call(*args) returns, or (exception type, line number, message)
+    of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+
+
+# separators str.split and the bulk parse both take, line breaks the
+# reader and the oracle both make (universal newlines), and padding
+BLANKS = [" ", "\t", "  ", " \t", "\x0b", "\x0c", "\x1c", "\xa0", "\u2028", "\u3000"]
+NEWLINES = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def file_lines(draw, body, header=None):
+    """The text of a file holding `body` (after `header`) between comment
+    and blank lines, with drawn separators, padding and line breaks, and
+    maybe no final line break."""
+    pad = st.sampled_from(["", ""] + BLANKS)
+    sep = st.sampled_from(BLANKS)
+
+    def render(fields):
+        return draw(pad) + draw(sep).join(fields) + draw(pad)
+
+    lines = [] if header is None else [render(header)]
+    lines += [render(fields) for fields in body]
+    extras = draw(st.lists(
+        st.sampled_from(["", "  ", "\t", "# a comment", "  #indented 1 2", "#", "\x0c"]),
+        max_size=4,
+    ))
+    for extra in extras:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    text = "".join(line + draw(st.sampled_from(NEWLINES)) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+GRAPH_FAULTS = [
+    "header", "fields", "non-integer", "reversed", "self-loop", "range",
+    "duplicate", "no-header",
+]
+
+
+@st.composite
+def graph_files(draw):
+    """A small graph file, connected or not, in drawn edge order, with
+    up to two malformed lines of drawn kinds at drawn positions."""
+    n = draw(st.integers(1, 9))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n) if draw(st.integers(0, 9))}
+    edges |= {
+        (u, v) for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                         max_size=8))
+        if u < v
+    }
+    edges = sorted(edges)
+    if draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+    body = [[str(u), str(v)] for u, v in edges]
+    body = [[draw(st.sampled_from([t, t, "+" + t, "0" + t])) for t in fields] for fields in body]
+    header = ["n", str(n)]
+    for fault in draw(st.lists(st.sampled_from(GRAPH_FAULTS), max_size=2)):
+        at = draw(st.integers(0, len(body)))
+        if fault == "header":
+            header = draw(st.sampled_from([["n"], ["n", "x"], ["m", str(n)], ["n", "0"],
+                                           ["n", "-2"], ["n", str(n), "1"]]))
+        elif fault == "no-header":
+            header = None
+        elif fault == "fields":
+            body.insert(at, draw(st.sampled_from([["1"], ["0", "1", "2"], ["n", "3"]])))
+        elif fault == "non-integer":
+            body.insert(at, draw(st.sampled_from([["a", "1"], ["0", "1.0"], ["0x1", "2"],
+                                                  ["1e0", "2"], ["-", "1"]])))
+        elif fault == "reversed" and n > 1:
+            body.insert(at, [str(n - 1), str(draw(st.integers(0, n - 2)))])
+        elif fault == "self-loop":
+            body.insert(at, [str(draw(st.integers(0, n - 1)))] * 2)
+        elif fault == "range":
+            body.insert(at, draw(st.sampled_from([["0", str(n)], ["-1", "0"], ["-3", "-1"]])))
+        elif fault == "duplicate" and body:
+            body.insert(at, body[draw(st.integers(0, len(body) - 1))])
+    return draw(file_lines(body, header))
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_files())
+def test_graph_load_equals_line_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("load") / "g.graph"
+    path.write_bytes(text.encode("utf-8"))
+    got = load_outcome(lambda p: graph_value(gr.load(p)), path)
+    assert got == load_outcome(oracle_load_graph, path)
+
+
+def test_graph_load_examples_equal_line_reader(tmp_path):
+    # each kind of line the reader treats on its own, and the perfbench inputs
+    cases = [
+        "n 1\n", "n 1", "\n\n# only the header\nn 1\n\n", "n 3\n", "# nothing\n", "",
+        "n 2\n0 1\n0 1\n", "n 3\n0 1\n1 0\n", "n 3\n1 2\n0 1 # 1 2\n",
+        "n 3\n0 1\nzero one\n1 1\n", "n 3\n1 1\nzero one\n", "n 3\n0 1\n\x00\n",
+        "n 3\n0 1\n0 1\nx y\n", "n 3\n2 1\n0 1 2\n", "n 4\n0 1\n2 3\n",
+        "n 3\n0 1\n1 2\n0 9223372036854775807\n", "n 5\n0 1\n0 1\n0 5\n",
+    ]
+    for i, text in enumerate(cases):
+        path = tmp_path / f"{i}.graph"
+        path.write_text(text)
+        got = load_outcome(lambda p: graph_value(gr.load(p)), path)
+        assert got == load_outcome(oracle_load_graph, path), text
+    for g in (gr.torus_graph(20, 20), gr.random_graph(700, 0.043, seed=1)):
+        path = tmp_path / "big.graph"
+        gr.save(g, str(path))
+        assert graph_value(gr.load(path)) == oracle_load_graph(path)
+
+
+@pytest.mark.parametrize("line", [
+    "0 1_0",                  # int() takes digit-group underscores
+    "0 \u0663",               # and non-ASCII digits (ARABIC-INDIC DIGIT THREE)
+    "0 9223372036854775808",  # and ids beyond int64
+    "-9223372036854775809 0",
+])
+def test_graph_load_rejects_what_only_int_accepts(tmp_path, line):
+    # the bulk parse takes ASCII decimal int64 only; the line reader took
+    # these, as an edge or as an out-of-range one
+    path = tmp_path / "g.graph"
+    path.write_text(f"n 12\n{line}\n" + "".join(f"{i} {i + 1}\n" for i in range(11)))
+    with pytest.raises(gr.GraphFormatError) as info:
+        gr.load(path)
+    assert info.value.line_no == 2
+    assert str(info.value) == f"line 2: non-integer endpoint in {line!r}"
+    assert load_outcome(oracle_load_graph, path) != load_outcome(gr.load, path)
+
+
+HIERARCHY_FAULTS = ["non-integer", "negative-node", "negative-cluster", "duplicate", "missing"]
+
+
+@st.composite
+def hierarchy_files(draw):
+    """A small hierarchy file, maybe ragged, in drawn node order, with up
+    to two malformed lines of drawn kinds at drawn positions."""
+    n = draw(st.integers(1, 9))
+    depth = draw(st.integers(0, 3))
+    paths = [draw(st.lists(st.integers(0, 3), min_size=depth, max_size=depth)) for _ in range(n)]
+    if draw(st.booleans()):  # ragged: validate() reports it, load() must not
+        u = draw(st.integers(0, n - 1))
+        paths[u] = draw(st.lists(st.integers(0, 3), max_size=4))
+    body = [[str(u), *map(str, p)] for u, p in enumerate(paths)]
+    if draw(st.booleans()):
+        body = draw(st.permutations(body))
+    # forms int() reads, as both readers parse fields: 13 for "1_3" in a path
+    forms = st.sampled_from(["{}", "{}", "+{}", "0{}", "1_{}"])
+    body = [[fields[0], *(draw(forms).format(t) for t in fields[1:])] for fields in body]
+    for fault in draw(st.lists(st.sampled_from(HIERARCHY_FAULTS), max_size=2)):
+        at = draw(st.integers(0, len(body)))
+        if fault == "non-integer":
+            body.insert(at, draw(st.sampled_from([["1", "a"], ["x"], ["2", "1.5"]])))
+        elif fault == "negative-node":
+            body.insert(at, ["-1", "0"][: draw(st.integers(1, 2))])
+        elif fault == "negative-cluster":
+            body.insert(at, [str(draw(st.integers(0, n))), "0", "-2"])
+        elif fault == "duplicate" and body:
+            body.insert(at, body[draw(st.integers(0, len(body) - 1))])
+        elif fault == "missing" and body:
+            del body[min(at, len(body) - 1)]
+    return draw(file_lines(body))
+
+
+@settings(max_examples=400, deadline=None)
+@given(hierarchy_files())
+def test_hierarchy_load_equals_line_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("load") / "h.clusters"
+    path.write_bytes(text.encode("utf-8"))
+    got = load_outcome(hi.load, path)
+    want = load_outcome(oracle_load_hierarchy, path)
+    assert got == want
+    if isinstance(got, hi.Hierarchy):
+        assert got.method == want.method
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists in any orientation and order, with drawn faults."""
+    n = draw(st.integers(1, 8))
+    ids = st.integers(-2, n + 1) if draw(st.integers(0, 3)) == 0 else st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(ids, ids), max_size=16))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+def test_graph_equals_per_edge_constructor(case):
+    n, edges = case
+    try:
+        want = oracle_graph(n, edges)
+    except ValueError as exc:
+        # Graph raises EdgeError, a ValueError, where the oracle raises ValueError
+        with pytest.raises(type(exc)) as info:
+            gr.Graph(n, edges)
+        assert str(info.value) == str(exc)
+    else:
+        assert graph_value(gr.Graph(n, edges)) == want
+
+
+def test_graph_names_the_first_bad_edge_in_input_order():
+    # a repeat (in the other orientation) before a self-loop before an
+    # out-of-range edge, then each fault moved to the front
+    faults = [(1, 0), (3, 3), (0, 9)]
+    for k in range(len(faults)):
+        edges = [(0, 1), (1, 2), *faults[k:], *faults[:k], (2, 3)]
+        with pytest.raises(ValueError) as info:
+            gr.Graph(5, edges)
+        assert str(info.value) == load_outcome(oracle_graph, 5, edges)[2]
+        assert str(info.value) == [
+            "duplicate edge (0, 1)", "self-loop at node 3", "edge (0, 9) out of range for 5 nodes",
+        ][k]
+    # the generator's edge lists, given in input order, in reverse and flipped
+    g = gr.random_graph(700, 0.043, seed=1)
+    for edges in (list(g.edges), g.edges[::-1], [(v, u) for u, v in g.edges]):
+        assert graph_value(gr.Graph(700, edges)) == oracle_graph(700, edges)
+    assert graph_value(gr.Graph(700, np.array(g.edges))) == graph_value(g)
+    assert graph_value(gr.Graph(700, [list(e) for e in g.edges])) == graph_value(g)
+    # an endpoint beyond int64 cannot enter the array; the per-edge loop
+    # called it out of range
+    with pytest.raises(ValueError, match="outside the int64 range"):
+        gr.Graph(3, [(0, 1), (1, 2**64)])
