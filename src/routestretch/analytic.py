@@ -32,6 +32,16 @@ from typing import Callable, NamedTuple
 DEFAULT_ALPHA = 0.987
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0 (got {alpha})")
+
+
+def _check_n_nodes(n_nodes: int) -> None:
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be a positive integer (got {n_nodes})")
+
+
 @dataclass(frozen=True)
 class AnalyticParams:
     """Shared parameter bundle: network size and stretch slope."""
@@ -40,18 +50,15 @@ class AnalyticParams:
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError(f"n_nodes must be a positive integer (got {self.n_nodes})")
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and > 0 (got {self.alpha})")
+        _check_n_nodes(self.n_nodes)
+        _check_alpha(self.alpha)
 
 
 def path_stretch_from_height(h: float, alpha: float) -> float:
     """s_p = 1 + alpha*(h - 1); the height-1 boundary gives exactly 1."""
     if h < 1:
         raise ValueError(f"h must be >= 1 (got {h})")
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 0 (got {alpha})")
+    _check_alpha(alpha)
     return 1.0 + alpha * (h - 1.0)
 
 
@@ -59,15 +66,13 @@ def height_from_path_stretch(s_p: float, alpha: float) -> float:
     """Inverse of path_stretch_from_height: m = 1 + (s_p - 1)/alpha."""
     if s_p < 1:
         raise ValueError(f"s_p must be >= 1 (got {s_p})")
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 0 (got {alpha})")
+    _check_alpha(alpha)
     return 1.0 + (s_p - 1.0) / alpha
 
 
 def table_stretch_kk(n_nodes: int, m: float) -> float:
     """Kleinrock-Kamoun table stretch s_t = m * N**(1/m - 1) for an m-level scheme."""
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be a positive integer (got {n_nodes})")
+    _check_n_nodes(n_nodes)
     if m < 1:
         raise ValueError(f"m must be >= 1 (got {m})")
     return m * n_nodes ** (1.0 / m - 1.0)
@@ -80,8 +85,7 @@ def optimal_table_length_fixed(n_nodes: int, m: float) -> float:
     for any m > 0: the unconstrained optimum over real m (see
     optimal_table_length_variable) sits below 1 for N < e.
     """
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be a positive integer (got {n_nodes})")
+    _check_n_nodes(n_nodes)
     if not m > 0:
         raise ValueError(f"m must be > 0 (got {m})")
     return m * n_nodes ** (1.0 / m)
@@ -107,8 +111,7 @@ def path_stretch_from_table_stretch_ipea(s_t: float, alpha: float) -> float:
     """
     if not 0 < s_t <= 1:
         raise ValueError(f"s_t must lie in (0, 1] (got {s_t})")
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 0 (got {alpha})")
+    _check_alpha(alpha)
     return 1.0 - alpha * math.log(s_t)
 
 

@@ -76,11 +76,25 @@ def _finite_points(points: Sequence[tuple[float, float]]) -> list[tuple[float, f
     return pts
 
 
-def _constrained_slope(xs: list[float], ys: list[float], what: str) -> float:
+def _slope_fit(
+    xs: list[float], ys: list[float], observed: list[float], model: str, degenerate: str
+) -> FitResult:
+    """The least-squares fit of ys = alpha * xs, a line through the
+    boundary point at the origin, scored against the observed values."""
     sxx = sum(x * x for x in xs)
     if sxx == 0:
-        raise ValueError(f"degenerate data: {what}")
-    return sum(x * y for x, y in zip(xs, ys)) / sxx
+        raise ValueError(f"degenerate data: {degenerate}")
+    alpha = sum(x * y for x, y in zip(xs, ys)) / sxx
+    if not alpha > 0:
+        raise ValueError(f"fitted slope is not positive ({alpha}); check the data")
+    sse = sum((y - alpha * x) ** 2 for x, y in zip(xs, ys))
+    return FitResult(
+        alpha_hat=alpha,
+        residual_sse=sse,
+        r_squared=_r_squared(observed, sse),
+        n_points=len(xs),
+        model=model,
+    )
 
 
 def fit_alpha_linear(points: Sequence[tuple[float, float]]) -> FitResult:
@@ -88,19 +102,9 @@ def fit_alpha_linear(points: Sequence[tuple[float, float]]) -> FitResult:
     pts = _finite_points(points)
     if len(pts) < 2:
         raise ValueError(f"need at least two points (got {len(pts)})")
-    xs = [h - 1.0 for h, _ in pts]
-    ys = [sp - 1.0 for _, sp in pts]
-    alpha = _constrained_slope(xs, ys, "every point has height 1")
-    if not alpha > 0:
-        raise ValueError(f"fitted slope is not positive ({alpha}); check the data")
-    sse = sum((y - alpha * x) ** 2 for x, y in zip(xs, ys))
-    return FitResult(
-        alpha_hat=alpha,
-        residual_sse=sse,
-        r_squared=_r_squared([sp for _, sp in pts], sse),
-        n_points=len(pts),
-        model="linear-theorem1",
-    )
+    sps = [sp for _, sp in pts]
+    return _slope_fit([h - 1.0 for h, _ in pts], [sp - 1.0 for sp in sps], sps,
+                      "linear-theorem1", "every point has height 1")
 
 
 def fit_alpha_ipea(points: Sequence[tuple[float, float]]) -> FitResult:
@@ -111,19 +115,9 @@ def fit_alpha_ipea(points: Sequence[tuple[float, float]]) -> FitResult:
     for st, _ in pts:
         if not 0 < st <= 1:
             raise ValueError(f"s_t must lie in (0, 1] (got {st})")
-    xs = [-math.log(st) for st, _ in pts]
-    ys = [sp - 1.0 for _, sp in pts]
-    alpha = _constrained_slope(xs, ys, "every point has s_t = 1")
-    if not alpha > 0:
-        raise ValueError(f"fitted slope is not positive ({alpha}); check the data")
-    sse = sum((y - alpha * x) ** 2 for x, y in zip(xs, ys))
-    return FitResult(
-        alpha_hat=alpha,
-        residual_sse=sse,
-        r_squared=_r_squared([sp for _, sp in pts], sse),
-        n_points=len(pts),
-        model="ipea-log",
-    )
+    sps = [sp for _, sp in pts]
+    return _slope_fit([-math.log(st) for st, _ in pts], [sp - 1.0 for sp in sps], sps,
+                      "ipea-log", "every point has s_t = 1")
 
 
 def _eq3_sse_vector(alphas: np.ndarray, d: np.ndarray, st: np.ndarray, ln_n: float) -> np.ndarray:
@@ -155,8 +149,7 @@ def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitRes
     st = np.array([s for _, s in pts])
     ln_n = math.log(n_nodes)
 
-    lo = _GRID_STEP
-    hi = _ALPHA_START
+    lo, hi = _GRID_STEP, _ALPHA_START
     while True:
         count = int(round((hi - lo) / _GRID_STEP)) + 1
         best_sse = math.inf
@@ -170,27 +163,21 @@ def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitRes
             if sse[j] < best_sse:
                 best_sse = float(sse[j])
                 best_alpha = float(alphas[j])
-        at_edge = hi - best_alpha < _GRID_STEP / 2
-        if at_edge and hi < _ALPHA_CAP:
-            new_hi = min(hi * 2, _ALPHA_CAP)
-            warnings.warn(
-                f"alpha optimum hit the search boundary {hi}; widening to {new_hi}",
-                stacklevel=2,
-            )
-            lo, hi = hi, new_hi
-            continue
-        break
-
-    def sse_at(alpha: float) -> float:
-        total = 0.0
-        for dd, ss in zip(d, st):
-            m = 1.0 + dd / alpha
-            total += (ss - m * math.exp((1.0 / m - 1.0) * ln_n)) ** 2
-        return total
+        if hi - best_alpha >= _GRID_STEP / 2 or hi >= _ALPHA_CAP:
+            break  # an optimum inside the range, or the cap reached
+        new_hi = min(hi * 2, _ALPHA_CAP)
+        warnings.warn(
+            f"alpha optimum hit the search boundary {hi}; widening to {new_hi}",
+            stacklevel=2,
+        )
+        lo, hi = hi, new_hi
 
     ref_lo = max(_GRID_STEP / 2, best_alpha - _GRID_STEP)
     ref_hi = min(_ALPHA_CAP, best_alpha + _GRID_STEP)
-    alpha, sse = golden_section_min(sse_at, ref_lo, ref_hi, tol=1e-7)
+    alpha, sse = golden_section_min(
+        lambda a: float(_eq3_sse_vector(np.array([a]), d, st, ln_n)[0]),
+        ref_lo, ref_hi, tol=1e-7,
+    )
     return FitResult(
         alpha_hat=alpha,
         residual_sse=sse,

@@ -28,6 +28,16 @@ non-integer endpoint.  Field count, u < v, the node range and repeats
 are array checks.  Only once one fails does a scan of the lines run,
 and it only locates the first bad row and names its line: it never
 accepts a file.
+
+One breadth-first search of a node set, ``_gateways``, backs the
+component and connectivity checks and routing's gateways and leaf
+check.  Three other searches stay for speed: ``hierarchy._severed``,
+whose searches from a cut candidate's neighbours stop once they meet
+(clustering the 40x40 torus at levels 2-5 went from 5.37 to 0.37 s with
+it); ``_induced_search``, which searches from a block of sources at
+once as bits; and the constructor's whole-graph check over a list of
+flags, run on every load (0.34 ms against 1.4 ms for ``_gateways`` on
+G(700, 0.043), 2-core host, Python 3.11).
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ import random
 from collections import deque
 from contextlib import suppress
 from itertools import chain
+from operator import index
 from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
@@ -64,19 +75,16 @@ class EdgeError(ValueError):
         self.index = index
 
 
-# each edge as one (u, v) record: np.fromiter converts tuples this way
-# about three times faster than into a (2,) subarray (map(tuple) passes
-# tuples through and turns other pairs into tuples)
-_EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
-
-
 class Graph:
     """Immutable connected undirected graph.
 
-    `edges` is an (m, 2) int64 array or an iterable of (u, v) pairs, in
-    any order and orientation.  The first edge in input order that is a
-    self-loop, out of range or a repeat raises EdgeError; an endpoint
-    beyond int64 raises ValueError before any edge is checked.
+    `edges` is an (m, 2) integer array or an iterable of (u, v) pairs,
+    in any order and orientation.  Before any edge is checked, an edge
+    that is not a pair of integers (Python or numpy) raises TypeError
+    naming it, so a float or a numeric string is never truncated or
+    parsed, and an endpoint beyond int64 raises ValueError.  Then the
+    first edge in input order that is a self-loop, out of range or a
+    repeat raises EdgeError.
     """
 
     __slots__ = ("n_nodes", "edges", "adj")
@@ -84,13 +92,20 @@ class Graph:
     def __init__(self, n_nodes: int, edges: np.ndarray | Iterable[tuple[int, int]]):
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1 (got {n_nodes})")
-        if isinstance(edges, np.ndarray):
+        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
             pairs = edges.astype(np.int64, copy=False)
         else:
+            edges = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
             try:
-                pairs = np.fromiter(map(tuple, edges), _EDGE).view(np.int64).reshape(-1, 2)
+                pairs = np.fromiter(map(index, chain.from_iterable(edges)), np.int64)
+                pairs_only = set(map(len, edges)) <= {2}
             except OverflowError:
                 raise ValueError("an edge endpoint lies outside the int64 range") from None
+            except TypeError:
+                pairs_only = False
+            if not pairs_only:
+                _require_int_pairs(edges)
+            pairs = pairs.reshape(-1, 2)
         lo, hi = _sorted_edges(n_nodes, pairs)
         message = f"graph with {n_nodes} nodes and {len(lo)} edges is not connected"
         # fewer than n - 1 edges cannot connect n nodes: fail before
@@ -137,6 +152,16 @@ class Graph:
         return f"Graph(n_nodes={self.n_nodes}, num_edges={self.num_edges})"
 
 
+def _require_int_pairs(edges: list) -> None:
+    """Raise TypeError naming the first of `edges` that is not a pair of
+    integers (Python or numpy ints)."""
+    for i, edge in enumerate(edges):
+        try:
+            _, _ = map(index, edge)
+        except (TypeError, ValueError):
+            raise TypeError(f"edge {i} is not a pair of integers: {edge!r}") from None
+
+
 def _sorted_edges(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of every (u, v) row of `pairs` with lo < hi, sorted
     lexicographically, or EdgeError for the first row in input order
@@ -163,22 +188,32 @@ def _sorted_edges(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _component(start: int, nodes: set[int], adj) -> set[int]:
-    """The nodes of `nodes` that `start` (one of them) reaches inside them."""
-    seen = {start}
-    queue = deque([start])
+def _gateways(adj, sources: list[int], inside: set[int]) -> dict[int, tuple[int, int]]:
+    """node -> (distance, gateway) for every node of `inside` that a
+    breadth-first search from the ascending `sources` reaches without
+    leaving it.  The gateway is the nearest source, ties going to the
+    lowest id.
+
+    The queue starts with the sources in ascending order, so every layer
+    is queued in non-decreasing gateway order: the neighbor that first
+    discovers a node carries the lowest gateway of its nearest sources.
+    """
+    found = {s: (0, s) for s in sources}
+    queue = deque(sources)
     while queue:
         u = queue.popleft()
+        d, g = found[u]
+        step = (d + 1, g)
         for w in adj[u]:
-            if w in nodes and w not in seen:
-                seen.add(w)
+            if w in inside and w not in found:
+                found[w] = step
                 queue.append(w)
-    return seen
+    return found
 
 
 def _connected_set(nodes: set[int], adj) -> bool:
     """Whether `nodes` induce a connected subgraph (the empty set does)."""
-    return len(nodes) <= 1 or len(_component(next(iter(nodes)), nodes, adj)) == len(nodes)
+    return len(nodes) <= 1 or len(_gateways(adj, [next(iter(nodes))], nodes)) == len(nodes)
 
 
 def _components(nodes: set[int], adj) -> list[list[int]]:
@@ -187,9 +222,9 @@ def _components(nodes: set[int], adj) -> list[list[int]]:
     remaining = set(nodes)
     comps: list[list[int]] = []
     while remaining:
-        comp = _component(min(remaining), remaining, adj)
+        comp = _gateways(adj, [min(remaining)], remaining)
         comps.append(sorted(comp))
-        remaining -= comp
+        remaining.difference_update(comp)
     comps.sort(key=lambda c: (len(c), c[0]))
     return comps
 
@@ -205,31 +240,27 @@ def grid_graph(rows: int, cols: int) -> Graph:
     """rows x cols lattice without wraparound, nodes numbered row-major."""
     if rows < 2 or cols < 2:
         raise ValueError(f"a grid needs rows >= 2 and cols >= 2 (got {rows}x{cols})")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                edges.append((u, u + 1))
-            if r + 1 < rows:
-                edges.append((u, u + cols))
-    return Graph(rows * cols, edges)
+    return _lattice(rows, cols, wrap=False)
 
 
 def torus_graph(rows: int, cols: int) -> Graph:
     """rows x cols lattice with wraparound; degree 4 everywhere once dims >= 3."""
     if rows < 2 or cols < 2:
         raise ValueError(f"a torus needs rows >= 2 and cols >= 2 (got {rows}x{cols})")
-    edges = set()
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            right = r * cols + (c + 1) % cols
-            down = ((r + 1) % rows) * cols + c
-            for v in (right, down):
-                if u != v:
-                    edges.add((u, v) if u < v else (v, u))
-    return Graph(rows * cols, sorted(edges))
+    return _lattice(rows, cols, wrap=True)
+
+
+def _lattice(rows: int, cols: int, wrap: bool) -> Graph:
+    """The row-major rows x cols lattice: every node linked to the next
+    one along each axis, and with `wrap` the last one back to the first,
+    unless that axis has two nodes and the link is already there."""
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    us, vs = [], []
+    for axis, side in ((1, cols), (0, rows)):
+        links = np.arange(side if wrap and side > 2 else side - 1)
+        us.append(ids.take(links, axis).ravel())
+        vs.append(ids.take((links + 1) % side, axis).ravel())
+    return Graph(rows * cols, np.column_stack((np.concatenate(us), np.concatenate(vs))))
 
 
 # draws random_graph makes before it gives up on a connected sample

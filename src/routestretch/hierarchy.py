@@ -194,8 +194,8 @@ def _grow_regions(
     the far side of the remainder still costs a search of all of it.
     """
     total = len(members)
+    where = "the node set" if parent_id is None else f"cluster {parent_id}"
     if parts > total:
-        where = "the node set" if parent_id is None else f"cluster {parent_id}"
         raise HierarchyBuildError(
             f"level {level}: cannot split {where} of {total} nodes into {parts} parts"
         )
@@ -279,7 +279,6 @@ def _grow_regions(
                 push_frontier(pick[1], pick[0])
                 continue
             if not deferred:
-                where = "the node set" if parent_id is None else f"cluster {parent_id}"
                 raise HierarchyBuildError(
                     f"level {level}, part {i} of {where}: stranded at "
                     f"{len(region)} of {target} nodes (remainder disconnected)"
@@ -295,7 +294,6 @@ def _grow_regions(
                     chosen = (lay, w, comps[:-1])
                     break
             if chosen is None:
-                where = "the node set" if parent_id is None else f"cluster {parent_id}"
                 raise HierarchyBuildError(
                     f"level {level}, part {i} of {where}: cannot keep the "
                     f"remainder connected at {len(region)} of {target} nodes"

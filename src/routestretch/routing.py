@@ -28,6 +28,10 @@ level plus one pass over a leaf's edges per member, O(n * edges) for a
 flat hierarchy.  Only the reference walk (route() over these tables) and
 the benchmark's traced probe pay it: measure builds no tables.
 
+The gateway search is graphs._gateways, the package's one breadth-first
+search of a node set; _clusters also runs it to check that each leaf is
+connected.
+
 Forwarding resolves the destination to the finest key the current node
 can see: the destination itself inside the node's own leaf cluster,
 otherwise the destination's ancestor cluster at the first level where
@@ -56,14 +60,13 @@ s_p.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import graphs
-from .graphs import Graph, _component, _induced_search
+from .graphs import Graph, _gateways, _induced_search
 from .hierarchy import Hierarchy
 
 
@@ -105,29 +108,6 @@ def _prefix_groups(paths: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], li
     return groups
 
 
-def _gateways(adj, sources: list[int], inside: set[int]) -> dict[int, tuple[int, int]]:
-    """node -> (distance, gateway) for every node of `inside` that a
-    breadth-first search from the ascending `sources` reaches without
-    leaving it.  The gateway is the nearest source, ties going to the
-    lowest id.
-
-    The queue starts with the sources in ascending order, so every layer
-    is queued in non-decreasing gateway order: the neighbor that first
-    discovers a node carries the lowest gateway of its nearest sources.
-    """
-    found = {s: (0, s) for s in sources}
-    queue = deque(sources)
-    while queue:
-        u = queue.popleft()
-        d, g = found[u]
-        step = (d + 1, g)
-        for w in adj[u]:
-            if w in inside and w not in found:
-                found[w] = step
-                queue.append(w)
-    return found
-
-
 def _clusters(
     graph: Graph, hierarchy: Hierarchy
 ) -> Iterator[tuple[tuple[int, ...], list[int], dict[int, tuple[int, int]] | None]]:
@@ -166,7 +146,7 @@ def _clusters(
                     f"inside level {level - 1} cluster {key[-2]}"
                 )
             if level == depth:  # a leaf; the entire graph is connected
-                reached = _component(members[0], set(members), adj)
+                reached = _gateways(adj, members[:1], set(members))
                 if len(reached) < len(members):
                     u = next(u for u in members if u not in reached)
                     raise RoutingError(

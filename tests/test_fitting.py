@@ -7,6 +7,9 @@ import pytest
 
 from routestretch import analytic as an
 from routestretch import fitting as ft
+from routestretch import graphs as gr
+from routestretch import hierarchy as hi
+from routestretch import routing as rt
 
 
 def test_linear_recovers_exact_slope():
@@ -132,4 +135,31 @@ def test_fit_result_guards_and_text():
         "residual_sse: 0\n"
         "r_squared: 1\n"
         "n_points: 4\n"
+    )
+
+
+def test_fit_texts_are_frozen():
+    # the three fits of the torus-ladder points (the 20x20 torus at b = 2,
+    # levels 2-4) and the widening eq3 case above, as first recorded
+    g = gr.torus_graph(20, 20)
+    reps = [rt.measure(g, hi.build_balanced(g, levels, 2)) for levels in (2, 3, 4)]
+    assert ft.fit_alpha_linear([(r.levels, r.s_p) for r in reps]).to_text() == (
+        "model: linear-theorem1\nalpha_hat: 0.1712734821\nresidual_sse: 8.131653337e-05\n"
+        "r_squared: 0.9985493514\nn_points: 3\n"
+    )
+    assert ft.fit_alpha_ipea([(r.s_t, r.s_p) for r in reps]).to_text() == (
+        "model: ipea-log\nalpha_hat: 0.2528222672\nresidual_sse: 2.15292338e-05\n"
+        "r_squared: 0.9996159286\nn_points: 3\n"
+    )
+    assert ft.fit_alpha_eq3([(r.s_p, r.s_t) for r in reps], 400).to_text() == (
+        "model: eq3\nalpha_hat: 0.9232712323\nresidual_sse: 0.004654943434\n"
+        "r_squared: 0.9344873967\nn_points: 3\n"
+    )
+    params = an.AnalyticParams(n_nodes=100, alpha=8.0)
+    pts = [(sp, an.table_stretch_from_path_stretch(sp, params)) for sp in (1.5, 2.5, 3.5, 4.5)]
+    with pytest.warns(UserWarning, match="boundary 5.0; widening to 10.0"):
+        got = ft.fit_alpha_eq3(pts, 100)
+    assert got.to_text() == (
+        "model: eq3\nalpha_hat: 7.999999972\nresidual_sse: 2.673635943e-18\n"
+        "r_squared: 1\nn_points: 4\n"
     )

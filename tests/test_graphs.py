@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from routestretch import graphs as gr
@@ -53,6 +54,21 @@ def test_graph_rejections():
         gr.Graph(10, [(0, 1)])
     with pytest.raises(gr.DisconnectedGraphError, match="1000000000000 nodes and 1 edges"):
         gr.Graph(10**12, [(0, 1)])
+    # endpoints that are not integers are neither truncated nor parsed
+    with pytest.raises(TypeError, match=r"edge 0 is not a pair of integers: \(0.5, 1\)"):
+        gr.Graph(3, [(0.5, 1), (1, 2)])
+    with pytest.raises(TypeError, match=r"edge 0 is not a pair of integers: \[0.5, 1.0\]"):
+        gr.Graph(3, np.array([[0.5, 1], [1, 2]]))
+    with pytest.raises(TypeError, match=r"edge 0 is not a pair of integers: \('0', 1\)"):
+        gr.Graph(3, [("0", 1), (1, 2)])
+    # int lists, numpy ints and integer arrays still load
+    for edges in (
+        [[0, 1], [1, 2]],
+        [(np.int32(0), np.int64(1)), (1, 2)],
+        np.array([[0, 1], [1, 2]], dtype=np.int64),
+        np.array([[0, 1], [1, 2]], dtype=np.uint8),
+    ):
+        assert gr.Graph(3, edges).edges == ((0, 1), (1, 2))
 
 
 def test_graph_equality_and_hash():

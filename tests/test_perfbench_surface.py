@@ -1,11 +1,13 @@
-"""The program attributes perfbench/ reads, and one traced toy run.
+"""The program attributes perfbench/ reads, and one run of each workload.
 
 perfbench's traced mode wraps the functions named in tracer.TRACED and
 its worker's probes call the program directly.  The tracer skips a name
 its module lacks, so a removed name would pass unnoticed; the first two
 checks name it instead.  The last runs the toy workload traced, which
-calls every worker probe and checks every step's output against the
-recorded toy digests, so a changed signature or output fails it too.
+calls every worker probe, and each benchmarked workload for one second
+untraced.  Every run checks every step's output against the digests in
+perfbench/reference.json, so a changed signature, or one byte of drift
+in a graph, hierarchy, report, fit, curve or SVG, fails it too.
 """
 
 import ast
@@ -16,6 +18,8 @@ import pathlib
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
@@ -57,14 +61,16 @@ def test_worker_attributes_exist():
     assert missing == []
 
 
-def test_traced_toy_run_is_correct(tmp_path):
+@pytest.mark.parametrize("workload", ["toy", "torus-ladder", "random-dense", "torus-cluster"])
+def test_perfbench_run_is_correct(tmp_path, workload):
+    trace = "1" if workload == "toy" else "0"
     skip = shutil.ignore_patterns("__pycache__", ".perfbench")
     for name in ("src", "perfbench"):
         shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "toy", "--seed", "0",
-         "--seconds", "1", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "1", "--trace", trace],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

@@ -2,25 +2,28 @@
 against references.
 
 build_balanced() decides whether taking a node disconnects the
-unassigned remainder with a search near the node and a memo of known
-cut vertices; the clustering oracle below searches the whole remainder
-for every candidate, and its label paths and error messages must be
-reproduced exactly.  graphs._induced_search() finds the hop distances
-of a block of sources with one bit-parallel search; the reference is
-one breadth-first search per source (induced_distances below), which
-every other oracle here uses too.  build_tables() finds every next hop
-from gateway-carrying BFS runs, one per sibling cluster and one per leaf
-member; the table oracle below finds them from all-pairs distances
-inside each cluster, the definition the tables must reproduce exactly,
-and a frozen digest pins their order.  measure() composes route lengths
-from gateway distances and leaf distances without building tables; the
-walker reference routes every pair with route() and must be reproduced
-exactly, with the mean per-pair ratio as the correctly rounded exact
-mean.  graphs.load() parses every edge line with one numpy call and
-checks the rows as arrays, the Graph constructor checks and orders the
-edges by sorting, and hierarchy.load() reads each line with one
-conversion; the line-by-line readers and the per-edge constructor below
-are their references, down to the message and line of every rejection.
+unassigned remainder with a search near the node and a memo of known cut
+vertices; the clustering oracle below searches the whole remainder for
+every candidate, and its label paths and error messages must be
+reproduced exactly.  graphs._induced_search() finds the hop distances of
+a block of sources with one bit-parallel search; the reference is one
+breadth-first search per source (induced_distances below), which every
+other oracle here uses too, and it is the reference for
+graphs._gateways, the one breadth-first search of a node set (nearest
+source, lowest id on ties), and for graphs._components.  build_tables()
+finds every next hop from gateway-carrying BFS runs, one per sibling
+cluster and one per leaf member; the table oracle below finds them from
+all-pairs distances inside each cluster, the definition the tables must
+reproduce exactly, and a frozen digest pins their order.  measure()
+composes route lengths from gateway distances and leaf distances without
+building tables; the walker reference routes every pair with route() and
+must be reproduced exactly, with the mean per-pair ratio as the
+correctly rounded exact mean.  graphs.load() parses every edge line with
+one numpy call and checks the rows as arrays, the Graph constructor
+checks and orders the edges by sorting, and hierarchy.load() reads each
+line with one conversion; the line-by-line readers and the per-edge
+constructor below are their references, down to the message and line of
+every rejection.
 """
 
 import hashlib
@@ -375,6 +378,23 @@ def check_search(adj, members, per_block):
     ]
 
 
+def check_node_set_search(adj, members, sources):
+    """graphs._gateways from the ascending `sources` (some of `members`)
+    against one BFS per source, and graphs._components against the old
+    component loop."""
+    d = induced_distances(members, adj)
+    # nearest source, lowest id among ties; unreached nodes are absent
+    want = {}
+    for v in members:
+        reach = [(d[s][v], s) for s in sources if v in d[s]]
+        if reach:
+            want[v] = min(reach)
+    assert gr._gateways(adj, sources, set(members)) == want
+    assert gr._components(set(members), adj) == sorted(
+        _old_components(members, adj), key=lambda c: (len(c), c[0])
+    )
+
+
 BLOCK_SOURCES = [1, 8, 13, None]
 
 
@@ -396,6 +416,9 @@ def test_search_equals_per_source_bfs(n, p, seed, subset, per_block):
     members = range(n) if subset is None else sorted(u for u in subset if u < n)
     assume(len(members) > 0)
     check_search(g.adj, members, per_block)
+    rng = random.Random(seed)
+    sources = sorted(rng.sample(list(members), rng.randint(1, len(members))))
+    check_node_set_search(g.adj, members, sources)
 
 
 @pytest.mark.parametrize("per_block", BLOCK_SOURCES)
@@ -403,7 +426,10 @@ def test_search_equals_per_source_bfs(n, p, seed, subset, per_block):
 def test_search_singletons_and_components(members, per_block):
     # ring-10: an isolated member, members with no neighbor inside, two
     # components, and the whole ring
-    check_search(gr.ring_graph(10).adj, members, per_block)
+    adj = gr.ring_graph(10).adj
+    check_search(adj, members, per_block)
+    for sources in (members[:1], members[::2], members[1:] or members, members):
+        check_node_set_search(adj, members, sources)
 
 
 def test_search_of_long_paths_spans_many_levels():
