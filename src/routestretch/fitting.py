@@ -76,11 +76,10 @@ def _finite_points(points: Sequence[tuple[float, float]]) -> list[tuple[float, f
     return pts
 
 
-def _slope_fit(
-    xs: list[float], ys: list[float], observed: list[float], model: str, degenerate: str
-) -> FitResult:
+def _slope_fit(xs: list[float], ys: list[float], model: str, degenerate: str) -> FitResult:
     """The least-squares fit of ys = alpha * xs, a line through the
-    boundary point at the origin, scored against the observed values."""
+    boundary point at the origin.  R² is scored against ys: shifting
+    every observation by one constant leaves it unchanged."""
     sxx = sum(x * x for x in xs)
     if sxx == 0:
         raise ValueError(f"degenerate data: {degenerate}")
@@ -91,7 +90,7 @@ def _slope_fit(
     return FitResult(
         alpha_hat=alpha,
         residual_sse=sse,
-        r_squared=_r_squared(observed, sse),
+        r_squared=_r_squared(ys, sse),
         n_points=len(xs),
         model=model,
     )
@@ -102,8 +101,7 @@ def fit_alpha_linear(points: Sequence[tuple[float, float]]) -> FitResult:
     pts = _finite_points(points)
     if len(pts) < 2:
         raise ValueError(f"need at least two points (got {len(pts)})")
-    sps = [sp for _, sp in pts]
-    return _slope_fit([h - 1.0 for h, _ in pts], [sp - 1.0 for sp in sps], sps,
+    return _slope_fit([h - 1.0 for h, _ in pts], [sp - 1.0 for _, sp in pts],
                       "linear-theorem1", "every point has height 1")
 
 
@@ -115,8 +113,7 @@ def fit_alpha_ipea(points: Sequence[tuple[float, float]]) -> FitResult:
     for st, _ in pts:
         if not 0 < st <= 1:
             raise ValueError(f"s_t must lie in (0, 1] (got {st})")
-    sps = [sp for _, sp in pts]
-    return _slope_fit([-math.log(st) for st, _ in pts], [sp - 1.0 for sp in sps], sps,
+    return _slope_fit([-math.log(st) for st, _ in pts], [sp - 1.0 for _, sp in pts],
                       "ipea-log", "every point has s_t = 1")
 
 

@@ -32,9 +32,10 @@ accepts a file.
 One breadth-first search of a node set, ``_gateways``, backs the
 component and connectivity checks and routing's gateways and leaf
 check.  Three other searches stay for speed: ``hierarchy._severed``,
-whose searches from a cut candidate's neighbours stop once they meet
-(clustering the 40x40 torus at levels 2-5 went from 5.37 to 0.37 s with
-it); ``_induced_search``, which searches from a block of sources at
+whose searches from a cut candidate's neighbours stop once they meet,
+or do not start when its two neighbours share a third (clustering the
+40x40 torus at levels 2-5 went from 5.37 to 0.37 s with the searches);
+``_induced_search``, which searches from a block of sources at
 once as bits; and the constructor's whole-graph check over a list of
 flags, run on every load (0.34 ms against 1.4 ms for ``_gateways`` on
 G(700, 0.043), 2-core host, Python 3.11).
@@ -52,14 +53,19 @@ from typing import Callable, Iterable, NoReturn, Sequence
 import numpy as np
 
 
-class GraphFormatError(ValueError):
-    """A graph file failed to parse; the message carries the line number."""
+class FileFormatError(ValueError):
+    """A file failed to parse; the message starts with the line number
+    when one is known, which is also kept as `line_no`."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+class GraphFormatError(FileFormatError):
+    """A graph file failed to parse."""
 
 
 class DisconnectedGraphError(ValueError):

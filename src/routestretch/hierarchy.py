@@ -22,8 +22,12 @@ be inspected.  Builders only ever produce valid hierarchies.
 
 ``build_balanced`` grows each region breadth-first and never takes a
 node whose loss would disconnect the nodes still unassigned.  That test
-is exact but local: searches from the node's unassigned neighbours stop
-as soon as they all meet or one runs dry (``_severed``), and a node
+is exact but local: a node with just two unassigned neighbours that
+share a third unassigned one is cleared at once, and otherwise searches
+from the node's unassigned neighbours stop as soon as they all meet or
+one runs dry (``_severed``).
+Each seed gets the same test, so the remainder is known to be connected
+from a part's first candidate on unless the seed cut it, and a node
 found to cut the remainder is not searched again while nodes are left
 on both sides of the cut (see ``_grow_regions``).  A candidate whose
 neighbours meet only far away still costs a search of the whole
@@ -44,17 +48,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .graphs import Graph, _components, _connected_set
+from .graphs import FileFormatError, Graph, _components, _connected_set
 
 
-class HierarchyFormatError(ValueError):
-    """A hierarchy file failed to parse; the message carries the line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+class HierarchyFormatError(FileFormatError):
+    """A hierarchy file failed to parse."""
 
 
 class HierarchyBuildError(ValueError):
@@ -118,14 +116,23 @@ def _severed(w: int, nodes: set[int], adj) -> set[int] | None:
 
     Every node of `nodes` reaches w through one of w's neighbours in
     `nodes`, so `nodes` is connected exactly when those neighbours reach
-    one another inside it.  One BFS starts at each neighbour; the
-    searches take turns expanding one node each and merge when they
-    meet.  When all have merged the answer is connected; a search that
-    runs dry first has explored a whole component, which is returned.
+    one another inside it.  Two neighbours that share a neighbour in
+    `nodes` do so at once; a scan of one adjacency list finds that, and
+    it settles most candidates on a torus.  Otherwise one BFS starts at
+    each neighbour; the searches take turns expanding one node each and
+    merge when they meet.  When all have merged the answer is connected;
+    a search that runs dry first has explored a whole component, which
+    is returned.
     """
     starts = [x for x in adj[w] if x in nodes]
     if len(starts) <= 1:
         return None
+    if len(starts) == 2:
+        # a neighbour shared by both starts joins them (w is not in nodes)
+        a, b = starts
+        for x in adj[a]:
+            if x in nodes and b in adj[x]:
+                return None
     owner = {x: i for i, x in enumerate(starts)}
     merged_into = list(range(len(starts)))
 
@@ -181,17 +188,22 @@ def _grow_regions(
     it would reach all of it and never raise.  Deterministic; raises
     when an earlier region cannot reach its target size any other way.
 
-    The disconnect test is exact but local.  After a successful pick or
-    a swallow the remainder is connected, so ``_severed`` only has to
-    check that the candidate's unassigned neighbours still meet.  Right
-    after a seed is taken unchecked, connectivity is unknown and the
-    whole remainder is searched instead, until the next pick.  A cut
-    vertex is remembered with the closed component it cut off and the
-    length of the `taken` log at that time; what is left of a closed
-    component stays closed as nodes are taken, so the vertex is re-tested
-    only once that component or everything outside it and the vertex has
-    been taken.  Worst case: a pick whose neighbours meet only around
-    the far side of the remainder still costs a search of all of it.
+    The disconnect test is exact but local.  While the remainder is
+    connected, ``_severed`` only has to check that the candidate's
+    unassigned neighbours still meet.  It is connected after a pick or
+    a swallow, and before every seed whose part tests a candidate: part
+    0's members are a connected cluster, each earlier part ended on a
+    pick, a swallow or its seed alone, and a seed-only part is followed
+    only by seed-only parts and the last part (targets never grow).  So
+    ``_severed`` also tells whether the seed cut the remainder; only
+    after a seed that did is the whole remainder searched per candidate,
+    until the next pick or swallow.  A cut vertex is remembered with the
+    closed component it cut off and the length of the `taken` log at
+    that time; what is left of a closed component stays closed as nodes
+    are taken, so the vertex is re-tested only once that component or
+    everything outside it and the vertex has been taken.  Worst case: a
+    pick whose neighbours meet only around the far side of the remainder
+    still costs a search of all of it.
     """
     total = len(members)
     where = "the node set" if parent_id is None else f"cluster {parent_id}"
@@ -247,7 +259,8 @@ def _grow_regions(
             break
         seed = min(unassigned)
         take(seed)
-        connected = False  # unchecked: the seed may cut the remainder
+        # exact whenever this part tests a candidate (see the docstring)
+        connected = _severed(seed, unassigned, adj) is None
         region = [seed]
         layer = {seed: 0}
         heap: list[tuple[int, int]] = []

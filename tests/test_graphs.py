@@ -166,12 +166,15 @@ def test_load_rejects_malformed_files(tmp_path):
             gr.load(p)
         return str(exc.value)
 
-    assert "line 1" in attempt("0 1\n1 2\n")
+    assert attempt("0 1\n1 2\n") == "line 1: expected header 'n <count>'"
     assert "line 2" in attempt("n 3\n1 0\n1 2\n")          # u >= v
     assert "line 3" in attempt("n 3\n0 1\n0 3\n")          # out of range
     assert "line 3" in attempt("n 3\n0 1\n0 1\n")          # duplicate
     assert "line 2" in attempt("n 3\nzero one\n")
     attempt("n zero\n0 1\n")
+    assert issubclass(gr.GraphFormatError, gr.FileFormatError)
+    assert issubclass(gr.FileFormatError, ValueError)
+    assert gr.GraphFormatError("no header").line_no is None
     # structurally fine but disconnected
     p = tmp_path / "disc.graph"
     p.write_text("n 4\n0 1\n2 3\n")

@@ -176,6 +176,8 @@ def test_load_rejects_malformed_files(tmp_path):
 
     e = attempt("0 0\n1 zero\n")
     assert e.line_no == 2
+    assert str(e) == "line 2: non-integer field in '1 zero'"
+    assert isinstance(e, gr.FileFormatError) and isinstance(e, ValueError)
     assert attempt("-1 0\n").line_no == 1
     assert attempt("0 -1\n").line_no == 1
     assert attempt("0 0\n0 1\n").line_no == 2

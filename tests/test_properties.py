@@ -682,6 +682,20 @@ def test_cut_vertex_remainders_equal_oracle(rows, cols, branching, levels):
     assert got == balanced_outcome(oracle_balanced, g, levels, branching)
 
 
+@pytest.mark.parametrize("levels, branching", [(2, 2), (3, 2), (2, 3)])
+def test_cut_vertex_seed_equals_oracle(levels, branching):
+    # node 0, the first seed, joins two K4s: the remainder it leaves is
+    # disconnected, so the first part's candidates are tested with a
+    # search of the whole remainder
+    edges = [(0, 1), (0, 5), *combinations(range(1, 5), 2), *combinations(range(5, 9), 2)]
+    g = gr.Graph(9, edges)
+    assert hi._severed(0, set(range(1, 9)), g.adj) == {1, 2, 3, 4}
+    got = balanced_outcome(new_balanced, g, levels, branching)
+    assert got == balanced_outcome(oracle_balanced, g, levels, branching)
+    if (levels, branching) == (2, 2):
+        assert got == ((0,),) * 5 + ((1,),) * 4
+
+
 @pytest.mark.parametrize("graph, levels, digest", [
     ("torus", 2, "dbf20a5b03556ed12a892ca873f89cd1dc8f2f664b598722eb4e569e2fc3201f"),
     ("torus", 3, "bee50c7072879fa81fef6a04b955500e9de1d9ffcc903bf6aa5e9feb64c08674"),
@@ -706,6 +720,11 @@ SMALL_GRAPHS = {
     "star-5": gr.Graph(6, [(0, i) for i in range(1, 6)]),
     "bowtie": gr.Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
     "grid-3x3": gr.grid_graph(3, 3),
+    # two-start candidates whose starts share a neighbour other than w
+    "torus-3x4": gr.torus_graph(3, 4),
+    # K4 without (0, 3): the starts 1, 2 of w = 0 are joined through 3
+    # only while 3 is unassigned, and directly in any case
+    "diamond": gr.Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
 }
 
 
