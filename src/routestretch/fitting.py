@@ -15,7 +15,9 @@ expected to match the 0.987 default used by the curve tools.
 
 r_squared is computed against the constrained model: 1 - SSE/SST with
 SST taken about the observed mean.  For constant observations it is 1.0
-when the fit is exact and 0.0 otherwise.
+when the fit is exact and 0.0 otherwise.  Finite points can still be too
+large for float sums of squares; such a fit raises a ValueError that
+says it overflows, so no report carries an inf or a NaN.
 """
 
 from __future__ import annotations
@@ -43,12 +45,16 @@ class FitResult:
     model: str
 
     def __post_init__(self) -> None:
-        if not self.alpha_hat > 0:
-            raise ValueError(f"alpha_hat must be > 0 (got {self.alpha_hat})")
-        if self.residual_sse < 0:
-            raise ValueError(f"residual_sse must be >= 0 (got {self.residual_sse})")
-        if self.r_squared > 1:
-            raise ValueError(f"r_squared cannot exceed 1 (got {self.r_squared})")
+        if not 0 < self.alpha_hat < math.inf:
+            raise ValueError(f"alpha_hat must be finite and > 0 (got {self.alpha_hat})")
+        if not 0 <= self.residual_sse < math.inf:
+            raise ValueError(
+                f"residual_sse must be finite and >= 0 (got {self.residual_sse})"
+            )
+        if not -math.inf < self.r_squared <= 1:
+            raise ValueError(
+                f"r_squared must be finite and at most 1 (got {self.r_squared})"
+            )
 
     def to_text(self) -> str:
         return (
@@ -60,12 +66,35 @@ class FitResult:
         )
 
 
+def _sum_squares(values) -> float:
+    """The sum of squares, inf once a square leaves the float range."""
+    try:
+        return sum(v ** 2 for v in values)
+    except OverflowError:
+        return math.inf
+
+
 def _r_squared(observed: Sequence[float], sse: float) -> float:
     mean = sum(observed) / len(observed)
-    sst = sum((y - mean) ** 2 for y in observed)
+    sst = _sum_squares(y - mean for y in observed)
     if sst == 0:
         return 1.0 if sse < 1e-30 else 0.0
     return 1.0 - sse / sst
+
+
+def _scored(model: str, alpha: float, sse: float, observed: list[float]) -> FitResult:
+    """The FitResult of a fitted alpha and its residual sum of squares;
+    one past the float range raises a ValueError that names the overflow."""
+    r_squared = _r_squared(observed, sse)
+    if not all(map(math.isfinite, (alpha, sse, r_squared))):
+        raise _overflow(model)
+    return FitResult(alpha, sse, r_squared, len(observed), model)
+
+
+def _overflow(model: str) -> ValueError:
+    return ValueError(
+        f"the {model} fit overflows: its sums of squares exceed the float range"
+    )
 
 
 def _finite_points(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -83,17 +112,12 @@ def _slope_fit(xs: list[float], ys: list[float], model: str, degenerate: str) ->
     sxx = sum(x * x for x in xs)
     if sxx == 0:
         raise ValueError(f"degenerate data: {degenerate}")
+    if sxx == math.inf:
+        raise _overflow(model)
     alpha = sum(x * y for x, y in zip(xs, ys)) / sxx
     if not alpha > 0:
         raise ValueError(f"fitted slope is not positive ({alpha}); check the data")
-    sse = sum((y - alpha * x) ** 2 for x, y in zip(xs, ys))
-    return FitResult(
-        alpha_hat=alpha,
-        residual_sse=sse,
-        r_squared=_r_squared(ys, sse),
-        n_points=len(xs),
-        model=model,
-    )
+    return _scored(model, alpha, _sum_squares(y - alpha * x for x, y in zip(xs, ys)), ys)
 
 
 def fit_alpha_linear(points: Sequence[tuple[float, float]]) -> FitResult:
@@ -119,10 +143,11 @@ def fit_alpha_ipea(points: Sequence[tuple[float, float]]) -> FitResult:
 
 def _eq3_sse_vector(alphas: np.ndarray, d: np.ndarray, st: np.ndarray, ln_n: float) -> np.ndarray:
     # rows: candidate alphas; cols: data points
-    m = 1.0 + d[None, :] / alphas[:, None]
-    pred = m * np.exp((1.0 / m - 1.0) * ln_n)
-    resid = st[None, :] - pred
-    return (resid * resid).sum(axis=1)
+    with np.errstate(over="ignore"):  # an inf sum is reported by _scored
+        m = 1.0 + d[None, :] / alphas[:, None]
+        pred = m * np.exp((1.0 / m - 1.0) * ln_n)
+        resid = st[None, :] - pred
+        return (resid * resid).sum(axis=1)
 
 
 def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitResult:
@@ -139,9 +164,12 @@ def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitRes
         raise ValueError(f"n_nodes must be >= 2 (got {n_nodes})")
     if not any(sp > 1 for sp, _ in pts):
         raise ValueError("alpha is unidentifiable: every point has s_p = 1")
-    for sp, _ in pts:
+    for sp, s in pts:
         if sp < 1:
             raise ValueError(f"s_p must be >= 1 (got {sp})")
+        # no upper bound: the curve itself exceeds 1 at small N
+        if not s > 0:
+            raise ValueError(f"s_t must be > 0 (got {s})")
     d = np.array([sp - 1.0 for sp, _ in pts])
     st = np.array([s for _, s in pts])
     ln_n = math.log(n_nodes)
@@ -175,10 +203,4 @@ def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitRes
         lambda a: float(_eq3_sse_vector(np.array([a]), d, st, ln_n)[0]),
         ref_lo, ref_hi, tol=1e-7,
     )
-    return FitResult(
-        alpha_hat=alpha,
-        residual_sse=sse,
-        r_squared=_r_squared([s for _, s in pts], sse),
-        n_points=len(pts),
-        model="eq3",
-    )
+    return _scored("eq3", alpha, sse, [s for _, s in pts])

@@ -34,7 +34,11 @@ component and connectivity checks and routing's gateways and leaf
 check.  Three other searches stay for speed: ``hierarchy._severed``,
 whose searches from a cut candidate's neighbours stop once they meet,
 or do not start when its two neighbours share a third (clustering the
-40x40 torus at levels 2-5 went from 5.37 to 0.37 s with the searches);
+40x40 torus at levels 2-5 went from 5.37 to 0.37 s with the searches),
+and which holds its searches as bit sets when a candidate has more than
+four unassigned neighbours (``hierarchy._search_masks``: G(700, 0.043)
+at level 3 went from 25 to 10 ms; at most n/8 bytes per adjacency row,
+freed when ``build_balanced`` returns);
 ``_induced_search``, which searches from a block of sources at
 once as bits; and the constructor's whole-graph check over a list of
 flags, run on every load (0.34 ms against 1.4 ms for ``_gateways`` on

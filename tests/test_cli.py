@@ -5,6 +5,7 @@ Exit-code contract: 0 success, 1 usage, 2 domain/validation, 3 I/O.
 
 import math
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -281,6 +282,26 @@ def test_fit_rejects_non_finite_value_exit_2(tmp_path, capsys, model, cell):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{pts}: line 3: s_p is not a finite number" in captured.err
+
+
+OVERFLOW = "fit overflows: its sums of squares exceed the float range"
+
+
+@pytest.mark.parametrize("model, row, message", [
+    ("linear", "10,3,1e300,0.25", f"the linear-theorem1 {OVERFLOW}"),
+    ("ipea", "10,3,1e300,0.25", f"the ipea-log {OVERFLOW}"),
+    ("eq3", "10,3,1e300,0.25", f"the eq3 {OVERFLOW}"),
+    ("eq3", "10,3,1.5,1e308", f"the eq3 {OVERFLOW}"),
+    ("eq3", "10,3,1.5,-0.5", "s_t must be > 0 (got -0.5)"),
+], ids=["linear", "ipea", "eq3-s_p", "eq3-s_t", "eq3-negative-s_t"])
+def test_fit_out_of_range_values_exit_2(tmp_path, capsys, model, row, message):
+    # finite values whose fit once printed inf or a bare OverflowError
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"n,levels,s_p,s_t\n10,2,1.2,0.5\n{row}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--model", model, "--input", str(pts)]) == 2
+    assert capsys.readouterr() == ("", f"routestretch: {message}\n")
 
 
 def test_fit_short_row_exit_2(tmp_path, capsys):

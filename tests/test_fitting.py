@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import pytest
 
@@ -107,18 +108,42 @@ def test_eq3_error_paths():
         ft.fit_alpha_eq3([(0.9, 0.5), (2.0, 0.4)], 10)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("fit", [
-    ft.fit_alpha_linear,
-    ft.fit_alpha_ipea,
-    lambda pts: ft.fit_alpha_eq3(pts, 10),
-], ids=["linear", "ipea", "eq3"])
-def test_non_finite_points_rejected(fit, bad):
+FITS = {
+    "linear": ft.fit_alpha_linear,
+    "ipea": ft.fit_alpha_ipea,
+    "eq3": lambda pts: ft.fit_alpha_eq3(pts, 10),
+}
+
+
+def bad_point_cases():
     # a NaN once slipped through eq3 as alpha_hat 0.0002 with a nan SSE
     good = [(2.0, 0.5), (3.0, 0.25)]
-    for pt in ((bad, 0.5), (2.0, bad)):
-        with pytest.raises(ValueError, match="point 1 is not finite"):
-            fit([good[0], pt])
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in FITS:
+            sets = [[good[0], (bad, 0.5)], [good[0], (2.0, bad)]]
+            yield pytest.param(name, sets, "point 1 is not finite", id=f"{name}-{bad}")
+    # finite points whose sums of squares leave the float range once
+    # printed residual_sse: inf and r_squared: -inf (eq3) or raised a bare
+    # OverflowError (linear, ipea)
+    overflow = "fit overflows: its sums of squares exceed the float range"
+    for name, sets in [
+        ("linear", [[(2.0, 1.2), (3.0, 1e300)], [(2.0, 1.2), (1e200, 1.5)]]),
+        ("ipea", [[(0.5, 1.2), (0.25, 1e300)]]),
+        ("eq3", [[(1.2, 0.5), (1e300, 0.25)], [(1.2, 0.5), (1.5, 1e308)]]),
+    ]:
+        yield pytest.param(name, sets, overflow, id=f"{name}-overflow")
+    # eq3 has no upper bound on s_t (its curve exceeds 1 at small N)
+    yield pytest.param("eq3", [[(1.2, 0.5), (1.5, -0.5)], [(1.2, 0.5), (1.5, 0.0)]],
+                       "s_t must be > 0", id="eq3-s_t-not-positive")
+
+
+@pytest.mark.parametrize("name, point_sets, match", bad_point_cases())
+def test_non_finite_points_rejected(name, point_sets, match):
+    for pts in point_sets:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ValueError, match=match):
+                FITS[name](pts)
 
 
 def test_fit_result_guards_and_text():
@@ -128,6 +153,13 @@ def test_fit_result_guards_and_text():
         ft.FitResult(1.0, -0.1, 1.0, 2, "eq3")
     with pytest.raises(ValueError):
         ft.FitResult(1.0, 0.0, 1.5, 2, "eq3")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            ft.FitResult(1.0, abs(bad), 0.5, 2, "eq3")
+        with pytest.raises(ValueError, match="must be finite"):
+            ft.FitResult(1.0, 0.0, bad, 2, "eq3")
+    with pytest.raises(ValueError, match="must be finite"):
+        ft.FitResult(math.inf, 0.0, 0.5, 2, "eq3")
     text = ft.FitResult(0.5, 0.0, 1.0, 4, "linear-theorem1").to_text()
     assert text == (
         "model: linear-theorem1\n"

@@ -653,6 +653,55 @@ def test_branching_3_torus_error_message_frozen():
     )
 
 
+@pytest.mark.parametrize("branching, levels, digest", [
+    (2, 2, "4ca3c644c14dc3b35644499fc997e73cbf1bdbf7f565532e21b3837b2bbc0199"),
+    (2, 4, "9b3d3bb4322ee8ce5c08ded713686e65ecf7d28a2b2706a3feb782bf3e8ecbb6"),
+    (2, 5, "af742fa56e6b9b7b02a017b35c22e1a67cbdbb6091d46aada97f8d41bd4a93e3"),
+    (3, 2, "61b78b7b0958e055637d10c667f2931e7d85cf695f5c8332de6dec9fc4b11f1f"),
+])
+def test_dense_hierarchy_files_frozen(tmp_path, branching, levels, digest):
+    # sha256 of the files written while every cut test searched sets of
+    # node ids; nearly all of them now take the mask search
+    path = tmp_path / "dense.clusters"
+    g = gr.random_graph(700, 0.043, seed=1)
+    hi.save(hi.build_balanced(g, levels, branching), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_dense_error_message_frozen():
+    with pytest.raises(hi.HierarchyBuildError) as info:
+        hi.build_balanced(gr.random_graph(700, 0.043, seed=1), 4, 3)
+    assert str(info.value) == (
+        "level 3, part 1 of cluster 0: cannot keep the remainder connected "
+        "at 25 of 26 nodes"
+    )
+
+
+def test_mask_search_only_past_four_starts(monkeypatch):
+    # degree 4 keeps tori and grids on the set search
+    def refuse(*args):
+        raise AssertionError("mask search entered")
+
+    monkeypatch.setattr(hi, "_search_masks", refuse)
+    for levels in range(2, 6):
+        hi.build_balanced(gr.torus_graph(40, 40), levels, 2)
+    for levels in range(2, 7):
+        hi.build_balanced(gr.grid_graph(16, 16), levels, 2)
+
+
+def test_mask_search_entered_on_dense_graphs(monkeypatch):
+    search = hi._search_masks
+    starts = []
+
+    def count(*args):
+        starts.append(len(args[0]))
+        return search(*args)
+
+    monkeypatch.setattr(hi, "_search_masks", count)
+    hi.build_balanced(gr.random_graph(700, 0.043, seed=1), 3, 2)
+    assert starts and min(starts) > 4
+
+
 def small_shapes(n):
     return {
         "ring": gr.ring_graph(n),
@@ -689,7 +738,7 @@ def test_cut_vertex_seed_equals_oracle(levels, branching):
     # search of the whole remainder
     edges = [(0, 1), (0, 5), *combinations(range(1, 5), 2), *combinations(range(5, 9), 2)]
     g = gr.Graph(9, edges)
-    assert hi._severed(0, set(range(1, 9)), g.adj) == {1, 2, 3, 4}
+    assert hi._severed(0, set(range(1, 9)), g.adj, hi._Masks({})) == {1, 2, 3, 4}
     got = balanced_outcome(new_balanced, g, levels, branching)
     assert got == balanced_outcome(oracle_balanced, g, levels, branching)
     if (levels, branching) == (2, 2):
@@ -725,6 +774,14 @@ SMALL_GRAPHS = {
     # K4 without (0, 3): the starts 1, 2 of w = 0 are joined through 3
     # only while 3 is unassigned, and directly in any case
     "diamond": gr.Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+    # candidates with five or six starts, which take the mask search:
+    # never a cut in K6 or in a hub with a 6-node rim, and the hub of two
+    # K4s that share it cuts whenever both sides are left
+    "K6": gr.Graph(6, list(combinations(range(6), 2))),
+    "wheel-6": gr.Graph(7, [(0, i) for i in range(1, 7)]
+                        + [(i, i % 6 + 1) for i in range(1, 7)]),
+    "two-K4-hub": gr.Graph(7, [*combinations((0, 1, 2, 3), 2),
+                               *combinations((0, 4, 5, 6), 2)]),
 }
 
 
@@ -733,6 +790,7 @@ def test_local_cut_test_exhaustive(name):
     # every connected remainder and every candidate in it
     g = SMALL_GRAPHS[name]
     adj = g.adj
+    rows = {}  # bit rows, shared like those of one build_balanced call
     for size in range(1, g.n_nodes + 1):
         for chosen in combinations(range(g.n_nodes), size):
             remainder = set(chosen)
@@ -743,12 +801,20 @@ def test_local_cut_test_exhaustive(name):
                 comps = gr._components(rest, adj)
                 assert comps == sorted(comps, key=lambda c: (len(c), c[0]))
                 assert sorted(x for c in comps for x in c) == sorted(rest)
-                got = hi._severed(w, rest, adj)
+                got = hi._severed(w, rest, adj, hi._Masks(rows))
                 assert (got is None) == gr._connected_set(rest, adj), (chosen, w)
-                if got is not None:
-                    # one whole component, reached from a neighbour of w
-                    assert sorted(got) in comps
-                    assert any(x in got for x in adj[w])
+                starts = [x for x in adj[w] if x in rest]
+                searches = [got]
+                if len(starts) > 1:
+                    # the set search and the mask search agree
+                    searches.append(hi._search_sets(starts, rest, adj))
+                    searches.append(hi._search_masks(starts, rest, adj, hi._Masks(rows)))
+                for found in searches:
+                    assert (found is None) == (got is None), (chosen, w)
+                    if found is not None:
+                        # one whole component, reached from a neighbour of w
+                        assert sorted(found) in comps
+                        assert any(x in found for x in starts)
 
 
 def oracle_graph(n_nodes, edges):
