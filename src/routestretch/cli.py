@@ -246,6 +246,8 @@ def _check(name: str, fn, failures: list[str]) -> None:
 
 
 def cmd_validate(args) -> int:
+    if bool(args.graph) != bool(args.hierarchy):
+        raise ValueError("--graph and --hierarchy must be given together")
     failures: list[str] = []
 
     def boundary() -> None:
@@ -321,10 +323,7 @@ def cmd_validate(args) -> int:
     _check("ring-8 simulator oracle", ring_oracle, failures)
     _check("grid-4x4 simulator oracle", grid_oracle, failures)
 
-    if args.graph or args.hierarchy:
-        if not (args.graph and args.hierarchy):
-            raise ValueError("--graph and --hierarchy must be given together")
-
+    if args.graph:
         def file_check() -> None:
             g = graphs.load(args.graph)
             h = hierarchy.load(args.hierarchy)

@@ -36,8 +36,10 @@ whose searches from a cut candidate's neighbours stop once they meet,
 or do not start when its two neighbours share a third (clustering the
 40x40 torus at levels 2-5 went from 5.37 to 0.37 s with the searches),
 and which holds its searches as bit sets when a candidate has more than
-four unassigned neighbours (``hierarchy._search_masks``: G(700, 0.043)
-at level 3 went from 25 to 10 ms; at most n/8 bytes per adjacency row,
+four unassigned neighbours (``hierarchy._search_masks``, whose starts
+are the candidate's adjacency row ANDed with the remainder: G(700, 0.043)
+at level 3 went from 25 to 8 ms; the rows exist only on graphs with a
+node of more than four neighbours, take at most n/8 bytes each and are
 freed when ``build_balanced`` returns);
 ``_induced_search``, which searches from a block of sources at
 once as bits; and the constructor's whole-graph check over a list of

@@ -28,11 +28,14 @@ from the node's unassigned neighbours stop as soon as they all meet or
 one runs dry (``_severed``).  A node with more than four unassigned
 neighbours is searched with bit sets, Python ints with one bit per node
 id, so that one AND of an adjacency row with the remainder finds all of
-a node's unassigned neighbours (``_search_masks``).  That pays on dense
-graphs, where nearly every candidate has many, and never happens on
-grids and tori, whose degree is 4.  Each adjacency row
-is built on first use and takes at most n/8 bytes; the rows are freed
-when ``build_balanced`` returns.
+a node's unassigned neighbours (``_search_masks``): the candidate's own
+row gives the search's starts, and every later row a front's new nodes.
+That pays on dense graphs, where nearly every candidate has many.  The
+rows exist only when some node of the graph has more than four
+neighbours; grids, tori and rings build neither a row nor the
+remainder's bit set.  Each row is built the first time a search needs
+it and takes at most n/8 bytes; the rows are freed when
+``build_balanced`` returns.
 Each seed gets the same test, so the remainder is known to be connected
 from a part's first candidate on unless the seed cut it, and a node
 found to cut the remainder is not searched again while nodes are left
@@ -53,7 +56,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 from .graphs import FileFormatError, Graph, _components, _connected_set
 
@@ -120,24 +123,12 @@ def flat_hierarchy(graph: Graph) -> Hierarchy:
 _MASK_STARTS = 4  # candidates with more unassigned neighbours take _search_masks
 
 
-class _Masks:
-    """Bit sets for ``_search_masks``: Python ints with bit x set for node x.
-
-    `rows` maps a node to its neighbours as such an int; each row is built
-    on first use and shared by every split of one ``build_balanced`` call.
-    `rest` is the remainder, None until a split's first mask search builds
-    it from `nodes`; from then on its owner keeps it equal to `nodes`.
-    """
-
-    __slots__ = ("rows", "rest")
-
-    def __init__(self, rows: dict[int, int]):
-        self.rows = rows
-        self.rest: int | None = None
-
-
 def _bits(ids) -> int:
-    return sum(1 << x for x in ids)
+    """The bit set of `ids`: a Python int with bit x set for node x."""
+    mask = 0
+    for x in ids:
+        mask |= 1 << x
+    return mask
 
 
 def _ids(mask: int) -> set[int]:
@@ -146,7 +137,7 @@ def _ids(mask: int) -> set[int]:
     return {top - i for i, c in enumerate(digits) if c == "1"}
 
 
-def _severed(w: int, nodes: set[int], adj, masks: _Masks) -> set[int] | None:
+def _severed(w: int, nodes: set[int], adj, rows, rest: int) -> set[int] | None:
     """Whether taking w out of a connected set left `nodes` (the rest)
     disconnected: None if not, else one closed component of `nodes`.
 
@@ -162,14 +153,16 @@ def _severed(w: int, nodes: set[int], adj, masks: _Masks) -> set[int] | None:
     of G(700, 0.043) at level 3 have more than four.  Every mask
     operation costs n/64 words, which a candidate with four neighbours
     does not win back: sending those to the masks too made the 100x100
-    torus at level 4 cluster 15-17% slower.  `masks` holds the bit rows
-    (at most n/8 bytes each, built on first use) and the remainder.
+    torus at level 4 cluster 15-17% slower.  `rows` holds the bit rows
+    (None on graphs of degree at most four, which never search masks)
+    and `rest` is `nodes` as a bit set, with or without w; the masks get
+    it without w.
     """
     starts = [x for x in adj[w] if x in nodes]
     if len(starts) <= 1:
         return None
     if len(starts) > _MASK_STARTS:
-        return _search_masks(starts, nodes, adj, masks)
+        return _search_masks(w, rest & ~(1 << w), adj, rows)
     if len(starts) == 2:
         # a neighbour shared by both starts joins them (w is not in nodes)
         a, b = starts
@@ -222,28 +215,28 @@ def _search_sets(starts: list[int], nodes: set[int], adj) -> set[int] | None:
                             return None
 
 
-def _search_masks(
-    starts: list[int], nodes: set[int], adj, masks: _Masks
-) -> set[int] | None:
-    """``_search_sets``'s answer, found with two fronts held as bit sets.
+def _search_masks(w: int, rest: int, adj, rows: dict[int, int]) -> set[int] | None:
+    """``_search_sets``'s answer for w's neighbours in the bit set `rest`
+    (which holds no w), found with two fronts held as bit sets.
 
-    Each front keeps the nodes it reached and those it has still to
-    expand.  Front A starts at the first start, front B at the lowest
-    start A has not reached, and they take turns expanding their lowest
-    pending node: one AND of its row with the remainder, less what the
-    front reached, gives the new nodes.  When the fronts meet, they merge
-    into A and B restarts at the next start A has not reached; once there
-    is none, the starts are joined.  A front that runs dry first holds a
-    whole component, returned as node ids.
+    The starts are one AND, w's row with `rest`.  Each front keeps the
+    nodes it reached and those it has still to expand.  Front A starts
+    at the lowest start, front B at the lowest start A has not reached,
+    and they take turns expanding their lowest pending node: one AND of
+    its row with `rest`, less what the front reached, gives the new
+    nodes.  When the fronts meet, they merge into A and B restarts at
+    the next start A has not reached; once there is none, the starts are
+    joined.  A front that runs dry first holds a whole component,
+    returned as node ids.  `rows` maps a node to its adjacency row, built
+    the first time it is needed and kept for the caller's next search.
     """
-    rest = masks.rest
-    if rest is None:
-        rest = masks.rest = _bits(nodes)
-    rows = masks.rows
+    left = rows.get(w)
+    if left is None:
+        left = rows[w] = _bits(adj[w])
+    left &= rest
     # (seen, pend) is the front that expands next, A after every merge;
     # (seen2, pend2) is the other
-    seen = pend = 1 << starts[0]
-    left = _bits(starts)
+    seen = pend = left & -left
     while True:
         left &= ~seen
         if not left:
@@ -273,7 +266,7 @@ def _grow_regions(
     parts: int,
     level: int,
     parent_id: int | None,
-    rows: dict[int, int],
+    rows: dict[int, int] | None,
 ) -> list[list[int]]:
     """Split members into `parts` connected regions with sizes differing by <= 1.
 
@@ -305,6 +298,10 @@ def _grow_regions(
     everything outside it and the vertex has been taken.  Worst case: a
     pick whose neighbours meet only around the far side of the remainder
     still costs a search of all of it.
+
+    The remainder is the set `unassigned` and, where `rows` exists, the
+    bit set `rest` too; only `take` shrinks them (`severs` puts back the
+    node it probes, and leaves `rest` alone).
     """
     total = len(members)
     where = "the node set" if parent_id is None else f"cluster {parent_id}"
@@ -313,18 +310,24 @@ def _grow_regions(
             f"level {level}: cannot split {where} of {total} nodes into {parts} parts"
         )
     unassigned = set(members)
+    rest = 0 if rows is None else _bits(members)
     taken: list[int] = []  # every node assigned so far, in order
     # w -> (a closed component of unassigned - {w}, len(taken) and how
     # many of the component were still unassigned when last checked)
     cuts: dict[int, tuple[set[int], int, int]] = {}
     connected = False  # whether unassigned is known to be connected
-    masks = _Masks(rows)  # masks.rest, once built, equals unassigned
 
-    def take(x: int) -> None:
+    def take(x: int, lay: int) -> None:
+        """Assign x to the current part, found at layer `lay`."""
+        nonlocal rest
         unassigned.remove(x)
         taken.append(x)
-        if masks.rest is not None:
-            masks.rest ^= 1 << x
+        if rows is not None:
+            rest ^= 1 << x
+        for y in adj[x]:
+            if y in unassigned and y not in layer:
+                layer[y] = lay + 1
+                heapq.heappush(heap, (lay + 1, y))
 
     def severs(w: int) -> bool:
         """Whether taking w would disconnect the unassigned set."""
@@ -338,18 +341,14 @@ def _grow_regions(
                 cuts[w] = (comp, len(taken), left)
                 return True
         unassigned.remove(w)
-        if masks.rest is not None:
-            masks.rest ^= 1 << w
         if connected:
-            comp = _severed(w, unassigned, adj, masks)
+            comp = _severed(w, unassigned, adj, rows, rest)
             if comp is not None:
                 cuts[w] = (comp, len(taken), len(comp))
             cut = comp is not None
         else:
             cut = not _connected_set(unassigned, adj)
         unassigned.add(w)
-        if masks.rest is not None:  # also when _severed built it without w
-            masks.rest ^= 1 << w
         return cut
 
     base, rem = divmod(total, parts)
@@ -365,22 +364,14 @@ def _grow_regions(
             # and growing inside it would reach all of it without failing.
             regions.append(sorted(unassigned))
             break
+        first = len(taken)  # this part is taken[first:]
+        layer: dict[int, int] = {}  # discovery layers of this part's frontier
+        heap: list[tuple[int, int]] = []  # its frontier, in (layer, id) order
         seed = min(unassigned)
-        take(seed)
+        take(seed, 0)
         # exact whenever this part tests a candidate (see the docstring)
-        connected = _severed(seed, unassigned, adj, masks) is None
-        region = [seed]
-        layer = {seed: 0}
-        heap: list[tuple[int, int]] = []
-
-        def push_frontier(w: int, lay: int) -> None:
-            for x in adj[w]:
-                if x in unassigned and x not in layer:
-                    layer[x] = lay + 1
-                    heapq.heappush(heap, (lay + 1, x))
-
-        push_frontier(seed, 0)
-        while len(region) < target:
+        connected = _severed(seed, unassigned, adj, rows, rest) is None
+        while len(taken) - first < target:
             deferred: list[tuple[int, int]] = []
             pick = None
             while heap:
@@ -394,45 +385,34 @@ def _grow_regions(
             if pick is not None:
                 for item in deferred:
                     heapq.heappush(heap, item)
-                take(pick[1])
+                take(pick[1], pick[0])
                 connected = True
-                region.append(pick[1])
-                push_frontier(pick[1], pick[0])
                 continue
+            size = len(taken) - first
             if not deferred:
                 raise HierarchyBuildError(
                     f"level {level}, part {i} of {where}: stranded at "
-                    f"{len(region)} of {target} nodes (remainder disconnected)"
+                    f"{size} of {target} nodes (remainder disconnected)"
                 )
             # every candidate is a cut vertex of the remainder; deferred is
             # in (layer, id) order, so take the first whose severed
             # fragments (every component except the largest) fit here
-            chosen = None
             for lay, w in deferred:
                 comps = _components(unassigned - {w}, adj)
-                eaten = sum(len(c) for c in comps[:-1])
-                if len(region) + 1 + eaten <= target:
-                    chosen = (lay, w, comps[:-1])
+                if size + 1 + sum(len(c) for c in comps[:-1]) <= target:
                     break
-            if chosen is None:
+            else:
                 raise HierarchyBuildError(
                     f"level {level}, part {i} of {where}: cannot keep the "
-                    f"remainder connected at {len(region)} of {target} nodes"
+                    f"remainder connected at {size} of {target} nodes"
                 )
-            lay, w, fragments = chosen
-            take(w)
-            region.append(w)
-            push_frontier(w, lay)
-            for comp in fragments:
-                for x in comp:
-                    take(x)
-                    region.append(x)
-                    push_frontier(x, lay)
+            for x in chain([w], *comps[:-1]):
+                take(x, lay)
             connected = True  # what is left is the largest component
             for item in deferred:
                 if item[1] in unassigned:
                     heapq.heappush(heap, item)
-        regions.append(sorted(region))
+        regions.append(sorted(taken[first:]))
     return regions
 
 
@@ -461,7 +441,9 @@ def build_balanced(graph: Graph, levels: int, branching: int = 2) -> Hierarchy:
     if levels == 1:
         return flat_hierarchy(graph)
     paths: list[list[int]] = [[] for _ in range(graph.n_nodes)]
-    rows: dict[int, int] = {}  # bit rows of _search_masks, shared by every split
+    # bit rows of _search_masks, shared by every split; only a candidate
+    # with more than _MASK_STARTS unassigned neighbours searches masks
+    rows = {} if any(len(nbrs) > _MASK_STARTS for nbrs in graph.adj) else None
     current: list[tuple[int | None, list[int]]] = [(None, list(range(graph.n_nodes)))]
     for level in range(1, levels):
         nxt: list[tuple[int | None, list[int]]] = []

@@ -209,9 +209,12 @@ def test_validate_with_files(tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", "--graph", str(graph), "--hierarchy", str(hier)]) == 0
     assert capsys.readouterr().out.count("PASS") == 8
-    # both file flags are required together
-    assert main(["validate", "--graph", str(graph)]) == 2
-    capsys.readouterr()
+    # both file flags are required together, checked before the suite runs
+    for flags in (["--graph", str(graph)], ["--hierarchy", str(hier)]):
+        assert main(["validate", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "routestretch: --graph and --hierarchy must be given together\n"
 
 
 def test_fit_eq3_from_csv(tmp_path, capsys):

@@ -678,11 +678,13 @@ def test_dense_error_message_frozen():
 
 
 def test_mask_search_only_past_four_starts(monkeypatch):
-    # degree 4 keeps tori and grids on the set search
+    # degree 4 keeps tori and grids on the set search, and they build no
+    # bit set at all: neither a row nor the remainder's
     def refuse(*args):
         raise AssertionError("mask search entered")
 
     monkeypatch.setattr(hi, "_search_masks", refuse)
+    monkeypatch.setattr(hi, "_bits", refuse)
     for levels in range(2, 6):
         hi.build_balanced(gr.torus_graph(40, 40), levels, 2)
     for levels in range(2, 7):
@@ -693,9 +695,10 @@ def test_mask_search_entered_on_dense_graphs(monkeypatch):
     search = hi._search_masks
     starts = []
 
-    def count(*args):
-        starts.append(len(args[0]))
-        return search(*args)
+    def count(w, rest, adj, rows):
+        found = search(w, rest, adj, rows)
+        starts.append(bin(rows[w] & rest).count("1"))
+        return found
 
     monkeypatch.setattr(hi, "_search_masks", count)
     hi.build_balanced(gr.random_graph(700, 0.043, seed=1), 3, 2)
@@ -738,7 +741,7 @@ def test_cut_vertex_seed_equals_oracle(levels, branching):
     # search of the whole remainder
     edges = [(0, 1), (0, 5), *combinations(range(1, 5), 2), *combinations(range(5, 9), 2)]
     g = gr.Graph(9, edges)
-    assert hi._severed(0, set(range(1, 9)), g.adj, hi._Masks({})) == {1, 2, 3, 4}
+    assert hi._severed(0, set(range(1, 9)), g.adj, {}, hi._bits(range(9))) == {1, 2, 3, 4}
     got = balanced_outcome(new_balanced, g, levels, branching)
     assert got == balanced_outcome(oracle_balanced, g, levels, branching)
     if (levels, branching) == (2, 2):
@@ -801,20 +804,72 @@ def test_local_cut_test_exhaustive(name):
                 comps = gr._components(rest, adj)
                 assert comps == sorted(comps, key=lambda c: (len(c), c[0]))
                 assert sorted(x for c in comps for x in c) == sorted(rest)
-                got = hi._severed(w, rest, adj, hi._Masks(rows))
+                # the remainder's bit set may still hold w
+                got = hi._severed(w, rest, adj, rows, hi._bits(remainder))
                 assert (got is None) == gr._connected_set(rest, adj), (chosen, w)
                 starts = [x for x in adj[w] if x in rest]
                 searches = [got]
                 if len(starts) > 1:
                     # the set search and the mask search agree
                     searches.append(hi._search_sets(starts, rest, adj))
-                    searches.append(hi._search_masks(starts, rest, adj, hi._Masks(rows)))
+                    searches.append(hi._search_masks(w, hi._bits(rest), adj, rows))
                 for found in searches:
                     assert (found is None) == (got is None), (chosen, w)
                     if found is not None:
                         # one whole component, reached from a neighbour of w
                         assert sorted(found) in comps
                         assert any(x in found for x in starts)
+
+
+@st.composite
+def hub_remainders(draw):
+    """A connected graph on 130-300 nodes, a random tree with one to six
+    hubs of 11 or more neighbours and extra edges, and a connected
+    remainder of it: the largest component left once up to a quarter of
+    the nodes are taken."""
+    n = draw(st.integers(130, 300))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+    for _ in range(draw(st.integers(1, 6))):
+        hub = rng.randrange(n)
+        edges.update(tuple(sorted((hub, x))) for x in rng.sample(range(n), 12) if x != hub)
+    for _ in range(draw(st.integers(0, n // 2))):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    g = gr.Graph(n, sorted(edges))
+    taken = set(rng.sample(range(n), draw(st.integers(0, n // 4))))
+    return g, set(gr._components(set(range(n)) - taken, g.adj)[-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(hub_remainders())
+def test_mask_search_past_one_word(case):
+    # masks of several words: every candidate with more than four starts
+    g, remainder = case
+    assume(max(remainder) >= 128)
+    adj = g.adj
+    rows = {}
+    bits = hi._bits(remainder)
+    checked = 0
+    for w in sorted(remainder):
+        rest = remainder - {w}
+        starts = [x for x in adj[w] if x in rest]
+        if len(starts) <= hi._MASK_STARTS:
+            continue
+        checked += 1
+        comps = gr._components(rest, adj)
+        got = hi._severed(w, rest, adj, rows, bits)
+        assert (got is None) == gr._connected_set(rest, adj), w
+        sets = hi._search_sets(starts, rest, adj)
+        masks = hi._search_masks(w, bits & ~(1 << w), adj, rows)
+        for found in (got, sets, masks):
+            assert (found is None) == (got is None), w
+            if found is not None:
+                # one whole component, reached from a neighbour of w
+                assert sorted(found) in comps
+                assert any(x in found for x in starts)
+    assume(checked)
 
 
 def oracle_graph(n_nodes, edges):
