@@ -17,7 +17,10 @@ plus the composition of the first two and the optimal table lengths
 m * N**(1/m) (fixed level count) and e * ln(N) (free level count).
 
 All logarithms are natural; a different base only rescales alpha.
-Every function is pure and raises ValueError on out-of-domain input.
+Every function is pure and raises ValueError on out-of-domain input,
+and on a result that overflows to infinity (a tiny alpha makes the
+height m = 1 + (s_p - 1)/alpha overflow): the message names the result
+and the inputs it came from.
 """
 
 from __future__ import annotations
@@ -42,6 +45,15 @@ def _check_n_nodes(n_nodes: int) -> None:
         raise ValueError(f"n_nodes must be a positive integer (got {n_nodes})")
 
 
+def _finite(value: float, name: str, **inputs: float) -> float:
+    """`value`, or ValueError naming it and the inputs it came from when
+    it overflowed to infinity or is NaN."""
+    if not math.isfinite(value):
+        given = ", ".join(f"{k} = {v}" for k, v in inputs.items())
+        raise ValueError(f"{name} is not finite at {given}")
+    return value
+
+
 @dataclass(frozen=True)
 class AnalyticParams:
     """Shared parameter bundle: network size and stretch slope."""
@@ -59,7 +71,7 @@ def path_stretch_from_height(h: float, alpha: float) -> float:
     if h < 1:
         raise ValueError(f"h must be >= 1 (got {h})")
     _check_alpha(alpha)
-    return 1.0 + alpha * (h - 1.0)
+    return _finite(1.0 + alpha * (h - 1.0), "s_p", h=h, alpha=alpha)
 
 
 def height_from_path_stretch(s_p: float, alpha: float) -> float:
@@ -67,15 +79,15 @@ def height_from_path_stretch(s_p: float, alpha: float) -> float:
     if s_p < 1:
         raise ValueError(f"s_p must be >= 1 (got {s_p})")
     _check_alpha(alpha)
-    return 1.0 + (s_p - 1.0) / alpha
+    return _finite(1.0 + (s_p - 1.0) / alpha, "m", s_p=s_p, alpha=alpha)
 
 
 def table_stretch_kk(n_nodes: int, m: float) -> float:
     """Kleinrock-Kamoun table stretch s_t = m * N**(1/m - 1) for an m-level scheme."""
     _check_n_nodes(n_nodes)
-    if m < 1:
+    if not m >= 1:
         raise ValueError(f"m must be >= 1 (got {m})")
-    return m * n_nodes ** (1.0 / m - 1.0)
+    return _finite(m * n_nodes ** (1.0 / m - 1.0), "s_t", n_nodes=n_nodes, m=m)
 
 
 def optimal_table_length_fixed(n_nodes: int, m: float) -> float:
@@ -99,7 +111,10 @@ def optimal_table_length_variable(n_nodes: int) -> float:
 
 
 def table_stretch_from_path_stretch(s_p: float, params: AnalyticParams) -> float:
-    """Table stretch at a given path stretch: Eq-2 height fed into the KK formula."""
+    """Table stretch at a given path stretch: Eq-2 height fed into the KK formula.
+
+    Raises ValueError naming s_p and alpha when the height overflows.
+    """
     return table_stretch_kk(params.n_nodes, height_from_path_stretch(s_p, params.alpha))
 
 
@@ -112,7 +127,7 @@ def path_stretch_from_table_stretch_ipea(s_t: float, alpha: float) -> float:
     if not 0 < s_t <= 1:
         raise ValueError(f"s_t must lie in (0, 1] (got {s_t})")
     _check_alpha(alpha)
-    return 1.0 - alpha * math.log(s_t)
+    return _finite(1.0 - alpha * math.log(s_t), "s_p", s_t=s_t, alpha=alpha)
 
 
 @dataclass(frozen=True)

@@ -217,6 +217,30 @@ def test_domain_rejections():
         an.find_min_table_stretch(an.AnalyticParams(n_nodes=1))
 
 
+
+def test_overflowing_results_raise_naming_their_inputs():
+    # (5 - 1) / 1e-308 overflows: the height, and every s_t built on it
+    with pytest.raises(ValueError, match=r"^m is not finite at s_p = 5.0, alpha = 1e-308$"):
+        an.height_from_path_stretch(5.0, 1e-308)
+    params = an.AnalyticParams(n_nodes=100000, alpha=1e-308)
+    with pytest.raises(ValueError, match=r"^m is not finite at s_p = 5.0, alpha = 1e-308$"):
+        an.table_stretch_from_path_stretch(5.0, params)
+    # the first grid point past s_p = 1 + 1.8 overflows: 1.79e308 is the largest double
+    with pytest.raises(ValueError, match=r"^m is not finite at s_p = 2.8, alpha = 1e-308$"):
+        an.sweep_curve(params)
+    assert math.isclose(an.height_from_path_stretch(2.7, 1e-308), 1.7e308, rel_tol=1e-15)
+    with pytest.raises(ValueError, match=r"^m is not finite at s_p = nan, alpha = 1.0$"):
+        an.height_from_path_stretch(math.nan, 1.0)
+    with pytest.raises(ValueError, match=r"^s_p is not finite at h = 1e\+308, alpha = 5.0$"):
+        an.path_stretch_from_height(1e308, 5.0)
+    with pytest.raises(ValueError, match=r"^s_p is not finite at s_t = 5e-324, alpha = 1e\+307$"):
+        an.path_stretch_from_table_stretch_ipea(5e-324, 1e307)
+    with pytest.raises(ValueError, match=r"^s_t is not finite at n_nodes = 10, m = inf$"):
+        an.table_stretch_kk(10, math.inf)
+    with pytest.raises(ValueError, match=r"^m must be >= 1 \(got nan\)$"):
+        an.table_stretch_kk(10, math.nan)
+
+
 def test_curve_series_requires_increasing_points():
     with pytest.raises(ValueError):
         an.CurveSeries(10, 1.0, ((1.0, 1.0, 1.0), (1.0, 1.0, 0.9)))

@@ -197,6 +197,26 @@ def test_curve_rejects_infinite_alpha(tmp_path, capsys):
     assert not out.exists()
 
 
+
+def test_curve_rejects_an_alpha_that_overflows_the_height(tmp_path, capsys):
+    # m = 1 + (s_p - 1) / 1e-308 is infinite from s_p = 2.8 on
+    out, svg = tmp_path / "c.csv", tmp_path / "c.svg"
+    argv = ["curve", "--n-nodes", "100000", "--alpha", "1e-308", "--out", str(out),
+            "--svg", str(svg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "routestretch: m is not finite at s_p = 2.8, alpha = 1e-308\n"
+    assert not out.exists() and not svg.exists()
+
+
+def test_validate_fails_curve_composition_on_an_overflowing_height(capsys):
+    assert main(["validate", "--alpha", "1e-308"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL curve composition: m is not finite at s_p = 2.8, alpha = 1e-308" in out
+    assert "all checks passed" not in out
+
+
 def test_validate_with_files(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     hier = tmp_path / "h.clusters"

@@ -421,6 +421,57 @@ def test_search_equals_per_source_bfs(n, p, seed, subset, per_block):
     check_node_set_search(g.adj, members, sources)
 
 
+def oracle_gateways(adj, sources, inside):
+    """graphs._gateways as a first-in first-out queue of single nodes,
+    each carrying its own (distance, gateway) pair: the reference for
+    the result's insertion order."""
+    found = {s: (0, s) for s in sources}
+    queue = deque(sources)
+    while queue:
+        u = queue.popleft()
+        d, g = found[u]
+        step = (d + 1, g)
+        for w in adj[u]:
+            if w in inside and w not in found:
+                found[w] = step
+                queue.append(w)
+    return found
+
+
+def check_gateway_order(adj, members, sources):
+    inside = set(members)
+    got = gr._gateways(adj, sources, inside)
+    assert list(got.items()) == list(oracle_gateways(adj, sources, inside).items())
+    assert inside == set(members)  # the search leaves its argument alone
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.floats(0.1, 0.6),
+    st.integers(0, 2**16),
+    st.one_of(st.none(), st.sets(st.integers(0, 39), min_size=1)),
+)
+def test_gateways_keep_the_queue_order(n, p, seed, subset):
+    try:
+        g = gr.random_graph(n, p, seed=seed)
+    except gr.DisconnectedGraphError:
+        assume(False)
+    members = range(n) if subset is None else sorted(u for u in subset if u < n)
+    assume(len(members) > 0)
+    rng = random.Random(seed)
+    for k in (1, 2, len(members)):
+        check_gateway_order(g.adj, members, sorted(rng.sample(list(members), min(k, len(members)))))
+
+
+def test_gateways_keep_the_queue_order_on_benchmark_graphs():
+    for g in (gr.torus_graph(40, 40), gr.random_graph(700, 0.043, seed=1)):
+        n = g.n_nodes
+        for sources in ([0], [n - 1], list(range(0, n, 7)), list(range(n))):
+            check_gateway_order(g.adj, range(n), sources)
+        check_gateway_order(g.adj, range(0, n, 2), [0, 2])
+
+
 @pytest.mark.parametrize("per_block", BLOCK_SOURCES)
 @pytest.mark.parametrize("members", [[3], [0, 2, 4, 6], [0, 1, 2, 5, 6, 9], list(range(10))])
 def test_search_singletons_and_components(members, per_block):
@@ -748,6 +799,147 @@ def test_cut_vertex_seed_equals_oracle(levels, branching):
         assert got == ((0,),) * 5 + ((1,),) * 4
 
 
+def oracle_validate(hierarchy, graph):
+    """hierarchy.validate as one search per cluster: the members of every
+    cluster of a level, then its parent prefixes and one connectivity
+    search of its members."""
+    violations = []
+    if hierarchy.n_nodes != graph.n_nodes:
+        violations.append(
+            f"node count mismatch: hierarchy has {hierarchy.n_nodes}, "
+            f"graph has {graph.n_nodes}"
+        )
+        return violations
+    want = hierarchy.levels - 1
+    bad_len = False
+    for u, p in enumerate(hierarchy.label_paths):
+        if len(p) != want:
+            violations.append(
+                f"nesting: node {u} has a label path of length {len(p)}, expected {want}"
+            )
+            bad_len = True
+    if bad_len:
+        return violations
+    for level in range(1, hierarchy.levels):
+        groups = hierarchy.clusters_at_level(level)
+        for cid in sorted(groups):
+            members = groups[cid]
+            if level > 1:
+                prefixes = {hierarchy.label_paths[u][: level - 1] for u in members}
+                if len(prefixes) > 1:
+                    violations.append(
+                        f"nesting: level {level} cluster {cid} spans "
+                        f"{len(prefixes)} parent clusters"
+                    )
+            if not gr._connected_set(set(members), graph.adj):
+                violations.append(
+                    f"connectivity: level {level} cluster {cid} induces a "
+                    "disconnected subgraph"
+                )
+    return violations
+
+
+VALIDATE_FAULTS = ["split-parent", "disconnect", "shared-id", "ragged", "count", "relabel"]
+
+
+@st.composite
+def validate_cases(draw):
+    """A random connected graph and label paths: balanced ones or drawn
+    ones, with up to three faults of drawn kinds."""
+    n = draw(st.integers(2, 30))
+    try:
+        g = gr.random_graph(n, draw(st.floats(0.05, 0.6)), seed=draw(st.integers(0, 2**16)))
+    except gr.DisconnectedGraphError:
+        assume(False)
+    levels = draw(st.integers(1, 4))
+    try:
+        paths = [list(p) for p in hi.build_balanced(g, levels, 2).label_paths]
+    except (ValueError, hi.HierarchyBuildError):
+        ids = st.integers(-1, 5)
+        paths = [draw(st.lists(ids, min_size=levels - 1, max_size=levels - 1)) for _ in range(n)]
+    for fault in draw(st.lists(st.sampled_from(VALIDATE_FAULTS), max_size=3)):
+        u = draw(st.integers(0, len(paths) - 1))
+        depth = len(paths[u])
+        if fault == "split-parent" and depth > 1:
+            # u keeps its cluster id but moves under another parent
+            paths[u][draw(st.integers(0, depth - 2))] += draw(st.integers(1, 3))
+        elif fault == "disconnect" and depth:
+            # u joins a sibling of its leaf, maybe far away
+            siblings = [p for p in paths if len(p) == depth and p[:-1] == paths[u][:-1]]
+            paths[u][-1] = draw(st.sampled_from(siblings))[-1]
+        elif fault == "shared-id" and depth:
+            # one cluster takes the id of another, under another parent
+            level = draw(st.integers(0, depth - 1))
+            old, new = paths[u][level], draw(st.integers(0, 7))
+            for p in paths:
+                if len(p) > level and p[level] == old:
+                    p[level] = new
+        elif fault == "ragged":
+            paths[u] = paths[u][:-1] if depth and draw(st.booleans()) else paths[u] + [0]
+        elif fault == "count":
+            if draw(st.booleans()) and len(paths) > 1:
+                del paths[u]
+            else:
+                paths.append(list(paths[u]))
+        elif fault == "relabel":
+            paths = [[draw(st.integers(0, 3)) for _ in p] for p in paths]
+    return gr.Graph(g.n_nodes, g.edges), hi.Hierarchy(levels, tuple(map(tuple, paths)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(validate_cases())
+def test_validate_equals_per_cluster_oracle(case):
+    g, h = case
+    assert hi.validate(h, g) == oracle_validate(h, g)
+
+
+def test_validate_examples_equal_per_cluster_oracle():
+    # the benchmark's hierarchies, and each with one fault
+    for g, levels in ((gr.torus_graph(40, 40), 5), (gr.random_graph(700, 0.043, seed=1), 3)):
+        h = hi.build_balanced(g, levels, 2)
+        assert hi.validate(h, g) == oracle_validate(h, g) == []
+        paths = [list(p) for p in h.label_paths]
+        # node 0 joins a leaf under another coarsest cluster
+        v = next(v for v, p in enumerate(paths) if p[0] != paths[0][0])
+        paths[0][-1] = paths[v][-1]
+        bad = hi.Hierarchy(levels, tuple(map(tuple, paths)))
+        got = hi.validate(bad, g)
+        assert got == oracle_validate(bad, g)
+        assert any(v.startswith("nesting: level") for v in got)
+        assert any(v.startswith("connectivity:") for v in got)
+
+
+def giant_component(n, d, seed):
+    """The largest component of G(n, d / (n - 1)) drawn as random_graph
+    draws it, its nodes renumbered in id order."""
+    rng = random.Random(seed)
+    p = d / (n - 1)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    keep = max(_old_components(range(n), adj), key=len)
+    new = {u: i for i, u in enumerate(keep)}
+    return gr.Graph(len(keep), [(new[u], new[v]) for u, v in edges if u in new])
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_sparse_giant_components_equal_oracle(d):
+    # trees hang off these graphs, so their remainders hold the most
+    # deferred cut vertices of any graph here
+    g = giant_component(700, d, 1)
+    got = balanced_outcome(new_balanced, g, 3, 2)
+    assert got == balanced_outcome(oracle_balanced, g, 3, 2)
+    if d == 4:
+        assert got == (
+            "HierarchyBuildError: level 2, part 0 of cluster 1: cannot keep the "
+            "remainder connected at 171 of 172 nodes"
+        )
+    else:
+        assert isinstance(got, tuple)
+
+
 @pytest.mark.parametrize("graph, levels, digest", [
     ("torus", 2, "dbf20a5b03556ed12a892ca873f89cd1dc8f2f664b598722eb4e569e2fc3201f"),
     ("torus", 3, "bee50c7072879fa81fef6a04b955500e9de1d9ffcc903bf6aa5e9feb64c08674"),
@@ -1009,10 +1201,10 @@ NEWLINES = ["\n", "\r\n", "\r"]
 
 
 @st.composite
-def file_lines(draw, body, header=None):
-    """The text of a file holding `body` (after `header`) between comment
-    and blank lines, with drawn separators, padding and line breaks, and
-    maybe no final line break."""
+def file_lines(draw, body, header=None, comments=True):
+    """The text of a file holding `body` (after `header`) between blank
+    lines and, with `comments`, comment lines, with drawn separators,
+    padding and line breaks, and maybe no final line break."""
     pad = st.sampled_from(["", ""] + BLANKS)
     sep = st.sampled_from(BLANKS)
 
@@ -1021,10 +1213,10 @@ def file_lines(draw, body, header=None):
 
     lines = [] if header is None else [render(header)]
     lines += [render(fields) for fields in body]
-    extras = draw(st.lists(
-        st.sampled_from(["", "  ", "\t", "# a comment", "  #indented 1 2", "#", "\x0c"]),
-        max_size=4,
-    ))
+    extras = ["", "  ", "\t", "\x0c"]
+    if comments:
+        extras += ["# a comment", "  #indented 1 2", "#"]
+    extras = draw(st.lists(st.sampled_from(extras), max_size=4))
     for extra in extras:
         lines.insert(draw(st.integers(0, len(lines))), extra)
     text = "".join(line + draw(st.sampled_from(NEWLINES)) for line in lines)
@@ -1096,6 +1288,7 @@ def test_graph_load_examples_equal_line_reader(tmp_path):
         "n 3\n0 1\nzero one\n1 1\n", "n 3\n1 1\nzero one\n", "n 3\n0 1\n\x00\n",
         "n 3\n0 1\n0 1\nx y\n", "n 3\n2 1\n0 1 2\n", "n 4\n0 1\n2 3\n",
         "n 3\n0 1\n1 2\n0 9223372036854775807\n", "n 5\n0 1\n0 1\n0 5\n",
+        "n 3\n0 1 2\n1 2 0\n", "n 2\n1\n0\n",  # every row of a width other than two
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"{i}.graph"
@@ -1127,24 +1320,39 @@ def test_graph_load_rejects_what_only_int_accepts(tmp_path, line):
 
 
 HIERARCHY_FAULTS = ["non-integer", "negative-node", "negative-cluster", "duplicate", "missing"]
+# forms of an id that int() reads: the bulk parse reads the first three
+# alike and refuses the others (13 for "1_3", non-ASCII digits, beyond
+# int64), which leaves them to the line reader
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+ID_FORMS = [
+    str, str, lambda t: f"+{t}", lambda t: f"0{t}",
+    lambda t: f"1_{t}", lambda t: str(t).translate(ARABIC_INDIC), lambda t: str(t + 2**63),
+]
 
 
 @st.composite
 def hierarchy_files(draw):
-    """A small hierarchy file, maybe ragged, in drawn node order, with up
-    to two malformed lines of drawn kinds at drawn positions."""
+    """A small hierarchy file.  Half are canonical in shape, as save()
+    writes them but for separators, line ends, blank lines and id forms;
+    the others may be ragged, in drawn node order and hold comments and
+    up to two malformed lines of drawn kinds at drawn positions."""
     n = draw(st.integers(1, 9))
-    depth = draw(st.integers(0, 3))
+    depth = draw(st.integers(0, 3))  # 0: a flat file of bare ids
     paths = [draw(st.lists(st.integers(0, 3), min_size=depth, max_size=depth)) for _ in range(n)]
-    if draw(st.booleans()):  # ragged: validate() reports it, load() must not
+    canonical = draw(st.booleans())
+    if not canonical and draw(st.booleans()):  # ragged: validate() reports it, load() must not
         u = draw(st.integers(0, n - 1))
         paths[u] = draw(st.lists(st.integers(0, 3), max_size=4))
-    body = [[str(u), *map(str, p)] for u, p in enumerate(paths)]
+    forms = st.sampled_from(ID_FORMS)
+    body = [
+        [draw(st.sampled_from(ID_FORMS[:4] + ID_FORMS[5:6]))(u), *(draw(forms)(t) for t in p)]
+        for u, p in enumerate(paths)
+    ]
+    if canonical:
+        return draw(file_lines(body, comments=False))
     if draw(st.booleans()):
         body = draw(st.permutations(body))
-    # forms int() reads, as both readers parse fields: 13 for "1_3" in a path
-    forms = st.sampled_from(["{}", "{}", "+{}", "0{}", "1_{}"])
-    body = [[fields[0], *(draw(forms).format(t) for t in fields[1:])] for fields in body]
     for fault in draw(st.lists(st.sampled_from(HIERARCHY_FAULTS), max_size=2)):
         at = draw(st.integers(0, len(body)))
         if fault == "non-integer":
@@ -1170,6 +1378,44 @@ def test_hierarchy_load_equals_line_reader(tmp_path_factory, text):
     assert got == want
     if isinstance(got, hi.Hierarchy):
         assert got.method == want.method
+
+
+def test_canonical_hierarchy_files_take_the_array_path(tmp_path, monkeypatch):
+    # with the line reader refusing, the 40x40 torus files save() writes
+    # at levels 2-5 still load, and so do canonical files in other forms
+    reader = hi._load_lines
+
+    def refuse(lines):
+        raise AssertionError("line reader called")
+
+    monkeypatch.setattr(hi, "_load_lines", refuse)
+    g = gr.torus_graph(40, 40)
+    for levels in range(2, 6):
+        h = hi.build_balanced(g, levels, 2)
+        path = tmp_path / f"L{levels}.clusters"
+        hi.save(h, str(path))
+        got = hi.load(path)
+        assert got == h and got.levels == levels and got.method == "file"
+        assert type(got.label_paths[0][0]) is int
+    canonical = [
+        "0\n1\n2\n",                      # a flat file of bare ids
+        "0\t3 1\r\n1\t+3 01\r\n\r\n2 3 2",  # tabs, CRLF, +3, 01, a blank line
+        " 0 0\x0b\n\x0c1  0\n",             # other whitespace
+    ]
+    for i, text in enumerate(canonical):
+        path = tmp_path / f"{i}.clusters"
+        path.write_bytes(text.encode("utf-8"))
+        assert hi.load(path) == oracle_load_hierarchy(path)
+    # what the bulk parse refuses reaches the line reader
+    monkeypatch.setattr(hi, "_load_lines", reader)
+    for i, text in enumerate(["0 1_0\n", "0 \u0663\n", f"0 {2**63}\n", "1 0\n0 0\n",
+                              "0 1\n1\n", "# c\n0 1\n", "0 -1\n", "0 0\n0 0\n"]):
+        path = tmp_path / f"line{i}.clusters"
+        path.write_text(text, encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(hi, "_load_lines", lambda lines: calls.append(1) or reader(lines))
+        assert load_outcome(hi.load, path) == load_outcome(oracle_load_hierarchy, path)
+        assert calls == [1], text
 
 
 @st.composite
