@@ -41,12 +41,16 @@ are the candidate's adjacency row ANDed with the remainder: G(700, 0.043)
 at level 3 went from 25 to 8 ms; the rows exist only on graphs with a
 node of more than four neighbours, take at most n/8 bytes each and are
 freed when ``build_balanced`` returns);
-``_induced_search``, which searches from a block of sources at
-once as bits; and ``_split_labels``, one flood over a list of flags
-that never leaves a label, shared by the constructor's whole-graph
-check (one label), run on every load, and ``hierarchy.validate`` (one
-label per cluster of a level; 0.8 ms against 2.0 ms for one search per
-cluster on the 40x40 torus at level 5, 2-core host, Python 3.11).
+``_search``, the one hop-distance search, which runs a block of sources
+at once as bits over the whole graph (``all_pairs_shortest_lengths``
+and measure's shortest lengths) or over labelled node sets side by side
+(measure's leaf clusters), set up by masking the CSR arrays that the
+constructor keeps as ``_csr``; and ``_split_labels``, one flood over a
+list of flags that never leaves a label, shared by the constructor's
+whole-graph check (one label), run on every load, and
+``hierarchy.validate`` (one label per cluster of a level; 0.8 ms
+against 2.0 ms for one search per cluster on the 40x40 torus at level
+5, 2-core host, Python 3.11).
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import random
 from contextlib import suppress
 from itertools import chain
 from operator import index
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, NoReturn
 
 import numpy as np
 
@@ -100,7 +104,7 @@ class Graph:
     repeat raises EdgeError.
     """
 
-    __slots__ = ("n_nodes", "edges", "adj")
+    __slots__ = ("n_nodes", "edges", "adj", "_csr")
 
     def __init__(self, n_nodes: int, edges: np.ndarray | Iterable[tuple[int, int]]):
         if n_nodes < 1:
@@ -132,11 +136,15 @@ class Graph:
         # the (hi, lo) entries of one src list its lower neighbours in
         # ascending order and its (lo, hi) entries its higher ones: a
         # stable sort by src, (hi, lo) entries first, sorts every row.
+        # The arrays stay on the graph as `_csr`, (row ends, neighbors),
+        # for the bit-parallel search (_search).
         src = np.concatenate((hi, lo))
-        dst = np.concatenate((lo, hi))[np.argsort(src, kind="stable")].tolist()
-        ends = np.bincount(src, minlength=n_nodes).cumsum().tolist()
+        neighbors = np.concatenate((lo, hi))[np.argsort(src, kind="stable")]
+        ends = np.bincount(src, minlength=n_nodes).cumsum()
+        self._csr = (ends, neighbors)
+        dst, stops = neighbors.tolist(), ends.tolist()
         self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(dst[a:b]) for a, b in zip([0, *ends], ends)
+            tuple(dst[a:b]) for a, b in zip([0, *stops], stops)
         )
         if _split_labels(self.adj, [0] * n_nodes):
             raise DisconnectedGraphError(message)
@@ -469,58 +477,64 @@ def _reject_unparsed(n: int, lines: list[str], first: int) -> NoReturn:
     raise GraphFormatError("edge lines do not parse", first)
 
 
-def _ranked_neighbors(adj, members: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(order, ranks) of the subgraph the ascending `members` induce, as
-    member positions.  `order` sorts the members by falling degree, ties
-    by position; ranks[r] holds neighbor r (counting from 0, lowest
-    first) of each of order[:len(ranks[r])], the members with more than
-    r neighbors."""
-    index = {u: i for i, u in enumerate(members)}
-    rows = [[index[w] for w in adj[u] if w in index] for u in members]
-    offsets = np.zeros(len(rows) + 1, dtype=np.intp)
-    np.cumsum([len(r) for r in rows], out=offsets[1:])
-    neighbors = np.fromiter(chain.from_iterable(rows), np.intp, offsets[-1])
-    degree = np.diff(offsets)
-    order = np.argsort(-degree, kind="stable")
-    ranks = [
-        neighbors[offsets[order[: np.count_nonzero(degree > r)]] + r]
-        for r in range(degree.max(initial=0))
-    ]
-    return order, ranks
-
-
-# cells (sources x members) per search block: keeps a block's distances
-# and bit sets to a few MB whatever the graph's size
+# cells (sources x nodes) per search block, rounded up to whole 64-bit
+# words of sources (_block_size): keeps a block's distances and bit sets
+# to a few MB whatever the graph's size
 _SEARCH_CELLS = 1 << 18
 
 
-def _induced_search(adj, members: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
-    """The search of the subgraph the ascending `members` induce, set up
-    once: called with the positions of some members, it returns their
-    hop distances as a (members x sources) int32 array, -1 where a
-    source cannot reach a member.
+def _block_size(n: int) -> int:
+    """Sources per search block on a graph of n nodes: _SEARCH_CELLS // n,
+    at least one, rounded up to a multiple of 64."""
+    return -(-max(1, _SEARCH_CELLS // n) // 64) * 64
 
-    One level-synchronous search serves all the sources of a call.
-    Every member holds its frontier and its unreached set as bits, one
-    per source, packed into 64-bit words.  At each level a member's new
+
+def _search(
+    graph: Graph, labels: np.ndarray | None = None
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The hop-distance search of `graph` or, given one label per node, of
+    the subgraph that keeps only the edges whose two ends share a label,
+    set up once.  Called with distinct start nodes and a bit for each,
+    it returns an (n x k) int32 array, k the highest bit plus one: column
+    b holds each node's hop distance from the nearest start of bit b,
+    -1 where no start of bit b reaches it.
+
+    One level-synchronous search serves all the starts of a call.  Every
+    node holds its frontier and its unreached set as bits, one per
+    column, packed into 64-bit words.  At each level a node's new
     frontier is the OR of its neighbors' frontiers, minus what it has
     reached; a bit that turns on at level L means a distance of L, and
     is added to the bit planes of L's binary digits.  A level costs one
-    pass over the induced edges per 64 sources.
-    """
-    m = len(members)
-    # search positions follow `order`, so the members with more than r
-    # neighbors are the first len(ranks[r])
-    order, ranks = _ranked_neighbors(adj, members)
-    place = np.empty(m, dtype=np.intp)
-    place[order] = np.arange(m)
-    ranks = [place[rank] for rank in ranks]
+    pass over the kept edges per 64 columns.  Starts of one bit in
+    different labels search their own labels side by side, which is how
+    measure searches every leaf cluster at once.
 
-    def search(positions: np.ndarray) -> np.ndarray:
-        k = len(positions)
-        bits = np.arange(k)
-        frontier = np.zeros((m, (k + 63) // 64), dtype="<u8")
-        frontier[place[positions], bits // 64] = np.uint64(1) << (bits % 64).astype(np.uint64)
+    The set-up masks the graph's CSR arrays and ranks each node's
+    neighbors; nodes are searched in falling order of degree, so the
+    nodes with more than r neighbors are the first len(ranks[r]).
+    """
+    n = graph.n_nodes
+    ends, neighbors = graph._csr
+    degree = np.diff(ends, prepend=0)
+    if labels is not None:
+        owner = np.repeat(np.arange(n), degree)
+        kept = labels[owner] == labels[neighbors]
+        neighbors = neighbors[kept]
+        degree = np.bincount(owner[kept], minlength=n)
+        ends = degree.cumsum()
+    order = np.argsort(-degree, kind="stable")
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n)
+    firsts = (ends - degree)[order]
+    ranks = [
+        place[neighbors[firsts[: np.count_nonzero(degree > r)] + r]]
+        for r in range(degree.max(initial=0))
+    ]
+
+    def search(starts: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        k = int(bits.max()) + 1
+        frontier = np.zeros((n, (k + 63) // 64), dtype="<u8")
+        frontier[place[starts], bits // 64] = np.uint64(1) << (bits % 64).astype(np.uint64)
         unreached = ~frontier
         planes: list[np.ndarray] = []  # planes[b]: reached at a level with bit b set
         level = 0
@@ -537,11 +551,11 @@ def _induced_search(adj, members: Sequence[int]) -> Callable[[np.ndarray], np.nd
                         planes.append(np.zeros_like(new))
                     planes[b] |= new
             frontier = new
-        dist = np.zeros((m, k), dtype=np.int32)
+        dist = np.zeros((n, k), dtype=np.int32)
         for b, plane in enumerate(planes):
-            dist += _bit_columns(plane, k) * np.int32(1 << b)
-        dist[_bit_columns(unreached, k).view(bool)] = -1
-        return dist.take(place, axis=0)
+            dist += _bit_columns(plane.take(place, axis=0), k) * np.int32(1 << b)
+        dist[_bit_columns(unreached.take(place, axis=0), k).view(bool)] = -1
+        return dist
 
     return search
 
@@ -556,9 +570,10 @@ def all_pairs_shortest_lengths(graph: Graph) -> list[list[int]]:
     """Full hop-distance matrix, one row per source, searched a block of
     sources at a time."""
     n = graph.n_nodes
-    search = _induced_search(graph.adj, range(n))
-    block = max(1, _SEARCH_CELLS // n)
+    search = _search(graph)
+    block = _block_size(n)
     rows: list[list[int]] = []
     for s0 in range(0, n, block):
-        rows += search(np.arange(s0, min(s0 + block, n))).T.tolist()
+        sources = np.arange(s0, min(s0 + block, n))
+        rows += search(sources, sources - s0).T.tolist()
     return rows

@@ -113,16 +113,6 @@ class Hierarchy:
                     "run validate() for a full report"
                 )
 
-    def clusters_at_level(self, level: int) -> dict[int, list[int]]:
-        """Members of every cluster at a level (1 = coarsest)."""
-        if not 1 <= level <= self.levels - 1:
-            raise ValueError(f"level must lie in [1, {self.levels - 1}] (got {level})")
-        self._require_uniform()
-        groups: dict[int, list[int]] = {}
-        for u, p in enumerate(self.label_paths):
-            groups.setdefault(p[level - 1], []).append(u)
-        return groups
-
 
 def stats(hierarchy: Hierarchy) -> tuple[int, ...]:
     """Cluster count per level, coarsest first; () for a flat hierarchy."""

@@ -43,11 +43,18 @@ sibling cluster C keeps the distance to C falling and the gateway fixed,
 so a route's length obeys L(x, t) = d_P(x, C) + L(g_C(x), t), where P
 is the finest cluster holding both x and t, C the child of P holding t,
 and g_C(x) the gateway of x to C; inside t's leaf, L(x, t) is the
-leaf's own distance d(x, t).  measure fills the lengths toward a block
-of targets from the leaf outward, one array gather per level, next to
-the block's shortest lengths from one bit-parallel search of the entire
-graph; a block holds about graphs._SEARCH_CELLS (node, target) cells,
-so no n x n array is held whatever n is.  Each block adds to a count of
+leaf's own distance d(x, t).  measure takes the targets a chunk of
+leaf positions at a time: member j of every leaf, for j in the chunk.
+One bit-parallel search of the graph with the edges between two leaves
+dropped finds the leaf distances toward the whole chunk, member j of
+every leaf starting bit j, which cannot leave its leaf.  The chunk is
+cut into blocks of targets; for each block, one bit-parallel search of
+the entire graph gives the shortest lengths, and the route lengths are
+filled from the leaf outward, one array gather per level.  Chunks and
+blocks hold about graphs._SEARCH_CELLS (node, target) cells, rounded
+up to whole 64-bit words of targets, so no n x n array is held whatever
+n is; a hierarchy whose one leaf is the entire graph takes its leaf
+distances from the whole-graph search.  Each block adds to a count of
 (route length, shortest length) pairs, from which the means follow as
 exact integer sums, and the mean of per-pair ratios as one correctly
 rounded division of exact integers.  The result equals routing every
@@ -61,12 +68,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import graphs
-from .graphs import Graph, _gateways, _induced_search
+from .graphs import Graph, _gateways
 from .hierarchy import Hierarchy
 
 
@@ -290,17 +297,17 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-def _target_blocks(leaves: list, size: int) -> Iterator[list]:
-    """Every node as a target, leaf by leaf, cut into blocks of `size`
-    targets; a block is a list of (leaf, i0, i1) runs, the leaf's
-    members at positions i0..i1-1."""
+def _target_blocks(runs: list, size: int) -> Iterator[list]:
+    """The targets of `runs`, run by run, cut into blocks of `size`
+    targets: a run's first item is its targets, and a block is a list
+    of (run, i0, i1) pieces, the run's targets at positions i0..i1-1."""
     block, room = [], size
-    for leaf in leaves:
-        m = len(leaf[0])
+    for run in runs:
+        m = len(run[0])
         i0 = 0
         while i0 < m:
             i1 = min(m, i0 + room)
-            block.append((leaf, i0, i1))
+            block.append((run, i0, i1))
             room -= i1 - i0
             i0 = i1
             if not room:
@@ -314,11 +321,38 @@ def _tally(joint: np.ndarray, lengths: np.ndarray, short: np.ndarray) -> np.ndar
     """joint, grown as needed, plus the count of every (route length,
     shortest length) pair of two arrays of one shape."""
     rows, width = int(lengths.max()) + 1, int(short.max()) + 1
-    cells = np.bincount((lengths * width + short).ravel(), minlength=rows * width)
+    cells = lengths.astype(np.intp)  # bincount's own type, so it copies nothing
+    cells *= width
+    cells += short
+    cells = np.bincount(cells.ravel(), minlength=rows * width)
     grow = [(0, max(0, want - have)) for want, have in zip((rows, width), joint.shape)]
     joint = np.pad(joint, grow)
     joint[:rows, :width] += cells.reshape(rows, width)
     return joint
+
+
+def _route_lengths(
+    block: list, whole: Callable[[np.ndarray, np.ndarray], np.ndarray], near: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(route lengths, shortest lengths) from every node [x] toward the
+    targets of a block [t].  `whole` searches the entire graph and `near`
+    holds the leaf distances toward the targets' chunk (None when the
+    one leaf is the entire graph)."""
+    targets = np.concatenate([run[0][i0:i1] for run, i0, i1 in block])
+    short = whole(targets, np.arange(len(targets)))
+    lengths = short if near is None else np.empty_like(short)
+    c0 = 0
+    for (_, members, chain), i0, i1 in block:
+        cols = slice(c0, c0 + i1 - i0)
+        c0 = cols.stop
+        if near is not None:
+            lengths[members, cols] = near[members, i0:i1]
+        # from the leaf outward: L(x, t) = d_P(x, C) + L(g_C(x), t) for
+        # the nodes x of P outside C, the child of P holding t (module
+        # docstring)
+        for out, dist, gw in chain:
+            lengths[out, cols] = dist + lengths[gw, cols]
+    return lengths, short
 
 
 def measure(
@@ -330,11 +364,10 @@ def measure(
     n = graph.n_nodes
     if n < 2:
         raise ValueError("stretch measurement needs at least two nodes")
-    adj = graph.adj
     depth = hierarchy.levels - 1
     entries = n  # self entries
     toward = {}  # key -> (parent nodes outside it, their distances, their gateways)
-    leaves = []  # (members, their search, the toward arrays from the leaf outward)
+    leaves = []  # (members, the toward arrays from the leaf outward)
     for key, members, found in _clusters(graph, hierarchy):
         if found is not None:
             nodes = np.fromiter(found, np.intp, len(found))
@@ -345,28 +378,33 @@ def measure(
         if len(key) == depth:
             m = len(members)
             entries += m * (m - 1)
-            search = _induced_search(adj, members) if m < n else None
             chain = [toward[key[:k]] for k in range(depth, 0, -1)]
-            leaves.append((np.array(members, dtype=np.intp), search, chain))
-    # from the leaf outward: L(x, t) = d_P(x, C) + L(g_C(x), t) for the
-    # nodes x of P outside C, the child of P holding t (module docstring)
-    whole = _induced_search(adj, range(n))
+            leaves.append((np.array(members, dtype=np.intp), chain))
+    # one search of the leaves side by side: the edges between two leaves
+    # dropped, member j0 + b of every leaf gets bit b, so a bit never
+    # leaves its leaf; a single leaf is the entire graph
+    whole = graphs._search(graph)
+    local = None
+    if len(leaves) > 1:
+        labels = np.empty(n, dtype=np.intp)
+        for i, (members, _) in enumerate(leaves):
+            labels[members] = i
+        local = graphs._search(graph, labels)
+    size = graphs._block_size(n)
     joint = np.zeros((1, 1), dtype=np.int64)  # [route length, shortest length]
-    for block in _target_blocks(leaves, max(1, graphs._SEARCH_CELLS // n)):
-        targets = np.concatenate([leaf[0][i0:i1] for leaf, i0, i1 in block])
-        short = whole(targets)  # [x, t]
-        lengths = np.empty_like(short)
-        c0 = 0
-        for (members, search, chain), i0, i1 in block:
-            cols = slice(c0, c0 + i1 - i0)
-            c0 = cols.stop
-            if search is None:  # the leaf is the entire graph
-                lengths[:, cols] = short[:, cols]
-            else:
-                lengths[members, cols] = search(np.arange(i0, i1))
-            for out, dist, gw in chain:
-                lengths[out, cols] = dist + lengths[gw, cols]
-        joint = _tally(joint, lengths, short)
+    for j0 in range(0, max(len(members) for members, _ in leaves), size):
+        # the targets: members j0..j0+size-1 of every leaf
+        runs = [
+            (members[j0 : j0 + size], members, chain)
+            for members, chain in leaves
+            if len(members) > j0
+        ]
+        near = None
+        if local is not None:
+            starts = np.concatenate([run[0] for run in runs])
+            near = local(starts, np.concatenate([np.arange(len(run[0])) for run in runs]))
+        for block in _target_blocks(runs, size):
+            joint = _tally(joint, *_route_lengths(block, whole, near))
     joint[0, 0] = 0  # each node toward itself
     pairs = n * (n - 1)
     route_lens, short_lens = np.nonzero(joint)

@@ -6,6 +6,15 @@ from routestretch import graphs as gr
 from routestretch import hierarchy as hi
 
 
+def clusters_at_level(hierarchy, level):
+    """Members of every cluster at a level (1 = coarsest), by cluster id,
+    each in ascending order."""
+    groups = {}
+    for u, p in enumerate(hierarchy.label_paths):
+        groups.setdefault(p[level - 1], []).append(u)
+    return groups
+
+
 def path6():
     return gr.Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
 
@@ -15,8 +24,6 @@ def test_flat_hierarchy():
     assert h.levels == 1
     assert h.n_nodes == 8
     assert h.method == "flat"
-    with pytest.raises(ValueError):
-        h.clusters_at_level(1)
     assert hi.stats(h) == ()
 
 
@@ -24,13 +31,13 @@ def test_balanced_ring8_splits_into_contiguous_arcs():
     h = hi.build_balanced(gr.ring_graph(8), levels=2, branching=2)
     assert h.method == "balanced-b2"
     # arc 7-0-1-2 wraps around the seam; 3-4-5-6 is the rest
-    assert h.clusters_at_level(1) == {0: [0, 1, 2, 7], 1: [3, 4, 5, 6]}
+    assert clusters_at_level(h, 1) == {0: [0, 1, 2, 7], 1: [3, 4, 5, 6]}
 
 
 def test_balanced_grid44_four_connected_quarters():
     g = gr.grid_graph(4, 4)
     h = hi.build_balanced(g, levels=2, branching=4)
-    assert h.clusters_at_level(1) == {
+    assert clusters_at_level(h, 1) == {
         0: [0, 1, 2, 4],
         1: [3, 6, 7, 11],
         2: [5, 8, 9, 10],
@@ -88,7 +95,7 @@ def test_grid_blocks_two_level():
     h = hi.build_grid_blocks(g, 4, 4, [(2, 2)])
     assert h.levels == 2
     assert h.method == "grid-blocks-2x2"
-    assert h.clusters_at_level(1) == {
+    assert clusters_at_level(h, 1) == {
         0: [0, 1, 4, 5],
         1: [2, 3, 6, 7],
         2: [8, 9, 12, 13],
@@ -163,7 +170,7 @@ def test_load_skips_comments_and_blanks(tmp_path):
     p = tmp_path / "h.clusters"
     p.write_text("# header\n\n0 0\n1 0\n2 1\n3 1\n")
     h = hi.load(p)
-    assert h.clusters_at_level(1) == {0: [0, 1], 1: [2, 3]}
+    assert clusters_at_level(h, 1) == {0: [0, 1], 1: [2, 3]}
 
 
 def test_load_rejects_malformed_files(tmp_path):

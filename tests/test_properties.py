@@ -5,25 +5,30 @@ build_balanced() decides whether taking a node disconnects the
 unassigned remainder with a search near the node and a memo of known cut
 vertices; the clustering oracle below searches the whole remainder for
 every candidate, and its label paths and error messages must be
-reproduced exactly.  graphs._induced_search() finds the hop distances of
-a block of sources with one bit-parallel search; the reference is one
-breadth-first search per source (induced_distances below), which every
-other oracle here uses too, and it is the reference for
-graphs._gateways, the one breadth-first search of a node set (nearest
-source, lowest id on ties), and for graphs._components.  build_tables()
-finds every next hop from gateway-carrying BFS runs, one per sibling
-cluster and one per leaf member; the table oracle below finds them from
-all-pairs distances inside each cluster, the definition the tables must
-reproduce exactly, and a frozen digest pins their order.  measure()
-composes route lengths from gateway distances and leaf distances without
-building tables; the walker reference routes every pair with route() and
-must be reproduced exactly, with the mean per-pair ratio as the
-correctly rounded exact mean.  graphs.load() parses every edge line with
-one numpy call and checks the rows as arrays, the Graph constructor
-checks and orders the edges by sorting, and hierarchy.load() reads each
-line with one conversion; the line-by-line readers and the per-edge
-constructor below are their references, down to the message and line of
-every rejection.
+reproduced exactly.  graphs._search() finds the hop distances of a
+block of sources with one bit-parallel search, over the entire graph or
+over labelled node sets side by side, each keeping to its own label; the
+reference is one breadth-first search per source (induced_distances
+below), which every other oracle here uses too, and it is the reference
+for graphs._gateways, the one breadth-first search of a node set
+(nearest source, lowest id on ties), and for graphs._components.
+build_tables() finds every next hop from gateway-carrying BFS runs, one
+per sibling cluster and one per leaf member; the table oracle below
+finds them from all-pairs distances inside each cluster, the definition
+the tables must reproduce exactly, and a frozen digest pins their order.
+measure() composes route lengths from gateway distances and leaf
+distances without building tables; the walker reference routes every
+pair with route() and must be reproduced exactly, with the mean
+per-pair ratio as the correctly rounded exact mean.  A block holds at
+least 64 targets, so blocks of 64 (_SEARCH_CELLS = 1) are checked on
+the 20x20 torus against the walker and on graphs of 65-160 nodes against
+one block; on 64x64 grids and tori, beyond the walker's reach, nested
+blocks must give the lattice identities exactly.  graphs.load() parses
+every edge line with one numpy call and checks the rows as arrays, the
+Graph constructor checks and orders the edges by sorting, and
+hierarchy.load() reads each line with one conversion; the line-by-line
+readers and the per-edge constructor below are their references, down
+to the message and line of every rejection.
 """
 
 import hashlib
@@ -69,6 +74,15 @@ def hop_toward(adj, d_ctx, u, t):
     return next(w for w in adj[u] if w in d_ctx and d_ctx[w].get(t) == du - 1)
 
 
+def clusters_at_level(hierarchy, level):
+    """Members of every cluster at a level (1 = coarsest), by cluster id,
+    each in ascending order."""
+    groups = {}
+    for u, p in enumerate(hierarchy.label_paths):
+        groups.setdefault(p[level - 1], []).append(u)
+    return groups
+
+
 def oracle_tables(g, h):
     """Tables from all-pairs distances: node entries inside the leaf, and
     for each sibling cluster inside the parent (the entire graph at level
@@ -85,7 +99,7 @@ def oracle_tables(g, h):
     }
     level_members, level_siblings, parent_dist = [], [], []
     for level in range(1, h.levels):
-        members = h.clusters_at_level(level)
+        members = clusters_at_level(h, level)
         sib = {}
         for cid, mem in members.items():
             sib.setdefault(paths[mem[0]][: level - 1], []).append(cid)
@@ -173,7 +187,9 @@ def clustered_graphs(draw):
 def test_measure_equals_route_walker(gh, search_cells):
     g, h = gh
     assert hi.validate(h, g) == []
-    # target blocks from one target per block to all in one
+    # every block size holds at least 64 targets, so these graphs of at
+    # most 30 nodes take one block; the 20x20 torus and
+    # test_measure_is_the_same_in_one_block_or_many take several
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gr, "_SEARCH_CELLS", search_cells)
         rep = rt.measure(g, h)
@@ -187,7 +203,102 @@ def test_measure_equals_route_walker(gh, search_cells):
 def test_torus_ladder_equals_route_walker(levels):
     g = gr.torus_graph(20, 20)
     h = hi.build_balanced(g, levels, 2)
-    assert rt.measure(g, h) == reference(g, h)
+    want = reference(g, h)
+    assert rt.measure(g, h) == want
+    # _SEARCH_CELLS = 1: seven blocks of 64 targets, blocks that straddle
+    # two leaves, and the 200-member leaves of level 2 searched in four
+    # chunks of 64 positions
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_SEARCH_CELLS", 1)
+        assert gr._block_size(g.n_nodes) == 64
+        assert rt.measure(g, h) == want
+
+
+@st.composite
+def wider_clustered_graphs(draw):
+    """Connected graphs of 65-160 nodes, more than one 64-target block,
+    with balanced hierarchies of levels 1-4."""
+    levels = draw(st.integers(1, 4))
+    n = draw(st.integers(65, 160))
+    try:
+        g = gr.random_graph(n, draw(st.floats(0.03, 0.2)), seed=draw(st.integers(0, 2**16)))
+        h = hi.build_balanced(g, levels, draw(st.integers(2, 3)))
+    except (gr.DisconnectedGraphError, hi.HierarchyBuildError):
+        assume(False)
+    return g, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(wider_clustered_graphs())
+def test_measure_is_the_same_in_one_block_or_many(gh):
+    # the default block holds every target of these graphs; blocks of 64
+    # take two or three, and the leaves' search runs in chunks of 64
+    # member positions
+    g, h = gh
+    want = rt.measure(g, h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_SEARCH_CELLS", 1)
+        assert rt.measure(g, h) == want
+
+
+def halving_blocks(side, levels):
+    """Nested blocks of a side x side lattice for `levels` levels: each
+    level halves the columns, then the rows, in turn."""
+    dims, rows, cols = [], side, side
+    for i in range(levels - 1):
+        if i % 2:
+            rows //= 2
+        else:
+            cols //= 2
+        dims.append((rows, cols))
+    return dims
+
+
+def lattice_short_counts(side, wrap):
+    """{hop distance: ordered pairs} of a side x side grid or torus, from
+    the pairs of offsets along each axis."""
+    axis = Counter()
+    for a in range(side):
+        for b in range(side):
+            off = abs(a - b)
+            axis[min(off, side - off) if wrap else off] += 1
+    pairs = Counter()
+    for dr, cr in axis.items():
+        for dc, cc in axis.items():
+            pairs[dr + dc] += cr * cc
+    del pairs[0]
+    return pairs
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_nested_blocks_on_64_by_64_lattices(wrap):
+    # n = 4096, beyond the walker's reach.  On the grid every pair's route
+    # is a shortest path at every depth; on the torus only the two splits
+    # that cut a wrap-around add stretch, so from level 3 on the routes do
+    # not change
+    g = gr.torus_graph(64, 64) if wrap else gr.grid_graph(64, 64)
+    pairs = 4096 * 4095
+    short = lattice_short_counts(64, wrap)
+    reports = {}
+    for levels in (2, 3, 5, 8):
+        h = hi.build_grid_blocks(g, 64, 64, halving_blocks(64, levels))
+        rep = reports[levels] = rt.measure(g, h)
+        assert rep.mean_shortest_path == sum(d * c for d, c in short.items()) / pairs
+    if not wrap:
+        for rep in reports.values():
+            assert rep.s_p == 1.0
+            assert rep.mean_path_ratio == 1.0
+            assert rep.histogram == tuple(sorted(short.items()))
+        return
+    assert reports[2].s_p == 1.04150390625
+    for levels in (3, 5, 8):
+        rep = reports[levels]
+        assert rep.s_p == 1.0830078125
+        assert (rep.mean_hier_path, rep.mean_path_ratio, rep.histogram) == (
+            reports[3].mean_hier_path,
+            reports[3].mean_path_ratio,
+            reports[3].histogram,
+        )
 
 
 def test_measure_reads_no_tables(monkeypatch):
@@ -206,15 +317,22 @@ def test_measure_reads_no_tables(monkeypatch):
 
 
 def test_measure_holds_no_n_by_n_array():
-    g = gr.torus_graph(48, 48)
-    h = hi.build_balanced(g, 3, 2)
-    tracemalloc.start()
-    try:
-        rt.measure(g, h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < g.n_nodes**2 * 4  # one n x n int32 array
+    # the 64x64 torus at level 2: 2048-member leaves searched in 32 chunks
+    # of 64 positions.  Measured peaks were 6.3 MB (48x48, blocks of 128
+    # targets) and 6.1 MB (64x64, blocks of 64): about six int32 arrays of
+    # one block
+    for side, levels in ((48, 3), (64, 2)):
+        g = gr.torus_graph(side, side)
+        h = hi.build_balanced(g, levels, 2)
+        tracemalloc.start()
+        try:
+            rt.measure(g, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = g.n_nodes
+        assert peak < n**2 * 4  # one n x n int32 array
+        assert peak < 8 * n * gr._block_size(n) * 4
 
 
 @st.composite
@@ -359,20 +477,28 @@ def test_torus_ladder_tables_equal_oracle(levels):
     assert rt.build_tables(g, h) == oracle_tables(g, h)
 
 
-def search_blocks(adj, members, per_block):
-    """The search's hop distances for consecutive blocks of `per_block`
-    sources (None: all sources in one block), one row per source."""
-    search = gr._induced_search(adj, members)
+def search_blocks(g, members, per_block):
+    """The search's hop distances inside the subgraph the ascending
+    `members` induce, for consecutive blocks of `per_block` sources
+    (None: all sources in one block), one row per source over the
+    members.  A proper subset is labelled apart from the other nodes, so
+    the search keeps only the edges inside it (and inside the rest)."""
+    members = np.array(members, dtype=np.intp)
+    labels = None
+    if len(members) < g.n_nodes:
+        labels = np.zeros(g.n_nodes, dtype=np.intp)
+        labels[members] = 1
+    search = gr._search(g, labels)
     size = per_block or len(members)
     return [
-        search(np.arange(s0, min(s0 + size, len(members)))).T.tolist()
-        for s0 in range(0, len(members), size)
+        search(sources, np.arange(len(sources)))[members].T.tolist()
+        for sources in (members[s0 : s0 + size] for s0 in range(0, len(members), size))
     ]
 
 
-def check_search(adj, members, per_block):
-    blocks = search_blocks(adj, members, per_block)
-    d = induced_distances(members, adj)
+def check_search(g, members, per_block):
+    blocks = search_blocks(g, members, per_block)
+    d = induced_distances(members, g.adj)
     assert [row for b in blocks for row in b] == [
         [d[s].get(v, -1) for v in members] for s in members
     ]
@@ -415,7 +541,7 @@ def test_search_equals_per_source_bfs(n, p, seed, subset, per_block):
         assume(False)
     members = range(n) if subset is None else sorted(u for u in subset if u < n)
     assume(len(members) > 0)
-    check_search(g.adj, members, per_block)
+    check_search(g, members, per_block)
     rng = random.Random(seed)
     sources = sorted(rng.sample(list(members), rng.randint(1, len(members))))
     check_node_set_search(g.adj, members, sources)
@@ -477,10 +603,10 @@ def test_gateways_keep_the_queue_order_on_benchmark_graphs():
 def test_search_singletons_and_components(members, per_block):
     # ring-10: an isolated member, members with no neighbor inside, two
     # components, and the whole ring
-    adj = gr.ring_graph(10).adj
-    check_search(adj, members, per_block)
+    g = gr.ring_graph(10)
+    check_search(g, members, per_block)
     for sources in (members[:1], members[::2], members[1:] or members, members):
-        check_node_set_search(adj, members, sources)
+        check_node_set_search(g.adj, members, sources)
 
 
 def test_search_of_long_paths_spans_many_levels():
@@ -488,7 +614,40 @@ def test_search_of_long_paths_spans_many_levels():
     # reach the seventh bit plane, and sources span several words
     for g in (gr.grid_graph(2, 75), gr.torus_graph(3, 50)):
         for per_block in (8, 70, None):
-            check_search(g.adj, range(g.n_nodes), per_block)
+            check_search(g, range(g.n_nodes), per_block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.floats(0.1, 0.6),
+    st.integers(0, 2**16),
+    st.integers(1, 5),
+    st.sampled_from(BLOCK_SOURCES),
+)
+def test_packed_search_equals_per_label_bfs(n, p, seed, n_labels, per_block):
+    # measure's search of the leaves side by side: random labels, whose
+    # nodes may be disconnected, keep only the edges inside a label, and
+    # member j0 + b of every label starts bit b, for positions j0 in steps
+    # of per_block
+    try:
+        g = gr.random_graph(n, p, seed=seed)
+    except gr.DisconnectedGraphError:
+        assume(False)
+    rng = random.Random(seed)
+    labels = np.array([rng.randrange(n_labels) for _ in range(n)])
+    groups = [np.flatnonzero(labels == c) for c in range(n_labels)]
+    groups = [m for m in groups if len(m)]
+    search = gr._search(g, labels)
+    size = per_block or n
+    for j0 in range(0, max(map(len, groups)), size):
+        runs = [m[j0 : j0 + size] for m in groups if len(m) > j0]
+        got = search(np.concatenate(runs), np.concatenate([np.arange(len(r)) for r in runs]))
+        assert got.shape == (n, max(map(len, runs)))
+        for m in groups:
+            d = induced_distances(m.tolist(), g.adj)
+            for b, t in enumerate(m[j0 : j0 + size].tolist()):
+                assert got[m, b].tolist() == [d[t].get(v, -1) for v in m.tolist()]
 
 
 def _old_components(nodes, adj):
@@ -821,7 +980,7 @@ def oracle_validate(hierarchy, graph):
     if bad_len:
         return violations
     for level in range(1, hierarchy.levels):
-        groups = hierarchy.clusters_at_level(level)
+        groups = clusters_at_level(hierarchy, level)
         for cid in sorted(groups):
             members = groups[cid]
             if level > 1:

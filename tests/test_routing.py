@@ -267,7 +267,7 @@ def test_disconnected_leaf_raises_routing_error():
 @pytest.mark.parametrize("search_cells", [1, 12, 1 << 18])
 def test_disconnected_leaf_names_lowest_pair(monkeypatch, search_cells):
     # ring-10 leaf 0 = {0, 1, 2, 5, 6, 9} has components {0, 1, 2, 9} and
-    # {5, 6}; blocks of 1, 2 and all 6 targets name the same pair
+    # {5, 6}; every _SEARCH_CELLS names the same pair
     monkeypatch.setattr(gr, "_SEARCH_CELLS", search_cells)
     g = gr.ring_graph(10)
     h = hi.Hierarchy(2, tuple((0,) if u in (0, 1, 2, 5, 6, 9) else (1,) for u in range(10)))
