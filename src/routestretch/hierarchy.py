@@ -18,10 +18,12 @@ Invariants of a well-formed hierarchy over a graph:
   3. every cluster induces a connected subgraph.
 
 ``validate`` reports violations instead of raising so broken files can
-be inspected.  Builders only ever produce valid hierarchies.  It floods
-each level once (``graphs._split_labels``, the Graph constructor's
-check with one label per cluster): the 40x40 torus at level 5 went
-from 2.0 to 0.8 ms against one search per cluster.
+be inspected.  Builders only ever produce valid hierarchies:
+``build_grid_blocks`` raises on the first violation ``validate`` finds
+in its blocks.  ``validate`` floods each level once
+(``graphs._split_labels``, the Graph constructor's check with one label
+per cluster): the 40x40 torus at level 5 went from 2.0 to 0.8 ms
+against one search per cluster.
 
 ``build_balanced`` grows each region breadth-first and never takes a
 node whose loss would disconnect the nodes still unassigned.  That test
@@ -40,14 +42,15 @@ remainder's bit set.  Each row is built the first time a search needs
 it and takes at most n/8 bytes; the rows are freed when
 ``build_balanced`` returns.
 Each seed gets the same test, so the remainder is known to be connected
-from a part's first candidate on unless the seed cut it, and a node
-found to cut the remainder is not searched again while nodes are left
-on both sides of the cut.  Nor is it asked: it is parked off the
-frontier until a side empties (see ``_grow_regions``), which took the
-cut questions of the 40x40 torus at level 5 from 7,467 to 3,207 for the
-same 3,209 searches.  A candidate whose
-neighbours meet only far away still costs a search of the whole
-remainder, so the worst case stays quadratic in the cluster size.
+from a part's first candidate on unless the seed cut it.  A node found
+to cut the remainder keeps a memo of the cut, counted down as nodes are
+taken, which answers for it without a search while nodes are left on
+both sides of the cut.  Until then a deferred node is also held off the
+frontier, so it is not asked either (see ``_grow_regions``): the 40x40
+torus at level 5 asks 3,207 cut questions instead of 7,467 for the same
+3,209 searches.  A candidate whose neighbours meet only far away still
+costs a search of the whole remainder, so the worst case stays
+quadratic in the cluster size.
 A part that grows past its seed leaves the remainder connected, so the
 last part of each split, every node still unassigned, is taken whole
 without growing it or testing a single cut (when parts are single nodes,
@@ -298,21 +301,24 @@ def _grow_regions(
     only by seed-only parts and the last part (targets never grow).  So
     ``_severed`` also tells whether the seed cut the remainder; only
     after a seed that did is the whole remainder searched per candidate,
-    until the next pick or swallow.  A cut vertex is remembered with the
-    closed component it cut off and the length of the `taken` log at
-    that time; what is left of a closed component stays closed as nodes
-    are taken, so the vertex is re-tested only once that component or
-    everything outside it and the vertex has been taken.  Until then it
-    is parked instead of going back on the heap after a pick: `take`
-    counts down the component's unassigned nodes and pushes the vertex
-    back once that side or the other is empty, so the heap pops the
-    same candidates in the same order as if it were asked after every
-    pick.  A candidate whose cut was found while the remainder was not
-    known to be connected has no memo and goes back on the heap.  When
-    no candidate can be picked, the parked ones join the deferred list
-    in (layer, id) order, and a part ends with nothing parked.  Worst
-    case: a pick whose neighbours meet only around the far side of the
-    remainder still costs a search of all of it.
+    until the next pick or swallow.  A cut vertex w found by ``_severed``
+    gets a memo, ``cuts[w] = [comp, left]``: the closed component it cut
+    off and how many of it are still unassigned.  What is left of a
+    closed component stays closed as nodes are taken, so the memo is
+    exact while nodes are left on both sides of the cut; `take` counts
+    `left` down and deletes the memo once a side is empty, so `severs`
+    answers True for any w in `cuts` without a search.  After a pick, a
+    deferred vertex with a memo is held off the heap (`held`) instead of
+    going back on it; `take` pushes it back at its discovery layer when
+    its memo is deleted, so the heap pops the same candidates in the
+    same order as if it were asked after every pick.  A candidate whose
+    cut was found while the remainder was not known to be connected has
+    no memo and goes back on the heap.  When no candidate can be picked,
+    the held ones join the deferred list in (layer, id) order.  A part
+    ends by dropping what it holds; the memos live on and answer in the
+    split's later parts.  Worst case: a pick whose neighbours meet only
+    around the far side of the remainder still costs a search of all of
+    it.
 
     The remainder is the set `unassigned` and, where `rows` exists, the
     bit set `rest` too; only `take` shrinks them (`severs` puts back the
@@ -326,19 +332,15 @@ def _grow_regions(
         )
     unassigned = set(members)
     rest = 0 if rows is None else _bits(members)
-    taken: list[int] = []  # every node assigned so far, in order
-    # w -> (a closed component of unassigned - {w}, len(taken) and how
-    # many of the component were still unassigned when last checked)
-    cuts: dict[int, tuple[set[int], int, int]] = {}
-    # deferred cut vertices held off the current part's heap while their
-    # memo holds: w -> [layer, closed component, how many still unassigned]
-    parked: dict[int, list] = {}
+    # w -> [a closed component of unassigned - {w}, how many of it are
+    # still unassigned]: live while nodes are left on both sides of the cut
+    cuts: dict[int, list] = {}
     connected = False  # whether unassigned is known to be connected
 
     def take(x: int, lay: int) -> None:
-        """Assign x to the current part, found at layer `lay`; a parked
-        vertex goes back on the heap once nodes are no longer left on
-        both sides of its cut."""
+        """Assign x to the current part, found at layer `lay`, and delete
+        the memos that lapse, putting their held vertices back on the
+        heap."""
         nonlocal rest
         unassigned.remove(x)
         taken.append(x)
@@ -348,42 +350,29 @@ def _grow_regions(
             if y in unassigned and y not in layer:
                 layer[y] = lay + 1
                 heapq.heappush(heap, (lay + 1, y))
-        if parked:
-            woken = []
-            for w, memo in parked.items():
-                if x in memo[1]:
-                    memo[2] -= 1
-                if not 0 < memo[2] < len(unassigned) - 1:
-                    woken.append(w)
-            for w in woken:
-                heapq.heappush(heap, (parked.pop(w)[0], w))
-                del cuts[w]  # it no longer holds: severs searches again
-
-    def unpark() -> list[tuple[int, int]]:
-        """The parked vertices' (layer, id) items, sorted, with their
-        memos written back to `cuts`; nothing stays parked."""
-        for w, (_, comp, left) in parked.items():
-            cuts[w] = (comp, len(taken), left)
-        items = sorted((lay, w) for w, (lay, _, _) in parked.items())
-        parked.clear()
-        return items
+        if cuts:
+            lapsed = []
+            for w, memo in cuts.items():
+                if x in memo[0]:
+                    memo[1] -= 1
+                if not 0 < memo[1] < len(unassigned) - 1:
+                    lapsed.append(w)
+            for w in lapsed:
+                del cuts[w]
+                if w in held:
+                    held.remove(w)
+                    heapq.heappush(heap, (layer[w], w))
 
     def severs(w: int) -> bool:
-        """Whether taking w would disconnect the unassigned set."""
-        memo = cuts.get(w)
-        if memo is not None:
-            # what is left of a closed component stays closed, so w is
-            # a cut vertex while nodes are left on both sides of it
-            comp, since, left = memo
-            left -= sum(1 for x in taken[since:] if x in comp)
-            if 0 < left < len(unassigned) - 1:
-                cuts[w] = (comp, len(taken), left)
-                return True
+        """Whether taking w would disconnect the unassigned set; a live
+        memo answers without a search."""
+        if w in cuts:
+            return True
         unassigned.remove(w)
         if connected:
             comp = _severed(w, unassigned, adj, rows, rest)
             if comp is not None:
-                cuts[w] = (comp, len(taken), len(comp))
+                cuts[w] = [comp, len(comp)]
             cut = comp is not None
         else:
             cut = not _connected_set(unassigned, adj)
@@ -403,14 +392,15 @@ def _grow_regions(
             # and growing inside it would reach all of it without failing.
             regions.append(sorted(unassigned))
             break
-        first = len(taken)  # this part is taken[first:]
+        taken: list[int] = []  # this part's nodes, in the order taken
         layer: dict[int, int] = {}  # discovery layers of this part's frontier
         heap: list[tuple[int, int]] = []  # its frontier, in (layer, id) order
+        held: set[int] = set()  # deferred vertices off the heap while memoised
         seed = min(unassigned)
         take(seed, 0)
         # exact whenever this part tests a candidate (see the docstring)
         connected = _severed(seed, unassigned, adj, rows, rest) is None
-        while len(taken) - first < target:
+        while len(taken) < target:
             deferred: list[tuple[int, int]] = []
             pick = None
             while heap:
@@ -423,17 +413,16 @@ def _grow_regions(
                 deferred.append((lay, w))
             if pick is not None:
                 for lay, w in deferred:
-                    memo = cuts.get(w)
-                    if memo is not None and memo[1] == len(taken):
-                        # a cut confirmed on this remainder: park it
-                        parked[w] = [lay, memo[0], memo[2]]
+                    if w in cuts:
+                        held.add(w)
                     else:  # tested while the remainder was not known connected
                         heapq.heappush(heap, (lay, w))
                 take(pick[1], pick[0])
                 connected = True
                 continue
-            size = len(taken) - first
-            deferred = sorted(deferred + unpark())
+            size = len(taken)
+            deferred = sorted(deferred + [(layer[w], w) for w in held])
+            held.clear()
             if not deferred:
                 raise HierarchyBuildError(
                     f"level {level}, part {i} of {where}: stranded at "
@@ -457,8 +446,7 @@ def _grow_regions(
             for item in deferred:
                 if item[1] in unassigned:
                     heapq.heappush(heap, item)
-        unpark()  # a new part starts with nothing parked
-        regions.append(sorted(taken[first:]))
+        regions.append(sorted(taken))
     return regions
 
 
@@ -518,7 +506,10 @@ def build_grid_blocks(
     """Nested rectangular blocks on a row-major grid or torus.
 
     Each (block_rows, block_cols) entry adds one level; successive block
-    dims must divide the previous ones so blocks nest cleanly.
+    dims must divide the previous ones so blocks nest cleanly.  Raises
+    HierarchyBuildError naming the first ``validate`` violation when a
+    block does not induce a connected subgraph, as on a graph that is
+    not the rows x cols lattice.
     """
     if rows * cols != graph.n_nodes:
         raise ValueError(
@@ -543,7 +534,14 @@ def build_grid_blocks(
             path.append((r // br) * (cols // bc) + (c // bc))
         paths.append(tuple(path))
     tag = "+".join(f"{br}x{bc}" for br, bc in block_dims)
-    return Hierarchy(len(block_dims) + 1, tuple(paths), method=f"grid-blocks-{tag}")
+    h = Hierarchy(len(block_dims) + 1, tuple(paths), method=f"grid-blocks-{tag}")
+    problems = validate(h, graph)
+    if problems:
+        raise HierarchyBuildError(
+            f"{tag} blocks of a {rows}x{cols} lattice do not fit the graph: "
+            f"{problems[0]}"
+        )
+    return h
 
 
 def validate(hierarchy: Hierarchy, graph: Graph) -> list[str]:

@@ -391,6 +391,25 @@ def test_cluster_rejects_huge_levels_at_once(tmp_path, capsys):
     assert "branching 2 with 100000 levels needs more nodes than the graph's 8" in err
 
 
+def test_cluster_grid_rejects_a_graph_that_is_not_the_lattice(tmp_path, capsys):
+    graph = tmp_path / "ring16.graph"
+    hier = tmp_path / "h.clusters"
+    main(["gen", "ring", "--n", "16", "--out", str(graph)])
+    capsys.readouterr()
+    assert main([
+        "cluster", "--graph", str(graph), "--method", "grid",
+        "--rows", "4", "--cols", "4", "--block-rows", "2", "--block-cols", "2",
+        "--out", str(hier),
+    ]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "routestretch: 2x2 blocks of a 4x4 lattice do not fit the graph: "
+        "connectivity: level 1 cluster 0 induces a disconnected subgraph\n"
+    )
+    assert not hier.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("n 99999999999999999999\n0 1\n",
      "graph with 99999999999999999999 nodes and 1 edges is not connected"),

@@ -125,6 +125,20 @@ def test_grid_blocks_guards():
         hi.build_grid_blocks(g, 4, 4, [])
 
 
+def test_grid_blocks_reject_a_graph_that_is_not_the_lattice():
+    # ring-16 has 4x4 nodes, but its 2x2 blocks are pairs of arcs
+    with pytest.raises(hi.HierarchyBuildError) as exc:
+        hi.build_grid_blocks(gr.ring_graph(16), 4, 4, [(2, 2)])
+    assert str(exc.value) == (
+        "2x2 blocks of a 4x4 lattice do not fit the graph: connectivity: "
+        "level 1 cluster 0 induces a disconnected subgraph"
+    )
+    # a 4x4 torus read as 2x8: 2x4 block 0 holds nodes 0-3 and 8-11, rows
+    # 0 and 2 of the torus, which never touch
+    with pytest.raises(hi.HierarchyBuildError, match="level 1 cluster 0 induces"):
+        hi.build_grid_blocks(gr.torus_graph(4, 4), 2, 8, [(2, 4)])
+
+
 def test_validate_node_count_mismatch():
     h = hi.flat_hierarchy(gr.ring_graph(8))
     out = hi.validate(h, gr.ring_graph(9))

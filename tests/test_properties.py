@@ -1099,6 +1099,35 @@ def test_sparse_giant_components_equal_oracle(d):
         assert isinstance(got, tuple)
 
 
+def with_pendants(g):
+    """g with a new leaf n + u hung on every node u."""
+    n = g.n_nodes
+    return gr.Graph(2 * n, [*g.edges, *((u, n + u) for u in range(n))])
+
+
+@pytest.mark.parametrize("shape", ["ring", "grid"])
+@pytest.mark.parametrize("levels, branching", [(3, 2), (4, 2), (3, 3)])
+def test_pendant_shapes_equal_oracle(shape, levels, branching):
+    # every node of the base shape cuts off its leaf, so a remainder holds
+    # a memo for nearly every deferred candidate; on the grid at b = 3,
+    # memos made in one part answer in the next.  Several cases raise.
+    g = with_pendants(gr.ring_graph(60) if shape == "ring" else gr.grid_graph(8, 9))
+    got = balanced_outcome(new_balanced, g, levels, branching)
+    assert got == balanced_outcome(oracle_balanced, g, levels, branching)
+
+
+def test_memo_lapses_when_the_other_side_empties():
+    # in part 0, node 6 cuts {3, 8, 9} off; parts 1 and 2 take every node
+    # on the other side, so in part 3 (seeded at 3) node 6 is safe again
+    # and comes off the frontier before 8
+    edges = [(0, 6), (0, 7), (1, 5), (2, 4), (2, 5), (3, 6), (3, 8), (4, 6),
+             (4, 7), (5, 7), (6, 9), (8, 9)]
+    g = gr.Graph(10, edges)
+    got = balanced_outcome(new_balanced, g, 2, 5)
+    assert got == balanced_outcome(oracle_balanced, g, 2, 5)
+    assert got == ((0,), (1,), (2,), (3,), (2,), (1,), (3,), (0,), (4,), (4,))
+
+
 @pytest.mark.parametrize("graph, levels, digest", [
     ("torus", 2, "dbf20a5b03556ed12a892ca873f89cd1dc8f2f664b598722eb4e569e2fc3201f"),
     ("torus", 3, "bee50c7072879fa81fef6a04b955500e9de1d9ffcc903bf6aa5e9feb64c08674"),
