@@ -33,14 +33,11 @@ One breadth-first search of a node set, ``_gateways``, backs the
 component and connectivity checks and routing's gateways and leaf
 check.  Three other searches stay for speed: ``hierarchy._severed``,
 whose searches from a cut candidate's neighbours stop once they meet,
-or do not start when its two neighbours share a third (clustering the
-40x40 torus at levels 2-5 went from 5.37 to 0.37 s with the searches),
-and which holds its searches as bit sets when a candidate has more than
-four unassigned neighbours (``hierarchy._search_masks``, whose starts
-are the candidate's adjacency row ANDed with the remainder: G(700, 0.043)
-at level 3 went from 25 to 8 ms; the rows exist only on graphs with a
-node of more than four neighbours, take at most n/8 bytes each and are
-freed when ``build_balanced`` returns);
+or do not start when its two neighbours share a third, and which holds
+its searches as bit sets when a candidate has more than four
+unassigned neighbours (``hierarchy._search_masks``, whose starts are
+the candidate's adjacency row ANDed with the remainder; the rows exist
+only on graphs with a node of more than four neighbours);
 ``_search``, the one hop-distance search, which runs a block of sources
 at once as bits over the whole graph (``all_pairs_shortest_lengths``
 and measure's shortest lengths) or over labelled node sets side by side
@@ -48,9 +45,7 @@ and measure's shortest lengths) or over labelled node sets side by side
 constructor keeps as ``_csr``; and ``_split_labels``, one flood over a
 list of flags that never leaves a label, shared by the constructor's
 whole-graph check (one label), run on every load, and
-``hierarchy.validate`` (one label per cluster of a level; 0.8 ms
-against 2.0 ms for one search per cluster on the 40x40 torus at level
-5, 2-core host, Python 3.11).
+``hierarchy.validate`` (one label per cluster of a level).
 """
 
 from __future__ import annotations
@@ -109,7 +104,11 @@ class Graph:
     def __init__(self, n_nodes: int, edges: np.ndarray | Iterable[tuple[int, int]]):
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1 (got {n_nodes})")
-        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+        if (
+            isinstance(edges, np.ndarray)
+            and edges.dtype.kind == "i"
+            and edges.shape[1:] == (2,)
+        ):
             pairs = edges.astype(np.int64, copy=False)
         else:
             edges = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)

@@ -22,8 +22,7 @@ be inspected.  Builders only ever produce valid hierarchies:
 ``build_grid_blocks`` raises on the first violation ``validate`` finds
 in its blocks.  ``validate`` floods each level once
 (``graphs._split_labels``, the Graph constructor's check with one label
-per cluster): the 40x40 torus at level 5 went from 2.0 to 0.8 ms
-against one search per cluster.
+per cluster).
 
 ``build_balanced`` grows each region breadth-first and never takes a
 node whose loss would disconnect the nodes still unassigned.  That test
@@ -38,9 +37,7 @@ row gives the search's starts, and every later row a front's new nodes.
 That pays on dense graphs, where nearly every candidate has many.  The
 rows exist only when some node of the graph has more than four
 neighbours; grids, tori and rings build neither a row nor the
-remainder's bit set.  Each row is built the first time a search needs
-it and takes at most n/8 bytes; the rows are freed when
-``build_balanced`` returns.
+remainder's bit set.
 Each seed gets the same test, so the remainder is known to be connected
 from a part's first candidate on unless the seed cut it.  A node found
 to cut the remainder keeps a memo of the cut, counted down as nodes are
@@ -172,7 +169,7 @@ def _severed(w: int, nodes: set[int], adj, rows, rest: int) -> set[int] | None:
     if len(starts) <= 1:
         return None
     if len(starts) > _MASK_STARTS:
-        return _search_masks(w, rest & ~(1 << w), adj, rows)
+        return _search_masks(w, rest & ~(1 << w), rows)
     if len(starts) == 2:
         # a neighbour shared by both starts joins them (w is not in nodes)
         a, b = starts
@@ -225,7 +222,7 @@ def _search_sets(starts: list[int], nodes: set[int], adj) -> set[int] | None:
                             return None
 
 
-def _search_masks(w: int, rest: int, adj, rows: dict[int, int]) -> set[int] | None:
+def _search_masks(w: int, rest: int, rows: list[int]) -> set[int] | None:
     """``_search_sets``'s answer for w's neighbours in the bit set `rest`
     (which holds no w), found with two fronts held as bit sets.
 
@@ -237,13 +234,9 @@ def _search_masks(w: int, rest: int, adj, rows: dict[int, int]) -> set[int] | No
     nodes.  When the fronts meet, they merge into A and B restarts at
     the next start A has not reached; once there is none, the starts are
     joined.  A front that runs dry first holds a whole component,
-    returned as node ids.  `rows` maps a node to its adjacency row, built
-    the first time it is needed and kept for the caller's next search.
+    returned as node ids.  `rows[u]` is u's adjacency row.
     """
-    left = rows.get(w)
-    if left is None:
-        left = rows[w] = _bits(adj[w])
-    left &= rest
+    left = rows[w] & rest
     # (seen, pend) is the front that expands next, A after every merge;
     # (seen2, pend2) is the other
     seen = pend = left & -left
@@ -256,11 +249,7 @@ def _search_masks(w: int, rest: int, adj, rows: dict[int, int]) -> set[int] | No
             if not pend:
                 return _ids(seen)
             low = pend & -pend
-            u = low.bit_length() - 1
-            row = rows.get(u)
-            if row is None:
-                row = rows[u] = _bits(adj[u])
-            new = row & rest & ~seen
+            new = rows[low.bit_length() - 1] & rest & ~seen
             seen |= new
             pend ^= low | new
             if new & seen2:
@@ -276,7 +265,7 @@ def _grow_regions(
     parts: int,
     level: int,
     parent_id: int | None,
-    rows: dict[int, int] | None,
+    rows: list[int] | None,
 ) -> list[list[int]]:
     """Split members into `parts` connected regions with sizes differing by <= 1.
 
@@ -477,7 +466,9 @@ def build_balanced(graph: Graph, levels: int, branching: int = 2) -> Hierarchy:
     paths: list[list[int]] = [[] for _ in range(graph.n_nodes)]
     # bit rows of _search_masks, shared by every split; only a candidate
     # with more than _MASK_STARTS unassigned neighbours searches masks
-    rows = {} if any(len(nbrs) > _MASK_STARTS for nbrs in graph.adj) else None
+    rows = None
+    if any(len(nbrs) > _MASK_STARTS for nbrs in graph.adj):
+        rows = [_bits(nbrs) for nbrs in graph.adj]
     current: list[tuple[int | None, list[int]]] = [(None, list(range(graph.n_nodes)))]
     for level in range(1, levels):
         nxt: list[tuple[int | None, list[int]]] = []

@@ -71,6 +71,21 @@ def test_graph_rejections():
         assert gr.Graph(3, edges).edges == ((0, 1), (1, 2))
 
 
+def test_graph_reads_only_signed_pair_arrays_whole():
+    # an array that is not (m, 2) signed is read edge by edge, so a third
+    # column or a missing one is named, never dropped or mis-indexed
+    with pytest.raises(TypeError, match=r"edge 0 is not a pair of integers: \[0, 1, 5\]"):
+        gr.Graph(3, np.array([[0, 1, 5], [1, 2, 7]]))
+    with pytest.raises(TypeError, match=r"edge 0 is not a pair of integers: 0"):
+        gr.Graph(3, np.array([0, 1, 1, 2]))
+    # an unsigned endpoint past int64 is not wrapped to a negative id
+    with pytest.raises(ValueError, match="outside the int64 range"):
+        gr.Graph(3, np.array([[0, 2**64 - 1], [1, 2]], dtype=np.uint64))
+    for dtype in (np.uint8, np.uint64, np.int16):
+        g = gr.Graph(3, np.array([[1, 0], [1, 2]], dtype=dtype))
+        assert g.edges == ((0, 1), (1, 2))
+
+
 def test_graph_equality_and_hash():
     a = gr.Graph(3, [(0, 1), (1, 2)])
     b = gr.Graph(3, [(1, 2), (0, 1)])

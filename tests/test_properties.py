@@ -905,8 +905,8 @@ def test_mask_search_entered_on_dense_graphs(monkeypatch):
     search = hi._search_masks
     starts = []
 
-    def count(w, rest, adj, rows):
-        found = search(w, rest, adj, rows)
+    def count(w, rest, rows):
+        found = search(w, rest, rows)
         starts.append(bin(rows[w] & rest).count("1"))
         return found
 
@@ -951,7 +951,7 @@ def test_cut_vertex_seed_equals_oracle(levels, branching):
     # search of the whole remainder
     edges = [(0, 1), (0, 5), *combinations(range(1, 5), 2), *combinations(range(5, 9), 2)]
     g = gr.Graph(9, edges)
-    assert hi._severed(0, set(range(1, 9)), g.adj, {}, hi._bits(range(9))) == {1, 2, 3, 4}
+    assert hi._severed(0, set(range(1, 9)), g.adj, None, hi._bits(range(9))) == {1, 2, 3, 4}
     got = balanced_outcome(new_balanced, g, levels, branching)
     assert got == balanced_outcome(oracle_balanced, g, levels, branching)
     if (levels, branching) == (2, 2):
@@ -1173,7 +1173,7 @@ def test_local_cut_test_exhaustive(name):
     # every connected remainder and every candidate in it
     g = SMALL_GRAPHS[name]
     adj = g.adj
-    rows = {}  # bit rows, shared like those of one build_balanced call
+    rows = [hi._bits(nbrs) for nbrs in adj]  # as build_balanced builds them
     for size in range(1, g.n_nodes + 1):
         for chosen in combinations(range(g.n_nodes), size):
             remainder = set(chosen)
@@ -1192,7 +1192,7 @@ def test_local_cut_test_exhaustive(name):
                 if len(starts) > 1:
                     # the set search and the mask search agree
                     searches.append(hi._search_sets(starts, rest, adj))
-                    searches.append(hi._search_masks(w, hi._bits(rest), adj, rows))
+                    searches.append(hi._search_masks(w, hi._bits(rest), rows))
                 for found in searches:
                     assert (found is None) == (got is None), (chosen, w)
                     if found is not None:
@@ -1229,7 +1229,7 @@ def test_mask_search_past_one_word(case):
     g, remainder = case
     assume(max(remainder) >= 128)
     adj = g.adj
-    rows = {}
+    rows = [hi._bits(nbrs) for nbrs in adj]
     bits = hi._bits(remainder)
     checked = 0
     for w in sorted(remainder):
@@ -1242,7 +1242,7 @@ def test_mask_search_past_one_word(case):
         got = hi._severed(w, rest, adj, rows, bits)
         assert (got is None) == gr._connected_set(rest, adj), w
         sets = hi._search_sets(starts, rest, adj)
-        masks = hi._search_masks(w, bits & ~(1 << w), adj, rows)
+        masks = hi._search_masks(w, bits & ~(1 << w), rows)
         for found in (got, sets, masks):
             assert (found is None) == (got is None), w
             if found is not None:
