@@ -32,6 +32,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _method_tag(tag: str) -> str:
+    """A --method-tag value: one field of a CSV record and one line of a
+    report, so it holds no comma, double quote, carriage return or line
+    feed."""
+    if any(c in tag for c in ',"\r\n'):
+        raise argparse.ArgumentTypeError(
+            f"method tag {tag!r} holds a comma, a double quote or a line break"
+        )
+    return tag
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="routestretch", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -72,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="measure stretch of a (graph, hierarchy) pair")
     p.add_argument("--graph", required=True)
     p.add_argument("--hierarchy", required=True)
-    p.add_argument("--method-tag", help="clustering-method tag for the report")
+    p.add_argument("--method-tag", type=_method_tag,
+                   help="clustering-method tag for the report")
     p.add_argument("--report", help="write the text report here (also printed)")
     p.add_argument("--csv", help="append one CSV record here")
     p.set_defaults(func=cmd_simulate)

@@ -54,7 +54,7 @@ import random
 from contextlib import suppress
 from itertools import chain
 from operator import index
-from typing import Callable, Iterable, NoReturn
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -135,12 +135,13 @@ class Graph:
         # the (hi, lo) entries of one src list its lower neighbours in
         # ascending order and its (lo, hi) entries its higher ones: a
         # stable sort by src, (hi, lo) entries first, sorts every row.
-        # The arrays stay on the graph as `_csr`, (row ends, neighbors),
-        # for the bit-parallel search (_search).
+        # The arrays stay on the graph as `_csr`, (row ends, neighbors,
+        # degrees), for the array searches (_search, _gateway_search).
         src = np.concatenate((hi, lo))
         neighbors = np.concatenate((lo, hi))[np.argsort(src, kind="stable")]
-        ends = np.bincount(src, minlength=n_nodes).cumsum()
-        self._csr = (ends, neighbors)
+        degree = np.bincount(src, minlength=n_nodes)
+        ends = degree.cumsum()
+        self._csr = (ends, neighbors, degree)
         dst, stops = neighbors.tolist(), ends.tolist()
         self.adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(dst[a:b]) for a, b in zip([0, *stops], stops)
@@ -179,8 +180,21 @@ def _sorted_edges(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lexicographically, or EdgeError for the first row in input order
     that is a self-loop, has an endpoint outside [0, n) or repeats an
     earlier row in either orientation (one row can be all three; the
-    message names the first of those)."""
+    message names the first of those).
+
+    Rows already in strict (lo, hi) order, as save writes them and
+    random_graph draws them, hold no repeat: one pass checks that order
+    and the node range, and such rows skip the sort."""
     u, v = pairs[:, 0], pairs[:, 1]
+    if (
+        len(pairs)
+        and u[0] >= 0
+        and v.max() < n
+        and (u < v).all()
+        and (u[1:] >= u[:-1]).all()
+        and ((u[1:] > u[:-1]) | (v[1:] > v[:-1])).all()
+    ):
+        return u, v
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     out = (lo < 0) | (hi >= n)
     # a stable sort, so of equal rows the first in input order comes first
@@ -513,8 +527,7 @@ def _search(
     nodes with more than r neighbors are the first len(ranks[r]).
     """
     n = graph.n_nodes
-    ends, neighbors = graph._csr
-    degree = np.diff(ends, prepend=0)
+    ends, neighbors, degree = graph._csr
     if labels is not None:
         owner = np.repeat(np.arange(n), degree)
         kept = labels[owner] == labels[neighbors]
@@ -557,6 +570,67 @@ def _search(
         return dist
 
     return search
+
+
+def _gateway_search(
+    graph: Graph, labels: Sequence[np.ndarray], starts: np.ndarray, reach: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """_gateways for many start sets at once, as arrays.
+
+    Each of `labels` gives one label per node for a group of copies, and
+    starts[k, u] is the copy of group k that node u starts; copies are
+    numbered across the groups, and a copy of group k follows only the
+    edges whose two ends share a label in labels[k].  Returns (dist, gw),
+    two (copies x n) arrays: each node's hop distance from the copy's
+    nearest start and the lowest id among those starts, -1 and n where
+    the copy does not reach it; or None when fewer than `reach` (copy,
+    node) pairs are reached.
+
+    One level-synchronous search serves every copy.  Node u of copy c is
+    the virtual node c * n + u, and row k * n + u of a CSR of id offsets
+    lists u's neighbors that share its label in labels[k].  A level
+    gathers the rows of the frontier, and a newly reached node takes the
+    smallest gateway among its frontier neighbors (np.minimum.at): the
+    lowest id among its nearest starts, as in _gateways.
+    """
+    n = graph.n_nodes
+    _, neighbors, degree = graph._csr
+    owner = np.repeat(np.arange(n), degree)
+    kept = [group[owner] == group[neighbors] for group in labels]
+    row_deg = np.concatenate([np.bincount(owner[m], minlength=n) for m in kept])
+    row_end = row_deg.cumsum()
+    row_step = np.concatenate([(neighbors - owner)[m] for m in kept])
+    copies = int(starts.max()) + 1
+    group = np.empty(copies, dtype=np.intp)
+    group[starts] = np.arange(len(labels))[:, None]
+    row = (group[:, None] * n + np.arange(n)).ravel()
+    frontier = (starts * n + np.arange(n)).ravel()
+    dist = np.full(copies * n, -1, dtype=np.int32)
+    dist[frontier] = 0
+    gw = np.full(copies * n, n, dtype=np.intp)
+    gw[frontier] = frontier % n
+    slot = np.empty(copies * n, dtype=np.intp)
+    found, d = frontier.size, 0
+    while found < reach and frontier.size:
+        d += 1
+        rows = row[frontier]
+        count = row_deg[rows]
+        last = count.cumsum()
+        at = np.repeat(row_end[rows] - last, count) + np.arange(last[-1])
+        new = np.repeat(frontier, count) + row_step[at]
+        gate = np.repeat(gw[frontier], count)
+        free = dist[new] < 0
+        new = new[free]
+        np.minimum.at(gw, new, gate[free])
+        # one entry per node: the one whose place its slot keeps
+        place = np.arange(new.size)
+        slot[new] = place
+        frontier = new[slot[new] == place]
+        dist[frontier] = d
+        found += frontier.size
+    if found < reach:
+        return None
+    return dist.reshape(copies, n), gw.reshape(copies, n)
 
 
 def _bit_columns(words: np.ndarray, k: int) -> np.ndarray:

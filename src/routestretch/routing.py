@@ -68,12 +68,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from . import graphs
-from .graphs import Graph, _gateways
+from .graphs import Graph
 from .hierarchy import Hierarchy
 
 
@@ -105,6 +105,16 @@ class RoutingTable:
         return 1 + len(self.node_entries) + len(self.cluster_entries)
 
 
+def _require_fit(graph: Graph, hierarchy: Hierarchy) -> None:
+    """ValueError for a hierarchy of another size than the graph or with
+    label paths of several lengths."""
+    if hierarchy.n_nodes != graph.n_nodes:
+        raise ValueError(
+            f"hierarchy covers {hierarchy.n_nodes} nodes, graph has {graph.n_nodes}"
+        )
+    hierarchy._require_uniform()
+
+
 def _prefix_groups(paths: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
     """Members under every label-path prefix, in ascending id order: the
     empty prefix is the entire graph, a full path is a leaf cluster."""
@@ -130,12 +140,7 @@ def _clusters(
     inside the leaf: the leaf's lowest member and the lowest member that
     cannot reach it.
     """
-    n = graph.n_nodes
-    if hierarchy.n_nodes != n:
-        raise ValueError(
-            f"hierarchy covers {hierarchy.n_nodes} nodes, graph has {n}"
-        )
-    hierarchy._require_uniform()
+    _require_fit(graph, hierarchy)
     adj = graph.adj
     depth = hierarchy.levels - 1
     groups = _prefix_groups(hierarchy.label_paths)
@@ -145,7 +150,7 @@ def _clusters(
         if key:
             level = len(key)
             parent = groups[key[:-1]]
-            found = _gateways(adj, members, set(parent))
+            found = graphs._gateways(adj, members, set(parent))
             if len(found) < len(parent):
                 u = next(u for u in parent if u not in found)
                 raise RoutingError(
@@ -153,7 +158,7 @@ def _clusters(
                     f"inside level {level - 1} cluster {key[-2]}"
                 )
             if level == depth:  # a leaf; the entire graph is connected
-                reached = _gateways(adj, members[:1], set(members))
+                reached = graphs._gateways(adj, members[:1], set(members))
                 if len(reached) < len(members):
                     u = next(u for u in members if u not in reached)
                     raise RoutingError(
@@ -161,6 +166,80 @@ def _clusters(
                         "inside its leaf cluster"
                     )
         yield key, members, found
+
+
+def _nesting(
+    paths: Sequence[tuple[int, ...]],
+) -> list[tuple[np.ndarray, np.ndarray, list[int], list[int]]]:
+    """(inside, cluster, up, rank) for each level k of clusters below the
+    entire graph, coarsest first: inside[u] and cluster[u] index node u's
+    clusters of levels k - 1 and k, up[c] indexes the level k - 1
+    cluster holding level k cluster c, and rank[c] counts the siblings
+    of c indexed before it.  A level's clusters are indexed in order of
+    their lowest member."""
+    index: dict[tuple[int, ...], int] = {}
+    cluster = np.array([index.setdefault(p, len(index)) for p in paths])
+    keys = list(index)
+    nest = []
+    while keys[0]:
+        parents: dict[tuple[int, ...], int] = {}
+        up = [parents.setdefault(key[:-1], len(parents)) for key in keys]
+        inside = np.array(up)[cluster]
+        seen = [0] * len(parents)
+        rank = []
+        for p in up:
+            rank.append(seen[p])
+            seen[p] += 1
+        nest.append((inside, cluster, up, rank))
+        keys, cluster = list(parents), inside
+    nest.reverse()
+    return nest
+
+
+def _toward(graph: Graph, nest: list) -> list[list[tuple]] | None:
+    """toward[k - 1][c] for level k cluster c: the nodes of its parent
+    outside it, their distances to it inside the parent (an int32
+    column) and their gateways to it, from one graphs._gateway_search of
+    every level and sibling rank side by side: copy (k, j) starts from
+    the rank j children of every level k - 1 cluster.  None when a node
+    cannot reach a sibling cluster inside their parent."""
+    width = [max(rank) + 1 for *_, rank in nest]
+    base = [0]
+    for w in width:
+        base.append(base[-1] + w)
+    starts = np.array([b + np.array(rank)[cluster] for b, (_, cluster, _, rank) in zip(base, nest)])
+    # every node of a parent reaches each of the parent's children
+    reach = sum(int(np.bincount(inside)[up].sum()) for inside, _, up, _ in nest)
+    found = graphs._gateway_search(graph, [inside for inside, *_ in nest], starts, reach)
+    if found is None:
+        return None
+    dist, gw = found
+    toward = []
+    for b, w, (inside, _, up, rank) in zip(base, width, nest):
+        # each parent's nodes in one run, runs in parent order
+        by_parent = np.argsort(inside, kind="stable")
+        bounds = np.concatenate(([0], np.bincount(inside).cumsum()))
+        copies = []
+        for c in range(b, b + w):
+            row = dist[c, by_parent]
+            at = np.flatnonzero(row > 0)  # the reached nodes outside the starts
+            nodes = by_parent[at]
+            copies.append((nodes, row[at][:, None], gw[c, nodes], np.searchsorted(at, bounds).tolist()))
+        level = []
+        for r, p in zip(rank, up):
+            nodes, d, g, cut = copies[r]
+            s = slice(cut[p], cut[p + 1])
+            level.append((nodes[s], d[s], g[s]))
+        toward.append(level)
+    return toward
+
+
+def _fault(graph: Graph, hierarchy: Hierarchy) -> NoReturn:
+    """Raise the RoutingError of the first fault the _clusters walk finds,
+    once measure's arrays have shown that there is one."""
+    for _ in _clusters(graph, hierarchy):
+        pass
+    raise AssertionError("measure saw a fault that the cluster walk does not find")
 
 
 def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]:
@@ -197,7 +276,7 @@ def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]
             # toward each member t of a leaf: a sibling entry toward {t}
             leaf = set(members)
             for t in members:
-                add_entries(node_entries, t, _gateways(adj, [t], leaf))
+                add_entries(node_entries, t, graphs._gateways(adj, [t], leaf))
     return tuple(
         RoutingTable(u, node_entries[u], cluster_entries[u]) for u in range(n)
     )
@@ -325,10 +404,11 @@ def _tally(joint: np.ndarray, lengths: np.ndarray, short: np.ndarray) -> np.ndar
     cells *= width
     cells += short
     cells = np.bincount(cells.ravel(), minlength=rows * width)
-    grow = [(0, max(0, want - have)) for want, have in zip((rows, width), joint.shape)]
-    joint = np.pad(joint, grow)
-    joint[:rows, :width] += cells.reshape(rows, width)
-    return joint
+    have, wide = joint.shape
+    grown = np.zeros((max(rows, have), max(width, wide)), dtype=np.int64)
+    grown[:have, :wide] = joint
+    grown[:rows, :width] += cells.reshape(rows, width)
+    return grown
 
 
 def _route_lengths(
@@ -364,32 +444,32 @@ def measure(
     n = graph.n_nodes
     if n < 2:
         raise ValueError("stretch measurement needs at least two nodes")
-    depth = hierarchy.levels - 1
+    _require_fit(graph, hierarchy)
+    nest = _nesting(hierarchy.label_paths)
     entries = n  # self entries
-    toward = {}  # key -> (parent nodes outside it, their distances, their gateways)
+    toward: list[list[tuple]] = []
+    leaf = np.zeros(n, dtype=np.intp)  # each node's leaf
+    if nest:
+        toward = _toward(graph, nest)
+        if toward is None:
+            _fault(graph, hierarchy)
+        entries += sum(len(out) for level in toward for out, _, _ in level)
+        leaf = nest[-1][1]
+    order = np.argsort(leaf, kind="stable")
+    cut = [0, *np.bincount(leaf).cumsum().tolist()]
     leaves = []  # (members, the toward arrays from the leaf outward)
-    for key, members, found in _clusters(graph, hierarchy):
-        if found is not None:
-            nodes = np.fromiter(found, np.intp, len(found))
-            dist, gw = np.array(list(found.values())).T
-            out = dist > 0
-            toward[key] = (nodes[out], dist[out, None].astype(np.int32), gw[out])
-            entries += int(np.count_nonzero(out))
-        if len(key) == depth:
-            m = len(members)
-            entries += m * (m - 1)
-            chain = [toward[key[:k]] for k in range(depth, 0, -1)]
-            leaves.append((np.array(members, dtype=np.intp), chain))
+    for c, (a, b) in enumerate(zip(cut, cut[1:])):
+        entries += (b - a) * (b - a - 1)
+        chain = []
+        for (_, _, up, _), level in zip(reversed(nest), reversed(toward)):
+            chain.append(level[c])
+            c = up[c]
+        leaves.append((order[a:b], chain))
     # one search of the leaves side by side: the edges between two leaves
     # dropped, member j0 + b of every leaf gets bit b, so a bit never
     # leaves its leaf; a single leaf is the entire graph
     whole = graphs._search(graph)
-    local = None
-    if len(leaves) > 1:
-        labels = np.empty(n, dtype=np.intp)
-        for i, (members, _) in enumerate(leaves):
-            labels[members] = i
-        local = graphs._search(graph, labels)
+    local = graphs._search(graph, leaf) if len(leaves) > 1 else None
     size = graphs._block_size(n)
     joint = np.zeros((1, 1), dtype=np.int64)  # [route length, shortest length]
     for j0 in range(0, max(len(members) for members, _ in leaves), size):
@@ -403,6 +483,9 @@ def measure(
         if local is not None:
             starts = np.concatenate([run[0] for run in runs])
             near = local(starts, np.concatenate([np.arange(len(run[0])) for run in runs]))
+            # column 0 of the first chunk starts at member 0 of every leaf
+            if not j0 and near[:, 0].min() < 0:
+                _fault(graph, hierarchy)  # a split leaf
         for block in _target_blocks(runs, size):
             joint = _tally(joint, *_route_lengths(block, whole, near))
     joint[0, 0] = 0  # each node toward itself

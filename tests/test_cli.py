@@ -75,6 +75,27 @@ def test_simulate_method_tag(tmp_path, capsys):
     assert "method: mytag" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tag", ["a,b", 'a"b', "a\nb", "a\rb"])
+def test_simulate_rejects_a_tag_that_breaks_a_record(tmp_path, capsys, tag):
+    # a comma or quote would split or quote the CSV field, a line break
+    # the report's method line and the record
+    graph = tmp_path / "g.graph"
+    hier = tmp_path / "h.clusters"
+    csv = tmp_path / "out.csv"
+    report = tmp_path / "report.txt"
+    main(["gen", "ring", "--n", "8", "--out", str(graph)])
+    main(["cluster", "--graph", str(graph), "--levels", "2", "--out", str(hier)])
+    capsys.readouterr()
+    assert main([
+        "simulate", "--graph", str(graph), "--hierarchy", str(hier),
+        "--method-tag", tag, "--csv", str(csv), "--report", str(report),
+    ]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"method tag {tag!r}" in err
+    assert not csv.exists() and not report.exists()
+
+
 def test_simulate_rejects_invalid_hierarchy(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     hier = tmp_path / "h.clusters"

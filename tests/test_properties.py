@@ -421,13 +421,108 @@ def test_measure_fails_as_build_tables_does(gh, search_cells):
 
 
 @settings(max_examples=150, deadline=None)
-@given(clustered_graphs(), st.sampled_from([1, 40, 1 << 18]))
-def test_build_tables_equals_oracle(gh, search_cells):
+@given(clustered_graphs())
+def test_build_tables_equals_oracle(gh):
     g, h = gh
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gr, "_SEARCH_CELLS", search_cells)
-        tables = rt.build_tables(g, h)
-    assert tables == oracle_tables(g, h)
+    assert rt.build_tables(g, h) == oracle_tables(g, h)
+
+
+def check_array_gateways(g, h):
+    """measure's gateway arrays (routing._toward) against graphs._gateways
+    from every cluster over its parent: the same (distance, gateway) for
+    every node of the parent, or no arrays when some node of a parent
+    cannot reach one of its children."""
+    nest = rt._nesting(h.label_paths)
+    toward = rt._toward(g, nest) if nest else []
+    missed = False
+    for key, members in rt._prefix_groups(h.label_paths).items():
+        if not key:
+            continue
+        parent = rt._prefix_groups(h.label_paths)[key[:-1]]
+        want = gr._gateways(g.adj, members, set(parent))
+        missed |= len(want) < len(parent)
+        if toward is None:
+            continue
+        level = len(key) - 1
+        out, dist, gw = toward[level][nest[level][1][members[0]]]
+        assert dist.dtype == np.int32 and dist.shape == (len(out), 1)
+        got = {m: (0, m) for m in members}
+        got.update(zip(out.tolist(), zip(dist[:, 0].tolist(), gw.tolist())))
+        assert len(got) == len(members) + len(out)
+        assert got == want, key
+    assert (toward is None) == missed
+
+
+@st.composite
+def grid_block_nests(draw):
+    """A grid or torus with nested blocks of uneven shapes: each level's
+    block dims divide the last ones, down to single nodes."""
+    rows, cols = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    g = gr.torus_graph(rows, cols) if draw(st.booleans()) else gr.grid_graph(rows, cols)
+    dims = []
+    for _ in range(draw(st.integers(1, 3))):
+        r, c = dims[-1] if dims else (rows, cols)
+        dims.append((
+            draw(st.sampled_from([d for d in range(1, r + 1) if r % d == 0])),
+            draw(st.sampled_from([d for d in range(1, c + 1) if c % d == 0])),
+        ))
+    return g, hi.build_grid_blocks(g, rows, cols, dims)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(clustered_graphs(), wider_clustered_graphs(), grid_block_nests()))
+def test_array_gateways_equal_node_set_search(gh):
+    # balanced b = 2-3 hierarchies and uneven grid-block nests, all valid
+    g, h = gh
+    check_array_gateways(g, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_graphs())
+def test_array_gateways_equal_node_set_search_on_label_paths(gh):
+    # random label paths, 1-3 children per parent: clusters may be split
+    # or unable to reach a sibling
+    g, h = gh
+    assume(h.n_nodes == g.n_nodes and len(set(map(len, h.label_paths))) == 1)
+    check_array_gateways(g, h)
+
+
+def test_array_gateways_on_benchmark_graphs():
+    torus = gr.torus_graph(20, 20)
+    for levels in (2, 3, 4):
+        check_array_gateways(torus, hi.build_balanced(torus, levels, 2))
+    dense = gr.random_graph(700, 0.043, seed=1)
+    check_array_gateways(dense, hi.build_balanced(dense, 3, 2))
+    torus = gr.torus_graph(40, 40)
+    for levels in (2, 3, 4, 5):
+        check_array_gateways(torus, hi.build_balanced(torus, levels, 2))
+
+
+def test_measure_runs_no_node_set_search_on_valid_hierarchies(monkeypatch):
+    # the gateways come from the array search and the leaf check from the
+    # leaf search, so only a fault brings in the _clusters walk
+    calls = []
+    search = gr._gateways
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(gr, "_gateways", counted)
+    ring = gr.ring_graph(8)
+    torus = gr.torus_graph(20, 20)
+    for g, h in (
+        (ring, hi.build_balanced(ring, 2, 2)),
+        (torus, hi.build_balanced(torus, 4, 2)),
+        (torus, hi.build_grid_blocks(torus, 20, 20, [(10, 4), (5, 2)])),
+    ):
+        rt.measure(g, h)
+    assert calls == []
+    # a split leaf: the walk runs and names it
+    split = hi.Hierarchy(2, ((0,), (1,), (1,), (1,), (0,), (2,), (2,), (2,)))
+    with pytest.raises(rt.RoutingError, match="node 4 cannot reach node 0"):
+        rt.measure(ring, split)
+    assert calls
 
 
 @pytest.mark.parametrize("seed", [7, 8])
@@ -1614,10 +1709,7 @@ def edge_lists(draw):
     return n, draw(st.lists(st.tuples(ids, ids), max_size=16))
 
 
-@settings(max_examples=400, deadline=None)
-@given(edge_lists())
-def test_graph_equals_per_edge_constructor(case):
-    n, edges = case
+def check_graph(n, edges):
     try:
         want = oracle_graph(n, edges)
     except ValueError as exc:
@@ -1627,6 +1719,38 @@ def test_graph_equals_per_edge_constructor(case):
         assert str(info.value) == str(exc)
     else:
         assert graph_value(gr.Graph(n, edges)) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+def test_graph_equals_per_edge_constructor(case):
+    check_graph(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_sorted_edge_lists_equal_per_edge_constructor(case):
+    # lists in (lo, hi) order, as files and random_graph give them: a
+    # strict order skips the sort, and a repeat, a self-loop or an id out
+    # of range takes the sorting path, which names the first bad row
+    n, edges = case
+    check_graph(n, sorted((min(e), max(e)) for e in edges))
+
+
+def test_sorted_edges_skip_the_sort(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    g = gr.random_graph(700, 0.043, seed=1)
+    assert calls == []
+    for edges, sorts in ((g.edges, 0), (g.edges[::-1], 1), ([(0, 1), (1, 1), (1, 2)], 1)):
+        check_graph(700, edges)
+        assert len(calls) == sorts
+        calls.clear()
+    # out of range at either end of a sorted list
+    for edges in ([(-1, 0), (0, 1)], [(0, 1), (1, 700)]):
+        with pytest.raises(gr.EdgeError, match="out of range for 700 nodes"):
+            gr.Graph(700, edges)
 
 
 def test_graph_names_the_first_bad_edge_in_input_order():
