@@ -30,22 +30,31 @@ and it only locates the first bad row and names its line: it never
 accepts a file.
 
 One breadth-first search of a node set, ``_gateways``, backs the
-component and connectivity checks and routing's gateways and leaf
-check.  Three other searches stay for speed: ``hierarchy._severed``,
+balanced builder's component and connectivity checks, routing's table
+builder and the walk that names a faulty hierarchy in ``measure``.
+Four other searches stay for speed: ``hierarchy._severed``,
 whose searches from a cut candidate's neighbours stop once they meet,
 or do not start when its two neighbours share a third, and which holds
 its searches as bit sets when a candidate has more than four
 unassigned neighbours (``hierarchy._search_masks``, whose starts are
 the candidate's adjacency row ANDed with the remainder; the rows exist
 only on graphs with a node of more than four neighbours);
-``_search``, the one hop-distance search, which runs a block of sources
+``_search``, the bit-parallel hop-distance search, which runs a block of sources
 at once as bits over the whole graph (``all_pairs_shortest_lengths``
 and measure's shortest lengths) or over labelled node sets side by side
 (measure's leaf clusters), set up by masking the CSR arrays that the
-constructor keeps as ``_csr``; and ``_split_labels``, one flood over a
-list of flags that never leaves a label, shared by the constructor's
-whole-graph check (one label), run on every load, and
-``hierarchy.validate`` (one label per cluster of a level).
+constructor keeps as ``_csr``; ``_gateway_search``, ``_gateways``'
+distance and gateway for many start sets at once as arrays over the
+same CSR, one level-synchronous search of every copy side by side
+(measure's sibling clusters, every level and sibling rank at once); and
+``_split_labels``, one flood over a list of flags that never leaves a
+label, shared by the constructor's whole-graph check (one label), run
+on every load, and ``hierarchy.validate`` (one label per cluster of a
+level).
+
+The constructor sorts the edges unless they already come in strict
+(lo, hi) order, as files that ``save`` writes and ``random_graph``
+draws do; one pass over the rows checks that order.
 """
 
 from __future__ import annotations
@@ -573,25 +582,25 @@ def _search(
 
 
 def _gateway_search(
-    graph: Graph, labels: Sequence[np.ndarray], starts: np.ndarray, reach: int
-) -> tuple[np.ndarray, np.ndarray] | None:
+    graph: Graph, labels: Sequence[np.ndarray], starts: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """_gateways for many start sets at once, as arrays.
 
     Each of `labels` gives one label per node for a group of copies, and
-    starts[k, u] is the copy of group k that node u starts; copies are
-    numbered across the groups, and a copy of group k follows only the
-    edges whose two ends share a label in labels[k].  Returns (dist, gw),
-    two (copies x n) arrays: each node's hop distance from the copy's
-    nearest start and the lowest id among those starts, -1 and n where
-    the copy does not reach it; or None when fewer than `reach` (copy,
-    node) pairs are reached.
+    starts[k, u] is the copy of group k that node u starts.  A copy of
+    group k follows only the edges whose two ends share a label in
+    labels[k].  Returns (dist, gw) for each group, two (copies x n)
+    arrays: each node's hop distance from the copy's nearest start and
+    the lowest id among those starts, -1 and n where the copy does not
+    reach it.
 
-    One level-synchronous search serves every copy.  Node u of copy c is
-    the virtual node c * n + u, and row k * n + u of a CSR of id offsets
-    lists u's neighbors that share its label in labels[k].  A level
-    gathers the rows of the frontier, and a newly reached node takes the
-    smallest gateway among its frontier neighbors (np.minimum.at): the
-    lowest id among its nearest starts, as in _gateways.
+    One level-synchronous search serves every copy of every group.  Node
+    u of the c-th copy in all is the virtual node c * n + u, and row
+    k * n + u of a CSR of id offsets lists u's neighbors that share its
+    label in labels[k].  A level gathers the rows of the frontier, and a
+    newly reached node takes the smallest gateway among its frontier
+    neighbors (np.minimum.at): the lowest id among its nearest starts,
+    as in _gateways.
     """
     n = graph.n_nodes
     _, neighbors, degree = graph._csr
@@ -600,22 +609,22 @@ def _gateway_search(
     row_deg = np.concatenate([np.bincount(owner[m], minlength=n) for m in kept])
     row_end = row_deg.cumsum()
     row_step = np.concatenate([(neighbors - owner)[m] for m in kept])
-    copies = int(starts.max()) + 1
-    group = np.empty(copies, dtype=np.intp)
-    group[starts] = np.arange(len(labels))[:, None]
-    row = (group[:, None] * n + np.arange(n)).ravel()
-    frontier = (starts * n + np.arange(n)).ravel()
-    dist = np.full(copies * n, -1, dtype=np.int32)
+    width = starts.max(axis=1) + 1
+    base = np.concatenate(([0], width.cumsum()))
+    row = (np.repeat(np.arange(len(labels)), width)[:, None] * n + np.arange(n)).ravel()
+    frontier = ((starts + base[:-1, None]) * n + np.arange(n)).ravel()
+    dist = np.full(row.size, -1, dtype=np.int32)
     dist[frontier] = 0
-    gw = np.full(copies * n, n, dtype=np.intp)
+    gw = np.full(row.size, n, dtype=np.intp)
     gw[frontier] = frontier % n
-    slot = np.empty(copies * n, dtype=np.intp)
-    found, d = frontier.size, 0
-    while found < reach and frontier.size:
+    slot = np.empty(row.size, dtype=np.intp)
+    d = 0
+    while frontier.size:
         d += 1
         rows = row[frontier]
         count = row_deg[rows]
         last = count.cumsum()
+        # the places of the frontier rows' entries, row after row
         at = np.repeat(row_end[rows] - last, count) + np.arange(last[-1])
         new = np.repeat(frontier, count) + row_step[at]
         gate = np.repeat(gw[frontier], count)
@@ -627,10 +636,8 @@ def _gateway_search(
         slot[new] = place
         frontier = new[slot[new] == place]
         dist[frontier] = d
-        found += frontier.size
-    if found < reach:
-        return None
-    return dist.reshape(copies, n), gw.reshape(copies, n)
+    dist, gw = dist.reshape(-1, n), gw.reshape(-1, n)
+    return [(dist[a:b], gw[a:b]) for a, b in zip(base, base[1:])]
 
 
 def _bit_columns(words: np.ndarray, k: int) -> np.ndarray:

@@ -28,9 +28,11 @@ level plus one pass over a leaf's edges per member, O(n * edges) for a
 flat hierarchy.  Only the reference walk (route() over these tables) and
 the benchmark's traced probe pay it: measure builds no tables.
 
-The gateway search is graphs._gateways, the package's one breadth-first
-search of a node set; _clusters also runs it to check that each leaf is
-connected.
+The table builder's gateway search is graphs._gateways, the package's
+one breadth-first search of a node set; _clusters, the walk over every
+cluster that build_tables takes, also runs it to check that each leaf is
+connected.  measure runs that walk only on a faulty hierarchy, to raise
+the walk's own RoutingError.
 
 Forwarding resolves the destination to the finest key the current node
 can see: the destination itself inside the node's own leaf cluster,
@@ -43,13 +45,20 @@ sibling cluster C keeps the distance to C falling and the gateway fixed,
 so a route's length obeys L(x, t) = d_P(x, C) + L(g_C(x), t), where P
 is the finest cluster holding both x and t, C the child of P holding t,
 and g_C(x) the gateway of x to C; inside t's leaf, L(x, t) is the
-leaf's own distance d(x, t).  measure takes the targets a chunk of
-leaf positions at a time: member j of every leaf, for j in the chunk.
-One bit-parallel search of the graph with the edges between two leaves
-dropped finds the leaf distances toward the whole chunk, member j of
-every leaf starting bit j, which cannot leave its leaf.  The chunk is
-cut into blocks of targets; for each block, one bit-parallel search of
-the entire graph gives the shortest lengths, and the route lengths are
+leaf's own distance d(x, t).  measure finds every d_P(x, C) and g_C(x)
+with one array search over the graph's CSR (graphs._gateway_search):
+every level and every sibling rank j side by side, copy (level, j)
+starting from the rank j child of every cluster one level up and
+keeping to that parent, and a newly reached node taking the lowest
+gateway among its frontier neighbors, which is _gateways' rule.
+measure takes the targets a chunk of leaf positions at a time: member j
+of every leaf, for j in the chunk.  One bit-parallel search of the
+graph with the edges between two leaves dropped finds the leaf
+distances toward the whole chunk, member j of every leaf starting bit
+j, which cannot leave its leaf; in the first chunk, a node that member
+0 of its leaf does not reach shows a split leaf.  The chunk is cut into
+blocks of targets; for each block, one bit-parallel search of the
+entire graph gives the shortest lengths, and the route lengths are
 filled from the leaf outward, one array gather per level.  Chunks and
 blocks hold about graphs._SEARCH_CELLS (node, target) cells, rounded
 up to whole 64-bit words of targets, so no n x n array is held whatever
@@ -200,34 +209,31 @@ def _toward(graph: Graph, nest: list) -> list[list[tuple]] | None:
     """toward[k - 1][c] for level k cluster c: the nodes of its parent
     outside it, their distances to it inside the parent (an int32
     column) and their gateways to it, from one graphs._gateway_search of
-    every level and sibling rank side by side: copy (k, j) starts from
-    the rank j children of every level k - 1 cluster.  None when a node
-    cannot reach a sibling cluster inside their parent."""
-    width = [max(rank) + 1 for *_, rank in nest]
-    base = [0]
-    for w in width:
-        base.append(base[-1] + w)
-    starts = np.array([b + np.array(rank)[cluster] for b, (_, cluster, _, rank) in zip(base, nest)])
-    # every node of a parent reaches each of the parent's children
-    reach = sum(int(np.bincount(inside)[up].sum()) for inside, _, up, _ in nest)
-    found = graphs._gateway_search(graph, [inside for inside, *_ in nest], starts, reach)
-    if found is None:
-        return None
-    dist, gw = found
+    every level and sibling rank side by side: copy j of level k starts
+    from the rank j children of every level k - 1 cluster.  None when a
+    node cannot reach a sibling cluster inside their parent."""
+    if not nest:
+        return []
+    starts = np.array([np.array(rank)[cluster] for _, cluster, _, rank in nest])
+    found = graphs._gateway_search(graph, [inside for inside, *_ in nest], starts)
     toward = []
-    for b, w, (inside, _, up, rank) in zip(base, width, nest):
+    for (dist, gw), (inside, cluster, up, rank) in zip(found, nest):
         # each parent's nodes in one run, runs in parent order
         by_parent = np.argsort(inside, kind="stable")
-        bounds = np.concatenate(([0], np.bincount(inside).cumsum()))
+        parent_size = np.bincount(inside)
+        bounds = np.concatenate(([0], parent_size.cumsum()))
         copies = []
-        for c in range(b, b + w):
-            row = dist[c, by_parent]
+        for d, g in zip(dist, gw):
+            row = d[by_parent]
             at = np.flatnonzero(row > 0)  # the reached nodes outside the starts
             nodes = by_parent[at]
-            copies.append((nodes, row[at][:, None], gw[c, nodes], np.searchsorted(at, bounds).tolist()))
+            copies.append((nodes, row[at][:, None], g[nodes], np.searchsorted(at, bounds).tolist()))
+        outside = (parent_size[up] - np.bincount(cluster)).tolist()
         level = []
-        for r, p in zip(rank, up):
+        for r, p, m in zip(rank, up, outside):
             nodes, d, g, cut = copies[r]
+            if cut[p + 1] - cut[p] < m:
+                return None  # a node of the parent is out of reach
             s = slice(cut[p], cut[p + 1])
             level.append((nodes[s], d[s], g[s]))
         toward.append(level)
@@ -446,15 +452,12 @@ def measure(
         raise ValueError("stretch measurement needs at least two nodes")
     _require_fit(graph, hierarchy)
     nest = _nesting(hierarchy.label_paths)
-    entries = n  # self entries
-    toward: list[list[tuple]] = []
-    leaf = np.zeros(n, dtype=np.intp)  # each node's leaf
-    if nest:
-        toward = _toward(graph, nest)
-        if toward is None:
-            _fault(graph, hierarchy)
-        entries += sum(len(out) for level in toward for out, _, _ in level)
-        leaf = nest[-1][1]
+    toward = _toward(graph, nest)
+    if toward is None:
+        _fault(graph, hierarchy)
+    # self entries and sibling entries
+    entries = n + sum(len(out) for level in toward for out, _, _ in level)
+    leaf = nest[-1][1] if nest else np.zeros(n, dtype=np.intp)  # each node's leaf
     order = np.argsort(leaf, kind="stable")
     cut = [0, *np.bincount(leaf).cumsum().tolist()]
     leaves = []  # (members, the toward arrays from the leaf outward)

@@ -16,10 +16,14 @@ build_tables() finds every next hop from gateway-carrying BFS runs, one
 per sibling cluster and one per leaf member; the table oracle below
 finds them from all-pairs distances inside each cluster, the definition
 the tables must reproduce exactly, and a frozen digest pins their order.
-measure() composes route lengths from gateway distances and leaf
-distances without building tables; the walker reference routes every
-pair with route() and must be reproduced exactly, with the mean
-per-pair ratio as the correctly rounded exact mean.  A block holds at
+measure() takes its gateways from one array search of every level and
+sibling rank side by side (graphs._gateway_search), which must give
+graphs._gateways' distance and gateway for every node of every parent,
+and it runs no node-set search on a valid hierarchy.  It composes
+route lengths from gateway distances and leaf distances without
+building tables; the walker reference routes every pair with route()
+and must be reproduced exactly, with the mean per-pair ratio as the
+correctly rounded exact mean.  A block holds at
 least 64 targets, so blocks of 64 (_SEARCH_CELLS = 1) are checked on
 the 20x20 torus against the walker and on graphs of 65-160 nodes against
 one block; on 64x64 grids and tori, beyond the walker's reach, nested
@@ -28,7 +32,8 @@ every edge line with one numpy call and checks the rows as arrays, the
 Graph constructor checks and orders the edges by sorting, and
 hierarchy.load() reads each line with one conversion; the line-by-line
 readers and the per-edge constructor below are their references, down
-to the message and line of every rejection.
+to the message and line of every rejection, also for edge lists that
+already come sorted and skip the constructor's sort.
 """
 
 import hashlib
