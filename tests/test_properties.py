@@ -438,12 +438,13 @@ def check_array_gateways(g, h):
     every node of the parent, or no arrays when some node of a parent
     cannot reach one of its children."""
     nest = rt._nesting(h.label_paths)
-    toward = rt._toward(g, nest) if nest else []
+    toward = rt._toward(g, nest)
     missed = False
-    for key, members in rt._prefix_groups(h.label_paths).items():
+    groups = rt._prefix_groups(h.label_paths)
+    for key, members in groups.items():
         if not key:
             continue
-        parent = rt._prefix_groups(h.label_paths)[key[:-1]]
+        parent = groups[key[:-1]]
         want = gr._gateways(g.adj, members, set(parent))
         missed |= len(want) < len(parent)
         if toward is None:
