@@ -3,12 +3,17 @@
 Subcommands: curve, gen, cluster, simulate, fit, validate.
 Exit codes: 0 success, 1 usage error, 2 domain or validation error,
 3 I/O error.
+
+A process builds one argument parser, on its first ``main`` call (not
+at import), and every later call reuses it: a run of many steps in one
+process pays for the parser once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import random
 import sys
@@ -24,12 +29,48 @@ EXIT_IO = 3
 DEFAULT_CURVE_SIZES = [10, 100, 1000, 10000, 100000]
 
 
+# the gen options each topology reads; gen rejects any other one given
+_GEN_OPTIONS = {
+    "ring": {"n"},
+    "grid": {"rows", "cols"},
+    "torus": {"rows", "cols"},
+    "random": {"n", "p", "seed"},
+}
+
+
 class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with 1, and which can
+    run `check` on what it parsed: a message it returns is a usage error."""
+
+    def __init__(self, *args, check=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.check = check
+
     # argparse exits with 2 on bad usage; this tool reserves 2 for domain errors
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        problem = self.check and self.check(namespace)
+        if problem:
+            self.error(problem)
+        return namespace, extras
+
+
+def _unread_gen_options(args) -> str | None:
+    """A usage error naming the gen options given that the topology does
+    not read, or None when every option given is read."""
+    unread = [
+        f"--{name}"
+        for name in ("n", "rows", "cols", "p", "seed")
+        if getattr(args, name) is not None and name not in _GEN_OPTIONS[args.topology]
+    ]
+    if unread:
+        return f"the {args.topology} topology does not read {', '.join(unread)}"
+    return None
 
 
 def _method_tag(tag: str) -> str:
@@ -43,7 +84,9 @@ def _method_tag(tag: str) -> str:
     return tag
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call."""
     parser = _Parser(prog="routestretch", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -58,13 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="optional SVG chart path")
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("gen", help="generate a graph file")
-    p.add_argument("topology", choices=["ring", "grid", "torus", "random"])
+    p = sub.add_parser("gen", help="generate a graph file", check=_unread_gen_options)
+    p.add_argument("topology", choices=list(_GEN_OPTIONS))
     p.add_argument("--n", type=int, help="node count (ring, random)")
     p.add_argument("--rows", type=int, help="rows (grid, torus)")
     p.add_argument("--cols", type=int, help="cols (grid, torus)")
     p.add_argument("--p", type=float, help="edge probability (random)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)  # None when not given; random uses 0
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -136,7 +179,7 @@ def cmd_gen(args) -> int:
         rows=args.rows,
         cols=args.cols,
         edge_prob=args.p,
-        seed=args.seed,
+        seed=args.seed or 0,
     )
     graphs.save(g, args.out)
     print(f"wrote {args.topology} graph ({g.n_nodes} nodes, {g.num_edges} edges) to {args.out}")

@@ -54,7 +54,11 @@ level).
 
 The constructor sorts the edges unless they already come in strict
 (lo, hi) order, as files that ``save`` writes and ``random_graph``
-draws do; one pass over the rows checks that order.
+draws do; one pass over the rows checks that order.  A Graph keeps the
+sorted edges as two int64 arrays, which ``num_edges``, ``==``, ``hash``
+and ``save`` read; the ``edges`` tuple of pairs is built on first use.
+Its CSR adjacency arrays come from one sort of the distinct keys
+src * n + dst, two per edge, which puts every row in ascending order.
 """
 
 from __future__ import annotations
@@ -99,16 +103,20 @@ class EdgeError(ValueError):
 class Graph:
     """Immutable connected undirected graph.
 
-    `edges` is an (m, 2) integer array or an iterable of (u, v) pairs,
-    in any order and orientation.  Before any edge is checked, an edge
-    that is not a pair of integers (Python or numpy) raises TypeError
-    naming it, so a float or a numeric string is never truncated or
-    parsed, and an endpoint beyond int64 raises ValueError.  Then the
-    first edge in input order that is a self-loop, out of range or a
-    repeat raises EdgeError.
+    The `edges` argument is an (m, 2) integer array or an iterable of
+    (u, v) pairs, in any order and orientation.  Before any edge is
+    checked, an edge that is not a pair of integers (Python or numpy)
+    raises TypeError naming it, so a float or a numeric string is never
+    truncated or parsed, and an endpoint beyond int64 raises ValueError.
+    Then the first edge in input order that is a self-loop, out of range
+    or a repeat raises EdgeError.
+
+    The graph holds its edges as sorted (lo, hi) int64 arrays and builds
+    the `edges` tuple of pairs from them on first use: a graph whose
+    `edges` is never read keeps no Python object per edge beyond `adj`.
     """
 
-    __slots__ = ("n_nodes", "edges", "adj", "_csr")
+    __slots__ = ("n_nodes", "adj", "_csr", "_lo", "_hi", "_edges")
 
     def __init__(self, n_nodes: int, edges: np.ndarray | Iterable[tuple[int, int]]):
         if n_nodes < 1:
@@ -138,17 +146,20 @@ class Graph:
         if len(lo) < n_nodes - 1:
             raise DisconnectedGraphError(message)
         self.n_nodes = n_nodes
-        self.edges: tuple[tuple[int, int], ...] = tuple(zip(lo.tolist(), hi.tolist()))
-        # adjacency in CSR form, rows of (src, dst) in lexicographic order.
-        # Each edge gives (hi, lo) and (lo, hi).  The edges are sorted, so
-        # the (hi, lo) entries of one src list its lower neighbours in
-        # ascending order and its (lo, hi) entries its higher ones: a
-        # stable sort by src, (hi, lo) entries first, sorts every row.
-        # The arrays stay on the graph as `_csr`, (row ends, neighbors,
-        # degrees), for the array searches (_search, _gateway_search).
-        src = np.concatenate((hi, lo))
-        neighbors = np.concatenate((lo, hi))[np.argsort(src, kind="stable")]
-        degree = np.bincount(src, minlength=n_nodes)
+        # the sorted edges stay as two read-only int64 arrays that no
+        # caller holds; `edges` is built from them on first use
+        lo.flags.writeable = hi.flags.writeable = False
+        self._lo, self._hi = lo, hi
+        self._edges: tuple[tuple[int, int], ...] | None = None
+        # adjacency in CSR form, rows of (src, dst) in lexicographic order:
+        # one sort of the distinct keys src * n + dst, each edge giving
+        # (lo, hi) and (hi, lo).  With m >= n - 1 edges the keys stay
+        # below (m + 1)**2, inside int64.  The arrays stay on the graph
+        # as `_csr`, (row ends, neighbors, degrees), for the array
+        # searches (_search, _gateway_search).
+        keys = np.sort(np.concatenate((lo * n_nodes + hi, hi * n_nodes + lo)))
+        neighbors = keys % n_nodes
+        degree = np.bincount(lo, minlength=n_nodes) + np.bincount(hi, minlength=n_nodes)
         ends = degree.cumsum()
         self._csr = (ends, neighbors, degree)
         dst, stops = neighbors.tolist(), ends.tolist()
@@ -159,16 +170,27 @@ class Graph:
             raise DisconnectedGraphError(message)
 
     @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The (lo, hi) pairs, lo < hi, in lexicographic order."""
+        if self._edges is None:
+            self._edges = tuple(zip(self._lo.tolist(), self._hi.tolist()))
+        return self._edges
+
+    @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._lo)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n_nodes == other.n_nodes and self.edges == other.edges
+        return (
+            self.n_nodes == other.n_nodes
+            and np.array_equal(self._lo, other._lo)
+            and np.array_equal(self._hi, other._hi)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.n_nodes, self.edges))
+        return hash((self.n_nodes, self._lo.tobytes(), self._hi.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n_nodes={self.n_nodes}, num_edges={self.num_edges})"
@@ -193,7 +215,8 @@ def _sorted_edges(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rows already in strict (lo, hi) order, as save writes them and
     random_graph draws them, hold no repeat: one pass checks that order
-    and the node range, and such rows skip the sort."""
+    and the node range, and such rows skip the sort.  Either way the
+    two arrays returned are new ones, not views of `pairs`."""
     u, v = pairs[:, 0], pairs[:, 1]
     if (
         len(pairs)
@@ -203,7 +226,7 @@ def _sorted_edges(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         and (u[1:] >= u[:-1]).all()
         and ((u[1:] > u[:-1]) | (v[1:] > v[:-1])).all()
     ):
-        return u, v
+        return u.copy(), v.copy()
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     out = (lo < 0) | (hi >= n)
     # a stable sort, so of equal rows the first in input order comes first
@@ -402,7 +425,8 @@ def generate(
 
 def save(graph: Graph, path: str) -> None:
     """Write the canonical text form (header line, then sorted edges)."""
-    text = "".join([f"n {graph.n_nodes}\n", *(f"{u} {v}\n" for u, v in graph.edges)])
+    pairs = zip(graph._lo.tolist(), graph._hi.tolist())
+    text = "".join([f"n {graph.n_nodes}\n", *(f"{u} {v}\n" for u, v in pairs)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

@@ -3,6 +3,7 @@
 Exit-code contract: 0 success, 1 usage, 2 domain/validation, 3 I/O.
 """
 
+import argparse
 import math
 import re
 import warnings
@@ -11,7 +12,10 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from routestretch import analytic as an
+from routestretch import cli
 from routestretch import graphs as gr
+from routestretch import hierarchy as hi
+from routestretch import routing as rt
 from routestretch.cli import main
 
 
@@ -141,6 +145,95 @@ def test_gen_is_deterministic(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert gr.load(a) == gr.random_graph(20, 0.2, seed=7)
+
+
+@pytest.mark.parametrize("argv, graph", [
+    (["ring", "--n", "8"], gr.ring_graph(8)),
+    (["grid", "--rows", "3", "--cols", "4"], gr.grid_graph(3, 4)),
+    (["torus", "--rows", "4", "--cols", "4"], gr.torus_graph(4, 4)),
+    (["random", "--n", "20", "--p", "0.2"], gr.random_graph(20, 0.2, seed=0)),
+    (["random", "--n", "20", "--p", "0.2", "--seed", "7"], gr.random_graph(20, 0.2, seed=7)),
+])
+def test_gen_writes_each_topology(tmp_path, capsys, argv, graph):
+    # without --seed, random draws from seed 0
+    out = tmp_path / "g.graph"
+    want = tmp_path / "want.graph"
+    gr.save(graph, want)
+    assert main(["gen", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == (
+        f"wrote {argv[0]} graph ({graph.n_nodes} nodes, {graph.num_edges} edges) "
+        f"to {out}\n",
+        "",
+    )
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["ring", "--n", "8", "--seed", "5"], "--seed"),
+    (["ring", "--n", "8", "--rows", "2", "--p", "0.3"], "--rows, --p"),
+    (["grid", "--rows", "3", "--cols", "4", "--n", "12"], "--n"),
+    (["grid", "--rows", "3", "--cols", "4", "--seed", "0"], "--seed"),
+    (["torus", "--rows", "4", "--cols", "4", "--p", "0.3"], "--p"),
+    (["random", "--n", "20", "--p", "0.2", "--cols", "4"], "--cols"),
+])
+def test_gen_rejects_an_option_its_topology_does_not_read(tmp_path, capsys, argv, unread):
+    out = tmp_path / "g.graph"
+    assert main(["gen", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: routestretch gen ")
+    assert captured.err.endswith(
+        f"routestretch gen: error: the {argv[0]} topology does not read {unread}\n"
+    )
+    assert not out.exists()
+
+
+def run_main(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv)."""
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys, monkeypatch):
+    # main builds its parser on the first call and reuses it: a sequence
+    # of calls in one process gives what each call gives on a parser of
+    # its own, and builds one parser in all
+    graph, hier = tmp_path / "g.graph", tmp_path / "h.clusters"
+    results = tmp_path / "results.csv"
+    g = gr.ring_graph(8)
+    gr.save(g, graph)
+    hi.save(hi.build_balanced(g, 2, 2), hier)
+    results.write_text("".join([
+        rt.StretchReport.CSV_HEADER + "\n",
+        *(rt.measure(g, hi.build_balanced(g, k, 2)).csv_record() + "\n" for k in (1, 2, 3)),
+    ]))
+    calls = [
+        ["gen", "ring", "--n", "8"],  # no --out: a usage error
+        ["--help"],
+        ["curve", "--out", str(tmp_path / "curve.csv")],  # default --n-nodes
+        ["simulate", "--graph", str(graph), "--hierarchy", str(hier)],
+        ["fit", "--input", str(results)],
+        ["validate"],
+    ]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    shared = [run_main(argv, capsys) for argv in calls]
+    shared += [run_main(argv, capsys) for argv in calls]
+    assert built.count("routestretch") == 1
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 0] * 2
+    assert shared[:6] == shared[6:]
+    for argv, got in zip(calls, shared):
+        cli.build_parser.cache_clear()
+        assert run_main(argv, capsys) == got
+    assert built.count("routestretch") == 1 + len(calls)
+    assert cli.DEFAULT_CURVE_SIZES == [10, 100, 1000, 10000, 100000]
 
 
 def test_usage_errors_exit_1(capsys):

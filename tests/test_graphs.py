@@ -1,6 +1,8 @@
 """Graph construction, generators, file round-trips, and distances."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +173,38 @@ def test_save_load_roundtrip(tmp_path):
     lines = text.decode().splitlines()
     assert lines[0] == "n 16"
     assert len(lines) == 33
+
+
+@pytest.mark.parametrize("graph", [
+    gr.torus_graph(20, 20), gr.torus_graph(40, 40), gr.random_graph(700, 0.043, seed=1),
+], ids=["torus20", "torus40", "random700"])
+def test_save_of_load_is_byte_identical(tmp_path, graph):
+    # save writes from the edge arrays; the text is the header and one
+    # "u v" line per edge of `edges`
+    text = "".join([f"n {graph.n_nodes}\n", *(f"{u} {v}\n" for u, v in graph.edges)])
+    first, second = tmp_path / "first.graph", tmp_path / "second.graph"
+    first.write_text(text, encoding="utf-8")
+    gr.save(gr.load(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_a_loaded_graph_holds_its_edges_once(tmp_path):
+    # the edges stay two int64 arrays next to the adjacency rows, and the
+    # tuple of edge pairs is built only when read: the 100x100 torus
+    # (20,000 edges) held 4.8 MB while both were kept
+    path = tmp_path / "torus100.graph"
+    gr.save(gr.torus_graph(100, 100), path)
+    gr.load(path)  # the first load's one-time allocations do not count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = gr.load(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 20000
+    assert held < 3 * 2**20
 
 
 def test_load_rejects_malformed_files(tmp_path):

@@ -33,7 +33,9 @@ Graph constructor checks and orders the edges by sorting, and
 hierarchy.load() reads each line with one conversion; the line-by-line
 readers and the per-edge constructor below are their references, down
 to the message and line of every rejection, also for edge lists that
-already come sorted and skip the constructor's sort.
+already come sorted and skip the constructor's sort.  The constructor's
+CSR arrays come from one sort of the keys src * n + dst; the stable
+argsort of the sources that built them before is their reference.
 """
 
 import hashlib
@@ -188,16 +190,14 @@ def clustered_graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(clustered_graphs(), st.sampled_from([1, 40, 1 << 18]))
-def test_measure_equals_route_walker(gh, search_cells):
+@given(clustered_graphs())
+def test_measure_equals_route_walker(gh):
     g, h = gh
     assert hi.validate(h, g) == []
-    # every block size holds at least 64 targets, so these graphs of at
-    # most 30 nodes take one block; the 20x20 torus and
+    # a block holds at least 64 targets, so these graphs of at most 30
+    # nodes take one block whatever _SEARCH_CELLS is; the 20x20 torus and
     # test_measure_is_the_same_in_one_block_or_many take several
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gr, "_SEARCH_CELLS", search_cells)
-        rep = rt.measure(g, h)
+    rep = rt.measure(g, h)
     assert rep == reference(g, h)
     assert rep.s_p >= 1.0
     flat = rt.measure(g, hi.flat_hierarchy(g))
@@ -410,13 +410,11 @@ def outcome(call, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(labelled_graphs(), st.sampled_from([1, 40, 1 << 18]))
-def test_measure_fails_as_build_tables_does(gh, search_cells):
+@given(labelled_graphs())
+def test_measure_fails_as_build_tables_does(gh):
     g, h = gh
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gr, "_SEARCH_CELLS", search_cells)
-        tables = outcome(rt.build_tables, g, h)
-        rep = outcome(rt.measure, g, h)
+    tables = outcome(rt.build_tables, g, h)
+    rep = outcome(rt.measure, g, h)
     want = oracle_failure(g, h)
     if want is None:
         assert rep == reference(g, h)
@@ -1781,3 +1779,58 @@ def test_graph_names_the_first_bad_edge_in_input_order():
     # called it out of range
     with pytest.raises(ValueError, match="outside the int64 range"):
         gr.Graph(3, [(0, 1), (1, 2**64)])
+
+
+def oracle_csr(n_nodes, pairs):
+    """(row ends, neighbors, degrees) of the sorted (lo, hi) `pairs` as a
+    stable argsort of the sources built them: each edge gives (hi, lo)
+    and (lo, hi), the (hi, lo) entries of a row first, so every row
+    comes out ascending."""
+    lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    src = np.concatenate((hi, lo))
+    neighbors = np.concatenate((lo, hi))[np.argsort(src, kind="stable")]
+    degree = np.bincount(src, minlength=n_nodes)
+    return degree.cumsum(), neighbors, degree
+
+
+@st.composite
+def connected_edge_lists(draw):
+    """Connected graphs of 1-30 nodes as edge lists, a drawn spanning
+    tree plus drawn edges: in (lo, hi) order, or shuffled and flipped."""
+    n = draw(st.integers(1, 30))
+    ids = st.integers(0, n - 1)
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    pairs = sorted({(min(e), max(e)) for e in tree + extra if e[0] != e[1]})
+    if draw(st.booleans()):
+        return n, pairs
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(v, u) if f else (u, v) for (u, v), f in zip(pairs, flips)]
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_edge_lists())
+def test_list_and_array_graphs_equal_the_argsort_oracle(case):
+    # Graph keeps its edges as arrays and builds `edges` on first use;
+    # its CSR comes from one sort of the keys src * n + dst
+    n, edges = case
+    array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    by_list, by_array = gr.Graph(n, edges), gr.Graph(n, array)
+    array[:] = 0  # the graph holds no view of the caller's array
+    pairs = tuple(sorted((min(e), max(e)) for e in edges))
+    for g in (by_list, by_array):
+        assert g._edges is None
+        assert g.num_edges == len(pairs)
+        for got, want in zip(g._csr, oracle_csr(n, pairs)):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert g.edges == pairs
+        assert graph_value(g) == oracle_graph(n, edges)
+    assert by_list == by_array and hash(by_list) == hash(by_array)
+    absent = next(
+        ((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs), None
+    )
+    if absent is not None:
+        other = gr.Graph(n, [*pairs, absent])
+        assert other != by_list and other.num_edges == len(pairs) + 1
+    assert by_list != gr.Graph(n + 1, [*pairs, (n - 1, n)])
