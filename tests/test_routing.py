@@ -216,10 +216,13 @@ def test_measure_ignores_tables_missing_an_entry(monkeypatch):
     assert measure_given(monkeypatch, tables, g, h) == want
 
 
-def test_measure_names_the_walkers_first_fault():
+@pytest.mark.parametrize("search_cells", [1, 20, 1 << 16])
+def test_measure_names_the_walkers_first_fault(monkeypatch, search_cells):
     # faults in several clusters of a hierarchy: both level 1 clusters
     # are disconnected (6 and 7 are cut off from their siblings), and so
-    # are leaves {0, 2} and {4, 7}; the one raised is the walker's first
+    # are leaves {0, 2} and {4, 7}; the one raised is the walker's first,
+    # whatever the search block size
+    monkeypatch.setattr(gr, "_SEARCH_CELLS", search_cells)
     g = gr.ring_graph(8)
     paths = ((0, 0), (0, 1), (0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 0))
     h = hi.Hierarchy(3, paths)
@@ -261,9 +264,11 @@ def test_disconnected_leaf_raises_routing_error():
             call(g, h)
 
 
-def test_disconnected_leaf_names_lowest_pair():
+@pytest.mark.parametrize("search_cells", [1, 12, 1 << 18])
+def test_disconnected_leaf_names_lowest_pair(monkeypatch, search_cells):
     # ring-10 leaf 0 = {0, 1, 2, 5, 6, 9} has components {0, 1, 2, 9} and
-    # {5, 6}; the lowest pair is named
+    # {5, 6}; every _SEARCH_CELLS names the same pair
+    monkeypatch.setattr(gr, "_SEARCH_CELLS", search_cells)
     g = gr.ring_graph(10)
     h = hi.Hierarchy(2, tuple((0,) if u in (0, 1, 2, 5, 6, 9) else (1,) for u in range(10)))
     for call in (rt.build_tables, rt.measure):
