@@ -36,9 +36,11 @@ Four other searches stay for speed: ``hierarchy._severed``,
 whose searches from a cut candidate's neighbours stop once they meet,
 or do not start when its two neighbours share a third, and which holds
 its searches as bit sets when a candidate has more than four
-unassigned neighbours (``hierarchy._search_masks``, whose starts are
-the candidate's adjacency row ANDed with the remainder; the rows exist
-only on graphs with a node of more than four neighbours);
+unassigned neighbours in a split dense enough for bit sets to pay
+(``hierarchy._search_masks``, whose starts are the candidate's
+adjacency row ANDed with the remainder, and ``hierarchy._masks_pay``;
+the rows are packed from the constructor's CSR arrays once a split
+takes that search);
 ``_search``, the bit-parallel hop-distance search, which runs a block of sources
 at once as bits over the whole graph (``all_pairs_shortest_lengths``
 and measure's shortest lengths) or over labelled node sets side by side
@@ -156,7 +158,8 @@ class Graph:
         # (lo, hi) and (hi, lo).  With m >= n - 1 edges the keys stay
         # below (m + 1)**2, inside int64.  The arrays stay on the graph
         # as `_csr`, (row ends, neighbors, degrees), for the array
-        # searches (_search, _gateway_search).
+        # searches (_search, _gateway_search) and the balanced builder's
+        # bit rows (hierarchy._rows).
         keys = np.sort(np.concatenate((lo * n_nodes + hi, hi * n_nodes + lo)))
         neighbors = keys % n_nodes
         degree = np.bincount(lo, minlength=n_nodes) + np.bincount(hi, minlength=n_nodes)

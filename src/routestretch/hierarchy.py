@@ -29,15 +29,20 @@ node whose loss would disconnect the nodes still unassigned.  That test
 is exact but local: a node with just two unassigned neighbours that
 share a third unassigned one is cleared at once, and otherwise searches
 from the node's unassigned neighbours stop as soon as they all meet or
-one runs dry (``_severed``).  A node with more than four unassigned
-neighbours is searched with bit sets, Python ints with one bit per node
-id, so that one AND of an adjacency row with the remainder finds all of
-a node's unassigned neighbours (``_search_masks``): the candidate's own
-row gives the search's starts, and every later row a front's new nodes.
-That pays on dense graphs, where nearly every candidate has many.  The
-rows exist only when some node of the graph has more than four
-neighbours; grids, tori and rings build neither a row nor the
-remainder's bit set.
+one runs dry (``_severed``).  In a dense split, a node with more than
+four unassigned neighbours is searched with bit sets, Python ints with
+one bit per node id, so that one AND of an adjacency row with the
+remainder finds all of a node's unassigned neighbours
+(``_search_masks``); with more than eight, a fast join first grows one
+set from the lowest neighbour's closed neighbourhood, which on a dense
+graph takes in every neighbour within a pass or two.  A bit operation
+costs the remainder's width in bits whatever the degree, a set search
+a probe per edge, so a split takes the masks only when its members'
+mean degree passes 3 + width / 300 (``_masks_pay``).  The rows are
+packed from the graph's CSR arrays for the first split that takes the
+masks, and the remainder's bit set is kept only in such splits.  Grids
+and tori never build either; nor do the 40x40 and 200x200 tori with one
+extra edge, or random giants of 4,000 nodes with mean degree 12.
 Each seed gets the same test, so the remainder is known to be connected
 from a part's first candidate on unless the seed cut it.  A node found
 to cut the remainder keeps a memo of the cut, counted down as nodes are
@@ -127,7 +132,24 @@ def flat_hierarchy(graph: Graph) -> Hierarchy:
     return Hierarchy(1, tuple(() for _ in range(graph.n_nodes)), method="flat")
 
 
-_MASK_STARTS = 4  # candidates with more unassigned neighbours take _search_masks
+_MASK_STARTS = 4  # candidates with more unassigned neighbours may take _search_masks
+_JOIN_STARTS = 8  # mask candidates with more starts try the fast join first
+_ROW_CELLS = 1 << 22  # booleans per chunk while bit rows are packed
+
+
+def _masks_pay(degrees: int, size: int, width: int) -> bool:
+    """Whether a split's cut tests take the masks: `size` members whose
+    degrees sum to `degrees`, held as bit sets `width` bits wide.
+
+    Both searches expand about the same nodes.  The set search pays a
+    set probe per edge of each, the mask search a few operations on
+    `width` bits, whatever the degree.  So the masks win past a mean
+    degree that grows with the width, 3 + width / 300.  That fits the
+    crossovers measured on the giant components of random graphs at
+    level 3 (b = 2): a mean degree of about 6 at 700 nodes, 7.5 at
+    1,500, 9 at 2,000, 13 at 3,000, 16.5 at 4,000 and 31 at 8,000.
+    """
+    return degrees * 300 > size * (900 + width)
 
 
 def _bits(ids) -> int:
@@ -136,6 +158,28 @@ def _bits(ids) -> int:
     for x in ids:
         mask |= 1 << x
     return mask
+
+
+def _rows(graph: Graph) -> list[int]:
+    """Every node's adjacency row as a bit set, ``_bits(graph.adj[u])``,
+    packed from the CSR arrays: a boolean row of whole bytes per node,
+    at most `_ROW_CELLS` booleans at a time."""
+    ends, neighbors, degree = graph._csr
+    n = graph.n_nodes
+    size = -(-n // 8)  # bytes per row
+    step = max(1, _ROW_CELLS // (8 * size))
+    firsts = ends - degree
+    rows: list[int] = []
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        cells = np.zeros((b - a) * 8 * size, dtype=bool)
+        offsets = np.repeat(np.arange(0, len(cells), 8 * size), degree[a:b])
+        cells[offsets + neighbors[firsts[a] : ends[b - 1]]] = True
+        data = np.packbits(cells, bitorder="little").tobytes()
+        rows.extend(
+            int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)
+        )
+    return rows
 
 
 def _ids(mask: int) -> set[int]:
@@ -155,21 +199,20 @@ def _severed(w: int, nodes: set[int], adj, rows, rest: int) -> set[int] | None:
     it settles most candidates on a torus.  Otherwise searches start at
     the neighbours and stop once they all meet or one runs dry.  Up to
     four neighbours take ``_search_sets``, with a set probe per edge.
-    More take ``_search_masks``, where one AND of a bit row with the
-    remainder absorbs a node's whole adjacency: 695 of the 700 cut tests
-    of G(700, 0.043) at level 3 have more than four.  Every mask
-    operation costs n/64 words, which a candidate with four neighbours
-    does not win back: sending those to the masks too made the 100x100
-    torus at level 4 cluster 15-17% slower.  `rows` holds the bit rows
-    (None on graphs of degree at most four, which never search masks)
-    and `rest` is `nodes` as a bit set, with or without w; the masks get
-    it without w.
+    More take ``_search_masks`` where `rows`, the bit rows, is given,
+    which ``build_balanced`` does only in the splits that pass
+    ``_masks_pay``: there one AND of a bit row with the remainder absorbs
+    a node's whole adjacency.  Every mask operation costs the width of
+    `rest` in bits, which a candidate with four neighbours does not win
+    back: sending those to the masks too made the 100x100 torus at level
+    4 cluster 15-17% slower.  `rest` is `nodes` as a bit set, with or
+    without w; the masks get it without w.
     """
     starts = [x for x in adj[w] if x in nodes]
     if len(starts) <= 1:
         return None
-    if len(starts) > _MASK_STARTS:
-        return _search_masks(w, rest & ~(1 << w), rows)
+    if len(starts) > _MASK_STARTS and rows is not None:
+        return _search_masks(w, starts, rest & ~(1 << w), rows)
     if len(starts) == 2:
         # a neighbour shared by both starts joins them (w is not in nodes)
         a, b = starts
@@ -222,24 +265,51 @@ def _search_sets(starts: list[int], nodes: set[int], adj) -> set[int] | None:
                             return None
 
 
-def _search_masks(w: int, rest: int, rows: list[int]) -> set[int] | None:
-    """``_search_sets``'s answer for w's neighbours in the bit set `rest`
-    (which holds no w), found with two fronts held as bit sets.
+def _search_masks(
+    w: int, starts: list[int], rest: int, rows: list[int]
+) -> set[int] | None:
+    """``_search_sets``'s answer for `starts`, w's neighbours in the bit
+    set `rest` (which holds no w) in ascending order, found with bit sets.
 
-    The starts are one AND, w's row with `rest`.  Each front keeps the
-    nodes it reached and those it has still to expand.  Front A starts
-    at the lowest start, front B at the lowest start A has not reached,
-    and they take turns expanding their lowest pending node: one AND of
-    its row with `rest`, less what the front reached, gives the new
-    nodes.  When the fronts meet, they merge into A and B restarts at
-    the next start A has not reached; once there is none, the starts are
-    joined.  A front that runs dry first holds a whole component,
-    returned as node ids.  `rows[u]` is u's adjacency row.
+    With more than `_JOIN_STARTS` starts a fast join runs first: one
+    connected set grows from the lowest start's closed neighbourhood,
+    each pass taking in every start adjacent to it together with that
+    start's neighbours.  When it holds every start, they are joined;
+    dense remainders join in a pass or two.  When a pass takes in
+    nothing, the set becomes front A of the search below, all of it
+    pending (a row it took in adds nothing when expanded again).
+
+    Each front keeps the nodes it reached and those it has still to
+    expand.  Front A starts at the lowest start, front B at the lowest
+    start A has not reached, and they take turns expanding their lowest
+    pending node: one AND of its row with `rest`, less what the front
+    reached, gives the new nodes.  When the fronts meet, they merge into
+    A and B restarts at the next start A has not reached; once there is
+    none, the starts are joined.  A front that runs dry first holds a
+    whole component, returned as node ids.  `rows[u]` is u's adjacency
+    row, and ``rows[w] & rest`` holds the starts.
     """
     left = rows[w] & rest
     # (seen, pend) is the front that expands next, A after every merge;
     # (seen2, pend2) is the other
     seen = pend = left & -left
+    if len(starts) > _JOIN_STARTS:
+        seen |= rows[starts[0]] & rest
+        waiting = starts[1:]
+        while waiting:
+            out = []
+            for x in waiting:
+                row = rows[x]
+                if row & seen:
+                    seen |= row & rest | 1 << x
+                else:
+                    out.append(x)
+            if len(out) == len(waiting):
+                break
+            waiting = out
+        else:
+            return None
+        pend = seen  # rows already taken in add nothing when expanded again
     while True:
         left &= ~seen
         if not left:
@@ -464,17 +534,28 @@ def build_balanced(graph: Graph, levels: int, branching: int = 2) -> Hierarchy:
     if levels == 1:
         return flat_hierarchy(graph)
     paths: list[list[int]] = [[] for _ in range(graph.n_nodes)]
-    # bit rows of _search_masks, shared by every split; only a candidate
-    # with more than _MASK_STARTS unassigned neighbours searches masks
+    # a split passes _masks_pay only with a node of more than four
+    # neighbours; the bit rows, shared by every split, are built for the
+    # first split that passes
+    degree = graph._csr[2]
+    degree = degree.tolist() if degree.max() > _MASK_STARTS else None
     rows = None
-    if any(len(nbrs) > _MASK_STARTS for nbrs in graph.adj):
-        rows = [_bits(nbrs) for nbrs in graph.adj]
     current: list[tuple[int | None, list[int]]] = [(None, list(range(graph.n_nodes)))]
     for level in range(1, levels):
         nxt: list[tuple[int | None, list[int]]] = []
         for parent_id, members in current:
+            masked = degree is not None and _masks_pay(
+                sum(map(degree.__getitem__, members)), len(members), members[-1] + 1
+            )
+            if masked and rows is None:
+                rows = _rows(graph)
             for region in _grow_regions(
-                members, graph.adj, branching, level, parent_id, rows
+                members,
+                graph.adj,
+                branching,
+                level,
+                parent_id,
+                rows if masked else None,
             ):
                 cid = len(nxt)
                 for u in region:

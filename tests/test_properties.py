@@ -5,13 +5,19 @@ build_balanced() decides whether taking a node disconnects the
 unassigned remainder with a search near the node and a memo of known cut
 vertices; the clustering oracle below searches the whole remainder for
 every candidate, and its label paths and error messages must be
-reproduced exactly.  graphs._search() finds the hop distances of a
-block of sources with one bit-parallel search, over the entire graph or
-over labelled node sets side by side, each keeping to its own label; the
-reference is one breadth-first search per source (induced_distances
-below), which every other oracle here uses too, and it is the reference
-for graphs._gateways, the one breadth-first search of a node set
-(nearest source, lowest id on ties), and for graphs._components.
+reproduced exactly.  Its bit-set cut test (hierarchy._search_masks,
+with the fast join of dense candidates) must give the set search's
+answer; its bit rows, packed from the CSR arrays a chunk at a time,
+must equal hierarchy._bits of each adjacency list; and graphs where the
+masks do not pay must build no bit set at all, and the same hierarchy
+as with the masks forced on.  graphs._search() finds the hop distances
+of a block of sources with one bit-parallel search, over the entire
+graph or over labelled node sets side by side, each keeping to its own
+label; the reference is one breadth-first search per source
+(induced_distances below), which every other oracle here uses too, and
+it is the reference for graphs._gateways, the one breadth-first search
+of a node set (nearest source, lowest id on ties), and for
+graphs._components.
 build_tables() finds every next hop from gateway-carrying BFS runs, one
 per sibling cluster and one per leaf member; the table oracle below
 finds them from all-pairs distances inside each cluster, the definition
@@ -986,14 +992,16 @@ def test_dense_error_message_frozen():
     )
 
 
+def refuse(*args):
+    raise AssertionError("mask search entered")
+
+
 def test_mask_search_only_past_four_starts(monkeypatch):
     # degree 4 keeps tori and grids on the set search, and they build no
     # bit set at all: neither a row nor the remainder's
-    def refuse(*args):
-        raise AssertionError("mask search entered")
-
     monkeypatch.setattr(hi, "_search_masks", refuse)
     monkeypatch.setattr(hi, "_bits", refuse)
+    monkeypatch.setattr(hi, "_rows", refuse)
     for levels in range(2, 6):
         hi.build_balanced(gr.torus_graph(40, 40), levels, 2)
     for levels in range(2, 7):
@@ -1002,16 +1010,59 @@ def test_mask_search_only_past_four_starts(monkeypatch):
 
 def test_mask_search_entered_on_dense_graphs(monkeypatch):
     search = hi._search_masks
-    starts = []
+    counts = []
 
-    def count(w, rest, rows):
-        found = search(w, rest, rows)
-        starts.append(bin(rows[w] & rest).count("1"))
-        return found
+    def count(w, starts, rest, rows):
+        counts.append(len(starts))
+        return search(w, starts, rest, rows)
 
     monkeypatch.setattr(hi, "_search_masks", count)
     hi.build_balanced(gr.random_graph(700, 0.043, seed=1), 3, 2)
-    assert starts and min(starts) > 4
+    assert counts and min(counts) > 4
+
+
+def numpy_giant(n, mean_degree, seed):
+    """The largest component of n nodes joined by n * mean_degree / 2
+    pairs drawn with numpy (loops and repeats dropped), relabelled in id
+    order."""
+    rng = np.random.default_rng(seed)
+    pairs = np.sort(rng.integers(0, n, size=(n * mean_degree // 2, 2)), axis=1)
+    pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    adj = [[] for _ in range(n)]
+    for u, v in pairs.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    giant = sorted(gr._components(set(range(n)), adj)[-1])
+    new = np.full(n, -1)
+    new[giant] = np.arange(len(giant))
+    return gr.Graph(len(giant), new[pairs[new[pairs[:, 0]] >= 0]])
+
+
+def torus_plus_edge(side):
+    """The side x side torus plus an edge from node 0 to the middle."""
+    g = gr.torus_graph(side, side)
+    middle = side * side // 2 + side // 2
+    return gr.Graph(g.n_nodes, [*g.edges, (0, middle)])
+
+
+@pytest.mark.parametrize("name, levels", [("torus-40-plus-edge", 5), ("giant-4000", 3)])
+def test_sparse_graphs_build_no_bit_sets(monkeypatch, name, levels):
+    # a degree-5 node on a lattice, and a random giant of mean degree 12
+    # at 4,000 nodes, where the masks lose to the set search: neither
+    # builds a row or a remainder's bit set, and forcing the masks on
+    # gives the same hierarchy
+    if name == "giant-4000":
+        g = numpy_giant(4000, 12, seed=1)
+        assert 3900 < g.n_nodes <= 4000
+    else:
+        g = torus_plus_edge(40)
+        assert max(map(len, g.adj)) == 5
+    with pytest.MonkeyPatch.context() as mp:
+        for attr in ("_search_masks", "_bits", "_rows"):
+            mp.setattr(hi, attr, refuse)
+        paths = hi.build_balanced(g, levels, 2).label_paths
+    monkeypatch.setattr(hi, "_masks_pay", lambda *args: True)
+    assert hi.build_balanced(g, levels, 2).label_paths == paths
 
 
 def small_shapes(n):
@@ -1291,7 +1342,7 @@ def test_local_cut_test_exhaustive(name):
                 if len(starts) > 1:
                     # the set search and the mask search agree
                     searches.append(hi._search_sets(starts, rest, adj))
-                    searches.append(hi._search_masks(w, hi._bits(rest), rows))
+                    searches.append(hi._search_masks(w, starts, hi._bits(rest), rows))
                 for found in searches:
                     assert (found is None) == (got is None), (chosen, w)
                     if found is not None:
@@ -1341,7 +1392,7 @@ def test_mask_search_past_one_word(case):
         got = hi._severed(w, rest, adj, rows, bits)
         assert (got is None) == gr._connected_set(rest, adj), w
         sets = hi._search_sets(starts, rest, adj)
-        masks = hi._search_masks(w, bits & ~(1 << w), rows)
+        masks = hi._search_masks(w, starts, bits & ~(1 << w), rows)
         for found in (got, sets, masks):
             assert (found is None) == (got is None), w
             if found is not None:
@@ -1349,6 +1400,97 @@ def test_mask_search_past_one_word(case):
                 assert sorted(found) in comps
                 assert any(x in found for x in starts)
     assume(checked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 300),
+    st.integers(0, 2**16),
+    st.floats(0, 0.3),
+    st.integers(1, 301),
+)
+def test_rows_from_the_csr_equal_bits(n, seed, p, per_chunk):
+    # rows packed a chunk of `per_chunk` rows at a time, most of them
+    # ending inside a byte and many chunks cut short by the last row
+    rng = random.Random(seed)
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    edges.update(pair for pair in combinations(range(n), 2) if rng.random() < p)
+    g = gr.Graph(n, sorted(edges))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hi, "_ROW_CELLS", per_chunk * -(-n // 8) * 8)
+        assert hi._rows(g) == [hi._bits(nbrs) for nbrs in g.adj]
+
+
+class ReadRows(list):
+    """Bit rows that note which of them a search reads."""
+
+    def __getitem__(self, u):
+        self.read.add(u)
+        return super().__getitem__(u)
+
+
+@st.composite
+def joined_blocks(draw):
+    """Two dense random blocks of 65-100 nodes, a hub with 6-10
+    neighbours in each and, unless `bridge` is 0, a path of `bridge`
+    new nodes from one block to the other; ids shuffled.  Returns the
+    graph, the hub and the connected remainder left once up to a tenth
+    of the other nodes are taken."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    sizes = [draw(st.integers(65, 100)) for _ in range(2)]
+    bridge = draw(st.sampled_from([0, 2, 3, 5]))
+    n = sum(sizes) + bridge + 1
+    order = list(range(n))
+    rng.shuffle(order)
+    blocks = [order[: sizes[0]], order[sizes[0] : sum(sizes)]]
+    hub, path = order[-1], order[sum(sizes) : -1]
+    edges = set()
+    for block in blocks:
+        p = draw(st.floats(0.3, 0.7))
+        edges.update(zip(block, block[1:]))
+        edges.update(pair for pair in combinations(block, 2) if rng.random() < p)
+        edges.update((hub, x) for x in rng.sample(block, draw(st.integers(6, 10))))
+    if bridge:
+        chain = [rng.choice(blocks[0]), *path, rng.choice(blocks[1])]
+        edges.update(zip(chain, chain[1:]))
+    g = gr.Graph(n, sorted(tuple(sorted(e)) for e in edges))
+    taken = set(rng.sample(order[:-1], draw(st.integers(0, n // 10))))
+    remainder = set(gr._components(set(range(n)) - taken, g.adj)[-1])
+    return g, hub, remainder
+
+
+@settings(max_examples=40, deadline=None)
+@given(joined_blocks())
+def test_fast_join_equals_set_search(case):
+    # every candidate with more than _JOIN_STARTS starts; the dense
+    # blocks' nodes are joined by the fast join, which reads no row but
+    # the candidate's and its starts', and the hub's starts in the other
+    # block are not, so its search goes on from the joined set
+    g, hub, remainder = case
+    assume(hub in remainder and max(remainder) >= 128)
+    adj = g.adj
+    rows = ReadRows(hi._rows(g))
+    bits = hi._bits(remainder)
+    joined = fell_back = 0
+    for w in sorted(remainder):
+        rest = remainder - {w}
+        starts = [x for x in adj[w] if x in rest]
+        if len(starts) <= hi._JOIN_STARTS:
+            continue
+        rows.read = set()
+        masks = hi._search_masks(w, starts, bits & ~(1 << w), rows)
+        if rows.read <= {w, *starts}:
+            joined += 1
+        else:
+            fell_back += 1
+        assert (masks is None) == gr._connected_set(rest, adj), w
+        sets = hi._search_sets(starts, rest, adj)
+        assert (sets is None) == (masks is None), w
+        if masks is not None:
+            # one whole component, reached from a neighbour of w
+            assert sorted(masks) in gr._components(rest, adj)
+            assert any(x in masks for x in starts)
+    assert joined and fell_back
 
 
 def oracle_graph(n_nodes, edges):
