@@ -36,6 +36,11 @@ _GEN_OPTIONS = {
     "torus": {"rows", "cols"},
     "random": {"n", "p", "seed"},
 }
+# the cluster options that only one method reads
+_CLUSTER_OPTIONS = {
+    "balanced": ("--levels", "--branching"),
+    "grid": ("--rows", "--cols", "--block-rows", "--block-cols"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,6 +75,23 @@ def _unread_gen_options(args) -> str | None:
     ]
     if unread:
         return f"the {args.topology} topology does not read {', '.join(unread)}"
+    return None
+
+
+def _cluster_options(args) -> str | None:
+    """A usage error naming the cluster options given that the method does
+    not read, or the grid options missing; None when the options fit."""
+    def given(flag):
+        return getattr(args, flag[2:].replace("-", "_")) is not None
+
+    other = "grid" if args.method == "balanced" else "balanced"
+    unread = [flag for flag in _CLUSTER_OPTIONS[other] if given(flag)]
+    if unread:
+        return f"the {args.method} method does not read {', '.join(unread)}"
+    if args.method == "grid":
+        missing = [flag for flag in _CLUSTER_OPTIONS["grid"] if not given(flag)]
+        if missing:
+            return f"the grid method needs {', '.join(missing)}"
     return None
 
 
@@ -111,11 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("cluster", help="build a hierarchy over a graph")
+    p = sub.add_parser("cluster", help="build a hierarchy over a graph",
+                       check=_cluster_options)
     p.add_argument("--graph", required=True)
     p.add_argument("--method", choices=["balanced", "grid"], default="balanced")
-    p.add_argument("--levels", type=int, default=2, help="balanced: level count")
-    p.add_argument("--branching", type=int, default=2, help="balanced: parts per split")
+    # None when not given, so grid can reject them; balanced uses 2
+    p.add_argument("--levels", type=int, help="balanced: level count (default 2)")
+    p.add_argument("--branching", type=int, help="balanced: parts per split (default 2)")
     p.add_argument("--rows", type=int, help="grid: grid rows")
     p.add_argument("--cols", type=int, help="grid: grid cols")
     p.add_argument("--block-rows", type=int, help="grid: block rows")
@@ -189,13 +213,12 @@ def cmd_gen(args) -> int:
 def cmd_cluster(args) -> int:
     g = graphs.load(args.graph)
     if args.method == "balanced":
-        h = hierarchy.build_balanced(g, args.levels, args.branching)
+        h = hierarchy.build_balanced(
+            g,
+            2 if args.levels is None else args.levels,
+            2 if args.branching is None else args.branching,
+        )
     else:
-        needed = [args.rows, args.cols, args.block_rows, args.block_cols]
-        if any(v is None for v in needed):
-            raise ValueError(
-                "grid method needs --rows, --cols, --block-rows and --block-cols"
-            )
         h = hierarchy.build_grid_blocks(
             g, args.rows, args.cols, [(args.block_rows, args.block_cols)]
         )

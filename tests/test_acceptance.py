@@ -18,6 +18,8 @@ from routestretch import hierarchy as hi
 from routestretch import routing as rt
 from routestretch.cli import main
 
+from oracles import check_route, every_route, floyd_warshall
+
 
 def _run(capsys, num, desc, body):
     """Run one criterion and print its verdict even when it fails."""
@@ -51,25 +53,6 @@ def golden_min(fn, lo, hi, tol=1e-9):
             fd = fn(d)
     x = (a + b) / 2.0
     return x, fn(x)
-
-
-def floyd_warshall(n, edges):
-    inf = float("inf")
-    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
-    for u, v in edges:
-        d[u][v] = d[v][u] = 1
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik = d[i][k]
-            if dik == inf:
-                continue
-            row = d[i]
-            for j in range(n):
-                alt = dik + dk[j]
-                if alt < row[j]:
-                    row[j] = alt
-    return d
 
 
 def test_criterion_1_composed_point(capsys):
@@ -175,15 +158,8 @@ def test_criterion_6_small_network_simulation(capsys):
             tables = rt.build_tables(g, h)
             assert all(t.length == want_len for t in tables)
             edges = set(g.edges)
-            for src in range(g.n_nodes):
-                for dst in range(g.n_nodes):
-                    if src == dst:
-                        continue
-                    path = rt.route(tables, g, h, src, dst)
-                    assert path[0] == src and path[-1] == dst
-                    for a, b in zip(path, path[1:]):
-                        assert (min(a, b), max(a, b)) in edges
-                    assert len(path) - 1 >= oracle[src][dst]
+            for src, dst, path in every_route(tables, g, h):
+                check_route(path, src, dst, edges, oracle[src][dst])
             rep = rt.measure(g, h)
             assert rep.s_t == want_s_t, rep.s_t
             assert rep.s_p >= 1.0

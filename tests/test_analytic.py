@@ -213,6 +213,12 @@ def test_domain_rejections():
         an.sweep_curve(an.AnalyticParams(n_nodes=10), 2.0, 1.0)
     with pytest.raises(ValueError):
         an.sweep_curve(an.AnalyticParams(n_nodes=10), step=0.0)
+    with pytest.raises(ValueError, match=r"s_p_min must be >= 1 \(got 0.5\)"):
+        an.sweep_curve(an.AnalyticParams(n_nodes=10), 0.5)
+    with pytest.raises(ValueError, match="need hi > lo"):
+        an.golden_section_min(abs, 1.0, 1.0)
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        an.golden_section_min(abs, 0.0, 1.0, tol=0.0)
     with pytest.raises(ValueError):
         an.find_min_table_stretch(an.AnalyticParams(n_nodes=1))
 

@@ -188,6 +188,45 @@ def test_gen_rejects_an_option_its_topology_does_not_read(tmp_path, capsys, argv
     assert not out.exists()
 
 
+GRID_2X2 = ["--method", "grid", "--rows", "4", "--cols", "4", "--block-rows", "2",
+            "--block-cols", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--method", "grid"], "the grid method needs --rows, --cols, --block-rows, --block-cols"),
+    (GRID_2X2[:6], "the grid method needs --block-rows, --block-cols"),
+    ([*GRID_2X2, "--levels", "5"], "the grid method does not read --levels"),
+    ([*GRID_2X2, "--branching", "3", "--levels", "2"],
+     "the grid method does not read --levels, --branching"),
+    (["--rows", "4"], "the balanced method does not read --rows"),
+    (["--method", "balanced", "--levels", "3", "--block-cols", "2", "--block-rows", "2"],
+     "the balanced method does not read --block-rows, --block-cols"),
+], ids=["grid-bare", "grid-no-blocks", "grid-levels", "grid-both", "balanced-rows",
+        "balanced-blocks"])
+def test_cluster_rejects_options_that_do_not_fit_its_method(tmp_path, capsys, argv, message):
+    # a usage error before the graph is read: the graph file is absent
+    out = tmp_path / "h.clusters"
+    argv = ["cluster", "--graph", str(tmp_path / "absent.graph"), *argv, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: routestretch cluster ")
+    assert captured.err.endswith(f"routestretch cluster: error: {message}\n")
+    assert not out.exists()
+
+
+def test_cluster_balanced_defaults_to_two_levels_of_two(tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    gr.save(gr.ring_graph(8), graph)
+    got = []
+    for flags in ([], ["--levels", "2", "--branching", "2"]):
+        hier = tmp_path / f"h{len(flags)}.clusters"
+        assert main(["cluster", "--graph", str(graph), *flags, "--out", str(hier)]) == 0
+        got.append((capsys.readouterr().out.replace(str(hier), "H"), hier.read_bytes()))
+    assert got[0] == got[1]
+    assert got[0][0] == "wrote 2-level hierarchy (balanced-b2; clusters per level: 2) to H\n"
+
+
 def run_main(argv, capsys):
     """(exit code, stdout, stderr) of main(argv)."""
     code = main(argv)
@@ -351,6 +390,22 @@ def test_validate_with_files(tmp_path, capsys):
         assert err == "routestretch: --graph and --hierarchy must be given together\n"
 
 
+def test_validate_with_files_that_fail(tmp_path, capsys):
+    # alternate nodes of a ring in two clusters: neither is connected
+    graph, hier = tmp_path / "g.graph", tmp_path / "h.clusters"
+    gr.save(gr.ring_graph(8), graph)
+    hi.save(hi.Hierarchy(2, tuple((u % 2,) for u in range(8))), hier)
+    assert main(["validate", "--graph", str(graph), "--hierarchy", str(hier)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 7
+    assert out.endswith(
+        f"FAIL files {graph} + {hier}: "
+        "connectivity: level 1 cluster 0 induces a disconnected subgraph; "
+        "connectivity: level 1 cluster 1 induces a disconnected subgraph\n"
+        "1 check(s) failed\n"
+    )
+
+
 def test_fit_eq3_from_csv(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     params = an.AnalyticParams(n_nodes=10, alpha=0.987)
@@ -408,6 +463,16 @@ def test_fit_missing_column_exit_2(tmp_path, capsys):
     pts.write_text("foo,bar\n1,2\n")
     assert main(["fit", "--model", "linear", "--input", str(pts)]) == 2
     assert "missing column(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty CSV"), ("levels,s_p\n", "no data rows"),
+], ids=["empty", "header-only"])
+def test_fit_needs_data_rows_exit_2(tmp_path, capsys, text, message):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(text)
+    assert main(["fit", "--model", "linear", "--input", str(pts)]) == 2
+    assert capsys.readouterr() == ("", f"routestretch: {pts}: {message}\n")
 
 
 @pytest.mark.parametrize("model", ["linear", "ipea", "eq3"])

@@ -11,25 +11,7 @@ from routestretch import graphs as gr
 from routestretch import hierarchy as hi
 from routestretch import routing as rt
 
-
-def floyd_warshall(n, edges):
-    """Test-local all-pairs oracle, deliberately not BFS."""
-    inf = float("inf")
-    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
-    for u, v in edges:
-        d[u][v] = d[v][u] = 1
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik = d[i][k]
-            if dik == inf:
-                continue
-            row = d[i]
-            for j in range(n):
-                alt = dik + dk[j]
-                if alt < row[j]:
-                    row[j] = alt
-    return d
+from oracles import floyd_warshall
 
 
 def test_graph_normalizes_edges():
@@ -157,6 +139,12 @@ def test_generate_dispatch():
     assert gr.generate("random", n=20, edge_prob=0.2, seed=7) == gr.random_graph(20, 0.2, seed=7)
     with pytest.raises(ValueError, match="ring topology needs n"):
         gr.generate("ring")
+    with pytest.raises(ValueError, match="grid topology needs rows and cols"):
+        gr.generate("grid", rows=3)
+    with pytest.raises(ValueError, match="torus topology needs rows and cols"):
+        gr.generate("torus", cols=4)
+    with pytest.raises(ValueError, match="random topology needs n and edge_prob"):
+        gr.generate("random", n=20)
     with pytest.raises(ValueError, match="unknown topology"):
         gr.generate("hypercube", n=8)
 

@@ -5,14 +5,7 @@ import pytest
 from routestretch import graphs as gr
 from routestretch import hierarchy as hi
 
-
-def clusters_at_level(hierarchy, level):
-    """Members of every cluster at a level (1 = coarsest), by cluster id,
-    each in ascending order."""
-    groups = {}
-    for u, p in enumerate(hierarchy.label_paths):
-        groups.setdefault(p[level - 1], []).append(u)
-    return groups
+from oracles import clusters_at_level
 
 
 def path6():
@@ -123,6 +116,8 @@ def test_grid_blocks_guards():
         hi.build_grid_blocks(g, 4, 4, [(2, 2), (2, 1), (2, 2)])
     with pytest.raises(ValueError, match="at least one block"):
         hi.build_grid_blocks(g, 4, 4, [])
+    with pytest.raises(ValueError, match=r"block dims must be >= 1 \(got 0x2\)"):
+        hi.build_grid_blocks(g, 4, 4, [(0, 2)])
 
 
 def test_grid_blocks_reject_a_graph_that_is_not_the_lattice():

@@ -14,22 +14,23 @@ as with the masks forced on.  graphs._search() finds the hop distances
 of a block of sources with one bit-parallel search, over the entire
 graph or over labelled node sets side by side, each keeping to its own
 label; the reference is one breadth-first search per source
-(induced_distances below), which every other oracle here uses too, and
-it is the reference for graphs._gateways, the one breadth-first search
-of a node set (nearest source, lowest id on ties), and for
-graphs._components.
+(induced_distances), which every other oracle here uses too, and it is
+the reference for graphs._gateways, the one breadth-first search of a
+node set (nearest source, lowest id on ties); oracles.components is the
+reference for graphs._components.
 build_tables() finds every next hop from gateway-carrying BFS runs, one
-per sibling cluster and one per leaf member; the table oracle below
-finds them from all-pairs distances inside each cluster, the definition
-the tables must reproduce exactly, and a frozen digest pins their order.
+per sibling cluster and one per leaf member; the table oracle
+(oracle_tables) finds them from all-pairs distances inside each cluster,
+the definition the tables must reproduce exactly, and a frozen digest
+pins their order; their lengths must give measure()'s mean table length.
 measure() takes its gateways from one array search of every level and
 sibling rank side by side (graphs._gateway_search), which must give
 graphs._gateways' distance and gateway for every node of every parent,
 and it runs no node-set search on a valid hierarchy.  It composes
 route lengths from gateway distances and leaf distances without
-building tables; the walker reference routes every pair with route()
-and must be reproduced exactly, with the mean per-pair ratio as the
-correctly rounded exact mean.  A block holds at
+building tables; the walker reference (reference) routes every pair
+with route() and must be reproduced exactly, with the mean per-pair
+ratio as the correctly rounded exact mean.  A block holds at
 least 64 targets, so blocks of 64 (_SEARCH_CELLS = 1) are checked on
 the 20x20 torus against the walker and on graphs of 65-160 nodes against
 one block; on 64x64 grids and tori, beyond the walker's reach, nested
@@ -42,6 +43,10 @@ to the message and line of every rejection, also for edge lists that
 already come sorted and skip the constructor's sort.  The constructor's
 CSR arrays come from one sort of the keys src * n + dst; the stable
 argsort of the sources that built them before is their reference.
+
+The references shared with other test modules (induced_distances,
+components, oracle_tables, reference and the rest) live in oracles.py,
+one definition each; the ones only this module uses are below.
 """
 
 import hashlib
@@ -50,7 +55,6 @@ import math
 import random
 import tracemalloc
 from collections import Counter, deque
-from fractions import Fraction
 from itertools import combinations, islice
 
 import numpy as np
@@ -62,124 +66,8 @@ from routestretch import graphs as gr
 from routestretch import hierarchy as hi
 from routestretch import routing as rt
 
-
-def induced_distances(nodes, adj):
-    """All-pairs BFS hop counts inside the induced subgraph of `nodes`."""
-    node_set = set(nodes)
-    out = {}
-    for s in nodes:
-        d = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w in node_set and w not in d:
-                    d[w] = d[u] + 1
-                    queue.append(w)
-        out[s] = d
-    return out
-
-
-def hop_toward(adj, d_ctx, u, t):
-    """Lowest-id neighbor one step closer to t inside the context whose
-    distances are d_ctx (adj rows are sorted)."""
-    du = d_ctx[u][t]
-    return next(w for w in adj[u] if w in d_ctx and d_ctx[w].get(t) == du - 1)
-
-
-def clusters_at_level(hierarchy, level):
-    """Members of every cluster at a level (1 = coarsest), by cluster id,
-    each in ascending order."""
-    groups = {}
-    for u, p in enumerate(hierarchy.label_paths):
-        groups.setdefault(p[level - 1], []).append(u)
-    return groups
-
-
-def oracle_tables(g, h):
-    """Tables from all-pairs distances: node entries inside the leaf, and
-    for each sibling cluster inside the parent (the entire graph at level
-    1), its nearest member by (distance, id) and the hop toward it."""
-    n = g.n_nodes
-    entire = induced_distances(range(n), g.adj)
-    paths = h.label_paths
-    leaves = {}
-    for u, p in enumerate(paths):
-        leaves.setdefault(p, []).append(u)
-    leaf_dist = {
-        key: entire if len(mem) == n else induced_distances(mem, g.adj)
-        for key, mem in leaves.items()
-    }
-    level_members, level_siblings, parent_dist = [], [], []
-    for level in range(1, h.levels):
-        members = clusters_at_level(h, level)
-        sib = {}
-        for cid, mem in members.items():
-            sib.setdefault(paths[mem[0]][: level - 1], []).append(cid)
-        if level == 1:
-            ctx = {(): entire}
-        else:
-            ctx = {
-                paths[pmem[0]][: level - 1]: induced_distances(pmem, g.adj)
-                for pmem in level_members[-1].values()
-            }
-        level_members.append(members)
-        level_siblings.append(sib)
-        parent_dist.append(ctx)
-    tables = []
-    for u in range(n):
-        pu = paths[u]
-        node_entries = {
-            v: hop_toward(g.adj, leaf_dist[pu], u, v) for v in leaves[pu] if v != u
-        }
-        cluster_entries = {}
-        for level in range(1, h.levels):
-            d_ctx = parent_dist[level - 1][pu[: level - 1]]
-            for cid in level_siblings[level - 1][pu[: level - 1]]:
-                if cid != pu[level - 1]:
-                    members = level_members[level - 1][cid]
-                    gateway = min(members, key=lambda m: (d_ctx[u][m], m))
-                    cluster_entries[(level, cid)] = hop_toward(g.adj, d_ctx, u, gateway)
-        tables.append(rt.RoutingTable(u, node_entries, cluster_entries))
-    return tuple(tables)
-
-
-def reference(g, h):
-    """route() every ordered pair; the mean per-pair ratio is the exact
-    mean, rounded once."""
-    n = g.n_nodes
-    dist = induced_distances(range(n), g.adj)
-    tables = rt.build_tables(g, h)
-    total_hier = 0
-    total_short = 0
-    ratios = Counter()
-    hist = Counter()
-    for src in range(n):
-        for dst in range(n):
-            if src == dst:
-                continue
-            hops = len(rt.route(tables, g, h, src, dst)) - 1
-            total_hier += hops
-            total_short += dist[src][dst]
-            ratios[hops, dist[src][dst]] += 1
-            hist[hops] += 1
-    pairs = n * (n - 1)
-    ratio_sum = sum(Fraction(c * hops, short) for (hops, short), c in ratios.items())
-    mean_hier = total_hier / pairs
-    mean_short = total_short / pairs
-    mean_table = sum(t.length for t in tables) / n
-    return rt.StretchReport(
-        n_nodes=n,
-        levels=h.levels,
-        method=h.method,
-        s_p=mean_hier / mean_short,
-        s_t=mean_table / n,
-        mean_table_length=mean_table,
-        mean_hier_path=mean_hier,
-        mean_shortest_path=mean_short,
-        mean_path_ratio=float(ratio_sum / pairs),
-        histogram=tuple(sorted(hist.items())),
-    )
+from oracles import (bfs, check_route, clusters_at_level, components, draw_random_graph,
+                     induced_distances, largest_component, oracle_tables, reference)
 
 
 @st.composite
@@ -187,10 +75,10 @@ def clustered_graphs(draw):
     levels = draw(st.integers(1, 4))
     branching = draw(st.integers(2, 3))
     n = draw(st.integers(max(2, branching ** (levels - 1)), 30))
+    g = draw_random_graph(draw, n, st.floats(0.15, 0.6))
     try:
-        g = gr.random_graph(n, draw(st.floats(0.15, 0.6)), seed=draw(st.integers(0, 2**16)))
         h = hi.build_balanced(g, levels, branching)
-    except (gr.DisconnectedGraphError, hi.HierarchyBuildError):
+    except hi.HierarchyBuildError:
         assume(False)
     return g, h
 
@@ -230,11 +118,10 @@ def wider_clustered_graphs(draw):
     """Connected graphs of 65-160 nodes, more than one 64-target block,
     with balanced hierarchies of levels 1-4."""
     levels = draw(st.integers(1, 4))
-    n = draw(st.integers(65, 160))
+    g = draw_random_graph(draw, draw(st.integers(65, 160)), st.floats(0.03, 0.2))
     try:
-        g = gr.random_graph(n, draw(st.floats(0.03, 0.2)), seed=draw(st.integers(0, 2**16)))
         h = hi.build_balanced(g, levels, draw(st.integers(2, 3)))
-    except (gr.DisconnectedGraphError, hi.HierarchyBuildError):
+    except hi.HierarchyBuildError:
         assume(False)
     return g, h
 
@@ -352,10 +239,7 @@ def labelled_graphs(draw):
     disconnected or split across parents, one path may be cut short, and
     the hierarchy may cover one node too many."""
     n = draw(st.integers(2, 12))
-    try:
-        g = gr.random_graph(n, draw(st.floats(0.15, 0.6)), seed=draw(st.integers(0, 2**16)))
-    except gr.DisconnectedGraphError:
-        assume(False)
+    g = draw_random_graph(draw, n, st.floats(0.15, 0.6))
     levels = draw(st.integers(1, 4))
     size = n + draw(st.sampled_from([0] * 9 + [1]))
     paths = draw(st.lists(
@@ -611,8 +495,8 @@ def check_search(g, members, per_block):
 
 def check_node_set_search(adj, members, sources):
     """graphs._gateways from the ascending `sources` (some of `members`)
-    against one BFS per source, and graphs._components against the old
-    component loop."""
+    against one BFS per source, and graphs._components against
+    oracles.components."""
     d = induced_distances(members, adj)
     # nearest source, lowest id among ties; unreached nodes are absent
     want = {}
@@ -622,7 +506,7 @@ def check_node_set_search(adj, members, sources):
             want[v] = min(reach)
     assert gr._gateways(adj, sources, set(members)) == want
     assert gr._components(set(members), adj) == sorted(
-        _old_components(members, adj), key=lambda c: (len(c), c[0])
+        components(members, adj), key=lambda c: (len(c), c[0])
     )
 
 
@@ -632,18 +516,15 @@ BLOCK_SOURCES = [1, 8, 13, None]
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(2, 40),
-    st.floats(0.1, 0.6),
+    st.data(),
     st.integers(0, 2**16),
     st.one_of(st.none(), st.sets(st.integers(0, 39), min_size=1)),
     st.sampled_from(BLOCK_SOURCES),
 )
-def test_search_equals_per_source_bfs(n, p, seed, subset, per_block):
+def test_search_equals_per_source_bfs(n, data, seed, subset, per_block):
     # the entire connected graph, or the subgraph a subset induces, which
     # may be disconnected and may hold members with no neighbor inside
-    try:
-        g = gr.random_graph(n, p, seed=seed)
-    except gr.DisconnectedGraphError:
-        assume(False)
+    g = draw_random_graph(data.draw, n, st.floats(0.1, 0.6))
     members = range(n) if subset is None else sorted(u for u in subset if u < n)
     assume(len(members) > 0)
     check_search(g, members, per_block)
@@ -679,15 +560,12 @@ def check_gateway_order(adj, members, sources):
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(2, 40),
-    st.floats(0.1, 0.6),
+    st.data(),
     st.integers(0, 2**16),
     st.one_of(st.none(), st.sets(st.integers(0, 39), min_size=1)),
 )
-def test_gateways_keep_the_queue_order(n, p, seed, subset):
-    try:
-        g = gr.random_graph(n, p, seed=seed)
-    except gr.DisconnectedGraphError:
-        assume(False)
+def test_gateways_keep_the_queue_order(n, data, seed, subset):
+    g = draw_random_graph(data.draw, n, st.floats(0.1, 0.6))
     members = range(n) if subset is None else sorted(u for u in subset if u < n)
     assume(len(members) > 0)
     rng = random.Random(seed)
@@ -725,20 +603,17 @@ def test_search_of_long_paths_spans_many_levels():
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(2, 40),
-    st.floats(0.1, 0.6),
+    st.data(),
     st.integers(0, 2**16),
     st.integers(1, 5),
     st.sampled_from(BLOCK_SOURCES),
 )
-def test_packed_search_equals_per_label_bfs(n, p, seed, n_labels, per_block):
+def test_packed_search_equals_per_label_bfs(n, data, seed, n_labels, per_block):
     # measure's search of the leaves side by side: random labels, whose
     # nodes may be disconnected, keep only the edges inside a label, and
     # member j0 + b of every label starts bit b, for positions j0 in steps
     # of per_block
-    try:
-        g = gr.random_graph(n, p, seed=seed)
-    except gr.DisconnectedGraphError:
-        assume(False)
+    g = draw_random_graph(data.draw, n, st.floats(0.1, 0.6))
     rng = random.Random(seed)
     labels = np.array([rng.randrange(n_labels) for _ in range(n)])
     groups = [np.flatnonzero(labels == c) for c in range(n_labels)]
@@ -753,24 +628,6 @@ def test_packed_search_equals_per_label_bfs(n, p, seed, n_labels, per_block):
             d = induced_distances(m.tolist(), g.adj)
             for b, t in enumerate(m[j0 : j0 + size].tolist()):
                 assert got[m, b].tolist() == [d[t].get(v, -1) for v in m.tolist()]
-
-
-def _old_components(nodes, adj):
-    remaining = set(nodes)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w in remaining and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(sorted(seen))
-        remaining -= seen
-    return comps
 
 
 def oracle_regions(members, adj, parts, level, parent_id):
@@ -826,7 +683,7 @@ def oracle_regions(members, adj, parts, level, parent_id):
                 )
             chosen = None
             for lay, w in deferred:
-                comps = _old_components(unassigned - {w}, adj)
+                comps = components(unassigned - {w}, adj)
                 comps.sort(key=lambda c: (len(c), c[0]))
                 eaten = sum(len(c) for c in comps[:-1])
                 if len(region) + 1 + eaten <= target:
@@ -886,11 +743,7 @@ def balanced_cases(draw):
     branching = draw(st.integers(2, 3))
     n = draw(st.integers(branching ** (levels - 1), 60))
     # from near-trees, which often cannot be split, to dense graphs
-    p = draw(st.floats(min(0.5, math.log(n) / n), 0.6))
-    try:
-        g = gr.random_graph(n, p, seed=draw(st.integers(0, 2**16)))
-    except gr.DisconnectedGraphError:
-        assume(False)
+    g = draw_random_graph(draw, n, st.floats(min(0.5, math.log(n) / n), 0.6))
     return g, levels, branching
 
 
@@ -1028,14 +881,7 @@ def numpy_giant(n, mean_degree, seed):
     rng = np.random.default_rng(seed)
     pairs = np.sort(rng.integers(0, n, size=(n * mean_degree // 2, 2)), axis=1)
     pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
-    adj = [[] for _ in range(n)]
-    for u, v in pairs.tolist():
-        adj[u].append(v)
-        adj[v].append(u)
-    giant = sorted(gr._components(set(range(n)), adj)[-1])
-    new = np.full(n, -1)
-    new[giant] = np.arange(len(giant))
-    return gr.Graph(len(giant), new[pairs[new[pairs[:, 0]] >= 0]])
+    return largest_component(n, pairs.tolist())
 
 
 def torus_plus_edge(side):
@@ -1156,10 +1002,7 @@ def validate_cases(draw):
     """A random connected graph and label paths: balanced ones or drawn
     ones, with up to three faults of drawn kinds."""
     n = draw(st.integers(2, 30))
-    try:
-        g = gr.random_graph(n, draw(st.floats(0.05, 0.6)), seed=draw(st.integers(0, 2**16)))
-    except gr.DisconnectedGraphError:
-        assume(False)
+    g = draw_random_graph(draw, n, st.floats(0.05, 0.6))
     levels = draw(st.integers(1, 4))
     try:
         paths = [list(p) for p in hi.build_balanced(g, levels, 2).label_paths]
@@ -1223,14 +1066,9 @@ def giant_component(n, d, seed):
     draws it, its nodes renumbered in id order."""
     rng = random.Random(seed)
     p = d / (n - 1)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    keep = max(_old_components(range(n), adj), key=len)
-    new = {u: i for i, u in enumerate(keep)}
-    return gr.Graph(len(keep), [(new[u], new[v]) for u, v in edges if u in new])
+    return largest_component(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    )
 
 
 @pytest.mark.parametrize("d", [4, 6, 8])
@@ -1285,15 +1123,32 @@ def test_memo_lapses_when_the_other_side_empties():
     ("random", 3, "f6f6eb31a82b4bcc6a6e983ea28d18211358ae30a42a85f5e27f1b77dbf4048c"),
 ])
 def test_build_tables_frozen(graph, levels, digest):
-    # sha256 of repr(tables) from the bit-parallel leaf builder: it pins
-    # each dict's order and every hop, where == against oracle_tables
-    # ignores dict order
+    # the benchmark's hierarchies: measure() counts table entries from the
+    # gateway arrays and leaf sizes, and the tables built hold as many.
+    # sha256 of repr(tables) from the bit-parallel leaf builder pins each
+    # dict's order and every hop, where == against oracle_tables ignores
+    # dict order
     if graph == "torus":
         g = gr.torus_graph(20, 20)
     else:
         g = gr.random_graph(700, 0.043, seed=1)
-    tables = rt.build_tables(g, hi.build_balanced(g, levels, 2))
+    h = hi.build_balanced(g, levels, 2)
+    tables = rt.build_tables(g, h)
+    assert sum(t.length for t in tables) / g.n_nodes == rt.measure(g, h).mean_table_length
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
+
+
+def test_seeded_routes_on_the_dense_benchmark_graph():
+    # 200 seeded pairs routed over the tables of G(700, 0.043) at level 3,
+    # the random-dense workload's deepest hierarchy
+    g = gr.random_graph(700, 0.043, seed=1)
+    h = hi.build_balanced(g, 3, 2)
+    tables = rt.build_tables(g, h)
+    edges = set(g.edges)
+    rng = random.Random("routes-0")
+    for _ in range(200):
+        src, dst = rng.sample(range(g.n_nodes), 2)
+        check_route(rt.route(tables, g, h, src, dst), src, dst, edges, bfs(g.adj, src)[dst])
 
 
 SMALL_GRAPHS = {

@@ -5,32 +5,13 @@ numbers are frozen regressions for the induced-subgraph next-hop rule
 (global-graph next hops ping-pong between sibling clusters on a torus).
 """
 
-from collections import deque
-
 import pytest
 
 from routestretch import graphs as gr
 from routestretch import hierarchy as hi
 from routestretch import routing as rt
 
-
-def bfs_dist(adj, src):
-    d = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in d:
-                d[w] = d[u] + 1
-                queue.append(w)
-    return d
-
-
-def assert_valid_path(graph, path, src, dst):
-    assert path[0] == src and path[-1] == dst
-    edges = set(graph.edges)
-    for a, b in zip(path, path[1:]):
-        assert (min(a, b), max(a, b)) in edges
+from oracles import bfs, check_route, every_route
 
 
 def ring8_setup():
@@ -120,7 +101,7 @@ def test_torus_regression_two_level():
     h = hi.build_balanced(g, levels=2, branching=4)
     tables = rt.build_tables(g, h)
     path = rt.route(tables, g, h, 0, 22)
-    assert_valid_path(g, path, 0, 22)
+    check_route(path, 0, 22, set(g.edges), bfs(g.adj, 0)[22])
     assert all(t.length == 67 for t in tables)
 
 
@@ -138,20 +119,14 @@ def test_torus_balanced_b2_frozen_numbers():
 def test_delivery_on_random_graphs():
     for seed in range(5):
         g = gr.random_graph(24, 0.25, seed=seed)
-        short = [bfs_dist(g.adj, s) for s in range(24)]
+        short = [bfs(g.adj, s) for s in range(24)]
+        edges = set(g.edges)
         for levels in (1, 2, 3):
             h = hi.build_balanced(g, levels=levels, branching=2)
-            tables = rt.build_tables(g, h)
-            for src in range(24):
-                for dst in range(24):
-                    if src == dst:
-                        continue
-                    path = rt.route(tables, g, h, src, dst)
-                    assert_valid_path(g, path, src, dst)
-                    hops = len(path) - 1
-                    assert hops >= short[src][dst]
-                    if levels == 1:
-                        assert hops == short[src][dst]
+            for src, dst, path in every_route(rt.build_tables(g, h), g, h):
+                check_route(path, src, dst, edges, short[src][dst])
+                if levels == 1:
+                    assert len(path) - 1 == short[src][dst]
 
 
 def test_loop_guard_trips_on_corrupted_tables():
@@ -179,10 +154,8 @@ def walker_error(g, h, tables=None):
     try:
         if tables is None:
             tables = rt.build_tables(g, h)
-        for src in range(g.n_nodes):
-            for dst in range(g.n_nodes):
-                if src != dst:
-                    rt.route(tables, g, h, src, dst)
+        for _ in every_route(tables, g, h):
+            pass
     except ValueError as exc:
         return exc
     return None
