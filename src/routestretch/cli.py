@@ -95,6 +95,22 @@ def _cluster_options(args) -> str | None:
     return None
 
 
+def _fit_options(args) -> str | None:
+    """A usage error when --n-nodes is given to a model that does not
+    read it (only eq3 does), else None."""
+    if args.n_nodes is not None and args.model != "eq3":
+        return f"the {args.model} model does not read --n-nodes"
+    return None
+
+
+def _validate_files(args) -> str | None:
+    """A usage error unless --graph and --hierarchy come together or not
+    at all, else None."""
+    if bool(args.graph) != bool(args.hierarchy):
+        return "--graph and --hierarchy must be given together"
+    return None
+
+
 def _method_tag(tag: str) -> str:
     """A --method-tag value: one field of a CSV record and one line of a
     report, so it holds no comma, double quote, carriage return or line
@@ -156,14 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="append one CSV record here")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="estimate alpha from a results CSV")
+    p = sub.add_parser("fit", help="estimate alpha from a results CSV",
+                       check=_fit_options)
     p.add_argument("--input", required=True, help="CSV with measurement rows")
     p.add_argument("--model", choices=["linear", "eq3", "ipea"], default="linear")
     p.add_argument("--n-nodes", type=int, help="network size (eq3; else inferred)")
     p.add_argument("--out", help="write the fit report here (also printed)")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("validate", help="run the built-in invariant suite")
+    p = sub.add_parser("validate", help="run the built-in invariant suite",
+                       check=_validate_files)
     p.add_argument("--alpha", type=float, default=analytic.DEFAULT_ALPHA)
     p.add_argument("--graph", help="optional graph file to check")
     p.add_argument("--hierarchy", help="optional hierarchy file to check against --graph")
@@ -324,8 +342,6 @@ def _check(name: str, fn, failures: list[str]) -> None:
 
 
 def cmd_validate(args) -> int:
-    if bool(args.graph) != bool(args.hierarchy):
-        raise ValueError("--graph and --hierarchy must be given together")
     failures: list[str] = []
 
     def boundary() -> None:

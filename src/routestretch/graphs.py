@@ -54,6 +54,15 @@ label, shared by the constructor's whole-graph check (one label), run
 on every load, and ``hierarchy.validate`` (one label per cluster of a
 level).
 
+``random_graph`` keeps each node pair whose ``random.Random(seed)``
+double falls below p, and draws those doubles in bulk: one
+``getrandbits`` call gives the 32-bit outputs of many ``random()``
+calls, and each pair's integer K of K / 2**53 is compared with
+ceil(p * 2**53), a threshold that decides exactly as the float compare
+does.  The stream, every graph and every file stay as with one
+``random()`` call per pair.  ``save`` formats a file with one ``%``
+template over the flattened edge arrays.
+
 The constructor sorts the edges unless they already come in strict
 (lo, hi) order, as files that ``save`` writes and ``random_graph``
 draws do; one pass over the rows checks that order.  A Graph keeps the
@@ -65,6 +74,7 @@ src * n + dst, two per edge, which puts every row in ascending order.
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import suppress
 from itertools import chain
@@ -367,6 +377,9 @@ def _lattice(rows: int, cols: int, wrap: bool) -> Graph:
 
 # draws random_graph makes before it gives up on a connected sample
 _MAX_TRIES = 100
+# node pairs drawn per getrandbits call: keeps a chunk's draws to 512 KB
+# whatever the graph's size
+_DRAW_CHUNK = 1 << 16
 
 
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
@@ -375,21 +388,37 @@ def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     Each attempt draws every unordered pair once from the seeded stream;
     disconnected draws are discarded and the stream advances, so the
     result is a deterministic function of (n, edge_prob, seed).
+
+    Pair (i, j), in row-major order over i < j, keeps its edge when the
+    ``random.Random(seed).random()`` call it would take falls below
+    edge_prob.  The draws come _DRAW_CHUNK pairs at a time from one
+    ``getrandbits`` call, read as little-endian 64-bit words: each word
+    holds the two 32-bit outputs a (low half) and b (high half) that one
+    ``random()`` call reads as K / 2**53 with K = (a >> 5) << 26 | b >> 6,
+    and K / 2**53 < p exactly when K < ceil(p * 2**53).  So every seed
+    gives the same graph, retries and error as one ``random()`` call per
+    pair would.
     """
     if n < 2:
         raise ValueError(f"a random graph needs n >= 2 (got {n})")
     if not 0 < edge_prob <= 1:
         raise ValueError(f"edge_prob must lie in (0, 1] (got {edge_prob})")
     rng = random.Random(seed)
+    limit = math.ceil(edge_prob * 2**53)
+    pairs = n * (n - 1) // 2
+    rows = np.arange(n - 1)
+    firsts = rows * (2 * n - 1 - rows) // 2  # index of each row's first pair
     for _ in range(_MAX_TRIES):
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < edge_prob
-        ]
+        kept = []
+        for start in range(0, pairs, _DRAW_CHUNK):
+            c = min(_DRAW_CHUNK, pairs - start)
+            words = np.frombuffer(rng.getrandbits(64 * c).to_bytes(8 * c, "little"), "<u8")
+            draws = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
+            kept.append(np.flatnonzero(draws < limit) + start)
+        picked = np.concatenate(kept)
+        i = firsts.searchsorted(picked, side="right") - 1
         try:
-            return Graph(n, edges)
+            return Graph(n, np.column_stack((i, picked - firsts[i] + i + 1)))
         except DisconnectedGraphError:
             continue
     raise DisconnectedGraphError(
@@ -427,9 +456,10 @@ def generate(
 
 
 def save(graph: Graph, path: str) -> None:
-    """Write the canonical text form (header line, then sorted edges)."""
-    pairs = zip(graph._lo.tolist(), graph._hi.tolist())
-    text = "".join([f"n {graph.n_nodes}\n", *(f"{u} {v}\n" for u, v in pairs)])
+    """Write the canonical text form (header line, then sorted edges),
+    formatted by one template over the flattened edge arrays."""
+    ends = np.column_stack((graph._lo, graph._hi)).ravel().tolist()
+    text = ("n %d\n" + "%d %d\n" * graph.num_edges) % (graph.n_nodes, *ends)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

@@ -665,10 +665,14 @@ def validate(hierarchy: Hierarchy, graph: Graph) -> list[str]:
 
 
 def save(hierarchy: Hierarchy, path: str) -> None:
-    """Write one ``node_id path...`` line per node, sorted by node id."""
-    text = "".join(
-        " ".join(map(str, (u, *p))) + "\n" for u, p in enumerate(hierarchy.label_paths)
-    )
+    """Write one ``node_id path...`` line per node, sorted by node id,
+    formatted by one template over the flattened rows.  The template has
+    a line of each row's own width, so ragged paths, which load() takes
+    from a malformed file, are written back as they are."""
+    paths = hierarchy.label_paths
+    lines = {w: "%s" + " %s" * w + "\n" for w in set(map(len, paths))}
+    template = "".join(map(lines.__getitem__, map(len, paths)))
+    text = template % tuple(chain.from_iterable((u, *p) for u, p in enumerate(paths)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

@@ -4,6 +4,7 @@ test_oracles.py fails when one of these names is defined again.  Pytest
 does not collect this module, as its name does not start with test_.
 """
 
+import random
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -77,6 +78,48 @@ def largest_component(n, pairs):
     keep = max(components(range(n), adj), key=len)
     new = {u: i for i, u in enumerate(keep)}
     return gr.Graph(len(keep), [(new[u], new[v]) for u, v in pairs if u in new])
+
+
+def per_pair_random_graph(n, edge_prob, seed):
+    """Connected G(n, p) sample from one random() call per node pair, in
+    row-major order over i < j, retried on a disconnected draw: the
+    reference for graphs.random_graph's bulk draw, down to its retries
+    and the messages of its errors."""
+    if n < 2:
+        raise ValueError(f"a random graph needs n >= 2 (got {n})")
+    if not 0 < edge_prob <= 1:
+        raise ValueError(f"edge_prob must lie in (0, 1] (got {edge_prob})")
+    rng = random.Random(seed)
+    for _ in range(gr._MAX_TRIES):
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < edge_prob
+        ]
+        try:
+            return gr.Graph(n, edges)
+        except gr.DisconnectedGraphError:
+            continue
+    raise gr.DisconnectedGraphError(
+        f"no connected G({n}, {edge_prob}) sample in {gr._MAX_TRIES} attempts (seed {seed})"
+    )
+
+
+def per_line_save_graph(graph, path):
+    """graphs.save with one formatted line per edge."""
+    text = "".join([f"n {graph.n_nodes}\n", *(f"{u} {v}\n" for u, v in graph.edges)])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def per_line_save_hierarchy(hierarchy, path):
+    """hierarchy.save with one joined line per node."""
+    text = "".join(
+        " ".join(map(str, (u, *p))) + "\n" for u, p in enumerate(hierarchy.label_paths)
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def draw_random_graph(draw, n, p):

@@ -4,6 +4,7 @@ Exit-code contract: 0 success, 1 usage, 2 domain/validation, 3 I/O.
 """
 
 import argparse
+import hashlib
 import math
 import re
 import warnings
@@ -145,6 +146,21 @@ def test_gen_is_deterministic(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert gr.load(a) == gr.random_graph(20, 0.2, seed=7)
+
+
+def test_gen_random_file_frozen(tmp_path, capsys):
+    # sha256 of the file written while random_graph made one random() call
+    # per node pair and save wrote one line per edge: the benchmark's
+    # random-dense input
+    out = tmp_path / "g.graph"
+    assert main(["gen", "random", "--n", "700", "--p", "0.043", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote random graph (700 nodes, 10477 edges) to {out}\n"
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "a6249d962c2a434d8f5748c1b64c319d95595019f5c7500aa554ff86d4c50fc2"
+    )
 
 
 @pytest.mark.parametrize("argv, graph", [
@@ -382,12 +398,15 @@ def test_validate_with_files(tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", "--graph", str(graph), "--hierarchy", str(hier)]) == 0
     assert capsys.readouterr().out.count("PASS") == 8
-    # both file flags are required together, checked before the suite runs
+    # both file flags are required together: a usage error before the suite runs
     for flags in (["--graph", str(graph)], ["--hierarchy", str(hier)]):
-        assert main(["validate", *flags]) == 2
+        assert main(["validate", *flags]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "routestretch: --graph and --hierarchy must be given together\n"
+        assert err.startswith("usage: routestretch validate ")
+        assert err.endswith(
+            "routestretch validate: error: --graph and --hierarchy must be given together\n"
+        )
 
 
 def test_validate_with_files_that_fail(tmp_path, capsys):
@@ -417,6 +436,20 @@ def test_fit_eq3_from_csv(tmp_path, capsys):
         "fit", "--model", "eq3", "--input", str(pts), "--n-nodes", "10",
     ]) == 0
     assert abs(alpha_from(capsys.readouterr().out) - 0.987) <= 1e-4
+
+
+@pytest.mark.parametrize("model", ["linear", "ipea"])
+def test_fit_rejects_n_nodes_for_a_model_that_does_not_read_it(tmp_path, capsys, model):
+    # a usage error before the input is read: the CSV is absent
+    argv = ["fit", "--model", model, "--input", str(tmp_path / "absent.csv"),
+            "--n-nodes", "10"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: routestretch fit ")
+    assert captured.err.endswith(
+        f"routestretch fit: error: the {model} model does not read --n-nodes\n"
+    )
 
 
 def test_fit_eq3_infers_n_from_column(tmp_path, capsys):

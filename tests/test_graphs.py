@@ -1,17 +1,28 @@
-"""Graph construction, generators, file round-trips, and distances."""
+"""Graph construction, generators, file round-trips, and distances.
+
+random_graph draws its pairs in bulk from getrandbits and decides each
+with an integer threshold; per_pair_random_graph, one random() call per
+pair, is its reference, down to retries and error messages, also with
+draws that cross chunk boundaries and probabilities on either side of a
+drawn value.  save formats its text with one template; the per-line
+writer it replaced is the reference for its bytes.
+"""
 
 import gc
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routestretch import graphs as gr
 from routestretch import hierarchy as hi
 from routestretch import routing as rt
 
-from oracles import floyd_warshall
+from oracles import floyd_warshall, per_line_save_graph, per_pair_random_graph
 
 
 def test_graph_normalizes_edges():
@@ -132,6 +143,70 @@ def test_random_graph_gives_up_when_too_sparse():
         gr.random_graph(10, 1.5, seed=0)
 
 
+def generated(call, n, p, seed):
+    """What call(n, p, seed) returns, or the type and message of the
+    ValueError it raises."""
+    try:
+        return call(n, p, seed)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# edge probabilities: any in (0, 1], and more of those at which a graph
+# of up to 60 nodes is sometimes connected and sometimes redrawn
+EDGE_PROBS = st.one_of(
+    st.floats(0, 1, exclude_min=True), st.floats(0.03, 0.3), st.sampled_from([1, 2.0**-53])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 60), EDGE_PROBS, st.integers())
+def test_random_graph_equals_per_pair_draws(n, p, seed):
+    assert generated(gr.random_graph, n, p, seed) == generated(per_pair_random_graph, n, p, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 60), p=EDGE_PROBS, seed=st.integers())
+def test_random_graph_draws_across_chunks(chunk, n, p, seed):
+    want = generated(per_pair_random_graph, n, p, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_DRAW_CHUNK", chunk)
+        assert generated(gr.random_graph, n, p, seed) == want
+
+
+def test_random_graph_retries_and_gives_up_as_per_pair_draws():
+    # seed 0 of G(30, 0.08) is connected at its third attempt; G(20,
+    # 0.01) gives up after 100 attempts, each of the 190 pairs drawn
+    for n, p, seed in ((30, 0.08, 0), (20, 0.01, 3)):
+        want = generated(per_pair_random_graph, n, p, seed)
+        assert generated(gr.random_graph, n, p, seed) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_MAX_TRIES", 1)
+        with pytest.raises(gr.DisconnectedGraphError):
+            gr.random_graph(30, 0.08, 0)
+
+
+def test_random_graph_at_exact_thresholds():
+    # random() returns K / 2**53; a pair is kept exactly when K < p * 2**53.
+    # k is a value the first attempt of G(30, p, seed 5) draws: at p = k /
+    # 2**53 its pair is dropped, one step of p above it kept
+    n, seed = 30, 5
+    rng = random.Random(seed)
+    draws = [int(rng.random() * 2**53) for _ in range(n * (n - 1) // 2)]
+    k = sorted(draws)[len(draws) * 3 // 10]
+    pair = [(i, j) for i in range(n) for j in range(i + 1, n)][draws.index(k)]
+    at = k / 2**53
+    below, above = math.nextafter(at, 0), math.nextafter(at, 1)
+    for p in (at, below, above, 1, 2.0**-53, math.nextafter(2.0**-53, 1), 5e-324):
+        got = generated(gr.random_graph, n, p, seed)
+        assert got == generated(per_pair_random_graph, n, p, seed), p
+    assert pair not in gr.random_graph(n, at, seed).edges
+    assert pair not in gr.random_graph(n, below, seed).edges
+    assert pair in gr.random_graph(n, above, seed).edges
+    assert gr.random_graph(n, 1, seed).num_edges == n * (n - 1) // 2
+
+
 def test_generate_dispatch():
     assert gr.generate("ring", n=8) == gr.ring_graph(8)
     assert gr.generate("grid", rows=3, cols=4) == gr.grid_graph(3, 4)
@@ -169,11 +244,40 @@ def test_save_load_roundtrip(tmp_path):
 def test_save_of_load_is_byte_identical(tmp_path, graph):
     # save writes from the edge arrays; the text is the header and one
     # "u v" line per edge of `edges`
-    text = "".join([f"n {graph.n_nodes}\n", *(f"{u} {v}\n" for u, v in graph.edges)])
     first, second = tmp_path / "first.graph", tmp_path / "second.graph"
-    first.write_text(text, encoding="utf-8")
+    per_line_save_graph(graph, first)
     gr.save(gr.load(first), second)
     assert second.read_bytes() == first.read_bytes()
+
+
+@st.composite
+def drawn_graphs(draw):
+    """A connected graph: a random tree on up to 1,500 nodes plus up to
+    as many edges again, from a drawn seed."""
+    n = draw(st.integers(1, 1500))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    extra = draw(st.integers(0, n)) if n > 1 else 0
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(extra)}
+    return gr.Graph(n, sorted(edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_graphs())
+def test_save_equals_per_line_writer(tmp_path_factory, graph):
+    path = tmp_path_factory.mktemp("save")
+    gr.save(graph, path / "got.graph")
+    per_line_save_graph(graph, path / "want.graph")
+    assert (path / "got.graph").read_bytes() == (path / "want.graph").read_bytes()
+
+
+def test_save_of_a_graph_without_edges(tmp_path):
+    g = gr.Graph(1, [])
+    gr.save(g, tmp_path / "one.graph")
+    per_line_save_graph(g, tmp_path / "want.graph")
+    assert (tmp_path / "one.graph").read_bytes() == b"n 1\n"
+    assert (tmp_path / "want.graph").read_bytes() == b"n 1\n"
+    assert gr.load(tmp_path / "one.graph") == g
 
 
 def test_a_loaded_graph_holds_its_edges_once(tmp_path):

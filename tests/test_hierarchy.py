@@ -1,11 +1,17 @@
-"""Cluster hierarchies: builders, invariant checks, file round-trips."""
+"""Cluster hierarchies: builders, invariant checks, file round-trips.
+
+save formats its text with one template; the per-line writer it
+replaced is the reference for its bytes.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routestretch import graphs as gr
 from routestretch import hierarchy as hi
 
-from oracles import clusters_at_level
+from oracles import clusters_at_level, per_line_save_hierarchy
 
 
 def path6():
@@ -173,6 +179,47 @@ def test_save_load_roundtrip(tmp_path):
     text = p.read_bytes()
     hi.save(loaded, p)
     assert p.read_bytes() == text
+
+
+def saved_bytes(tmp_path, h):
+    """The bytes save writes for `h`, after checking them against the
+    per-line writer's."""
+    got, want = tmp_path / "got.clusters", tmp_path / "want.clusters"
+    hi.save(h, got)
+    per_line_save_hierarchy(h, want)
+    assert got.read_bytes() == want.read_bytes()
+    return got.read_bytes()
+
+
+def test_save_equals_per_line_writer(tmp_path):
+    # flat: one bare id per line; the 40x40 torus at level 5: four labels
+    flat = hi.flat_hierarchy(gr.ring_graph(8))
+    assert saved_bytes(tmp_path, flat) == b"0\n1\n2\n3\n4\n5\n6\n7\n"
+    assert saved_bytes(tmp_path, hi.Hierarchy(1, ((),))) == b"0\n"
+    h = hi.build_balanced(gr.torus_graph(40, 40), 5, 2)
+    lines = saved_bytes(tmp_path, h).decode().splitlines()
+    assert len(lines) == 1600 and lines[0].split()[0] == "0"
+    assert {len(line.split()) for line in lines} == {5}
+
+
+@st.composite
+def hierarchies(draw):
+    """A hierarchy of up to 40 nodes with label ids of any size and sign,
+    its paths of one width or, as load() takes from a malformed file,
+    ragged."""
+    n = draw(st.integers(1, 40))
+    depth = draw(st.integers(0, 4))
+    width = st.integers(0, 5) if draw(st.booleans()) else st.just(depth)
+    labels = st.one_of(st.integers(0, 20), st.integers())
+    paths = tuple(tuple(draw(st.lists(labels, min_size=w, max_size=w)))
+                  for w in (draw(width) for _ in range(n)))
+    return hi.Hierarchy(depth + 1, paths)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hierarchies())
+def test_save_equals_per_line_writer_on_drawn_hierarchies(tmp_path_factory, h):
+    saved_bytes(tmp_path_factory.mktemp("save"), h)
 
 
 def test_load_skips_comments_and_blanks(tmp_path):
