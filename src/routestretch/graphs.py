@@ -30,9 +30,8 @@ and it only locates the first bad row and names its line: it never
 accepts a file.
 
 One breadth-first search of a node set, ``_gateways``, backs the
-balanced builder's component and connectivity checks, routing's table
-builder and the walk that names a faulty hierarchy in ``measure``.
-Four other searches stay for speed: ``hierarchy._severed``,
+balanced builder's component and connectivity checks.  Four other
+searches stay for speed: ``hierarchy._severed``,
 whose searches from a cut candidate's neighbours stop once they meet,
 or do not start when its two neighbours share a third, and which holds
 its searches as bit sets when a candidate has more than four
@@ -44,11 +43,11 @@ takes that search);
 ``_search``, the bit-parallel hop-distance search, which runs a block of sources
 at once as bits over the whole graph (``all_pairs_shortest_lengths``
 and measure's shortest lengths) or over labelled node sets side by side
-(measure's leaf clusters), set up by masking the CSR arrays that the
+(routing's leaf clusters), set up by masking the CSR arrays that the
 constructor keeps as ``_csr``; ``_gateway_search``, ``_gateways``'
 distance and gateway for many start sets at once as arrays over the
 same CSR, one level-synchronous search of every copy side by side
-(measure's sibling clusters, every level and sibling rank at once); and
+(routing's sibling clusters, every level and sibling rank at once); and
 ``_split_labels``, one flood over a list of flags that never leaves a
 label, shared by the constructor's whole-graph check (one label), run
 on every load, and ``hierarchy.validate`` (one label per cluster of a

@@ -14,25 +14,24 @@ lowest node id wins.  An entry for a sibling cluster aims at that
 cluster's nearest member (nearest by hop count inside the parent, ties
 by lowest member id, then lowest next-hop id).
 
-Tables come from breadth-first searches, and no all-pairs distance
-matrix is kept.  Each sibling cluster gets one search that carries
-gateways, started from all of its members in ascending order and
-confined to its parent: a reached node records its distance and its
-gateway (nearest source, lowest id among ties), and its next hop is its
-lowest-id neighbor one step closer with the same gateway.  A node entry
-toward t is a sibling entry toward the one-member cluster {t} inside the
-leaf, so each leaf member gets the same search, confined to the leaf;
-the next hop from u toward t is then the lowest-id neighbor w inside the
-leaf with d(w, t) = d(u, t) - 1.  That costs O(branching * edges) per
-level plus one pass over a leaf's edges per member, O(n * edges) for a
-flat hierarchy.  Only the reference walk (route() over these tables) and
-the benchmark's traced probe pay it: measure builds no tables.
+Tables come from measure's arrays (below), and no all-pairs distance
+matrix is kept.  A sibling cluster's entries come from its copy of the
+gateway search, confined to its parent: a reached node has a distance
+and a gateway (nearest member, lowest id among ties), and its next hop
+is its lowest-id neighbor one step closer with the same gateway.  A
+node entry toward t is a sibling entry toward the one-member cluster
+{t} inside the leaf: one search of the leaves side by side, member j of
+every leaf starting bit j, gives each d(u, t) inside a leaf, and the
+next hop from u toward t is the lowest-id neighbor w inside the leaf
+with d(w, t) = d(u, t) - 1.  Only the reference walk (route() over
+these tables) and the benchmark's traced probe build tables: measure
+builds none.
 
-The table builder's gateway search is graphs._gateways, the package's
-one breadth-first search of a node set; _clusters, the walk over every
-cluster that build_tables takes, also runs it to check that each leaf is
-connected.  measure runs that walk only on a faulty hierarchy, to raise
-the walk's own RoutingError.
+build_tables and measure name a faulty hierarchy's first fault alike,
+from the same arrays (_fault): the nodes of a parent that a copy of the
+gateway search leaves unreached, and the members of a leaf that the
+leaf search from its lowest member does not reach.  routing runs no
+breadth-first search of a node set.
 
 Forwarding resolves the destination to the finest key the current node
 can see: the destination itself inside the node's own leaf cluster,
@@ -124,59 +123,6 @@ def _require_fit(graph: Graph, hierarchy: Hierarchy) -> None:
     hierarchy._require_uniform()
 
 
-def _prefix_groups(paths: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
-    """Members under every label-path prefix, in ascending id order: the
-    empty prefix is the entire graph, a full path is a leaf cluster."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for u, p in enumerate(paths):
-        for k in range(len(p) + 1):
-            groups.setdefault(p[:k], []).append(u)
-    return groups
-
-
-def _clusters(
-    graph: Graph, hierarchy: Hierarchy
-) -> Iterator[tuple[tuple[int, ...], list[int], dict[int, tuple[int, int]] | None]]:
-    """(key, members, gateways) for every cluster, coarsest level first:
-    key is the cluster's label-path prefix (empty for the entire graph),
-    members its nodes in ascending order, and gateways maps every node of
-    its parent to (distance, gateway) toward it (None for the entire
-    graph).
-
-    Raises ValueError for a hierarchy of another size or with label
-    paths of several lengths, and RoutingError when a node cannot reach
-    a sibling cluster inside their parent, or a member of its leaf
-    inside the leaf: the leaf's lowest member and the lowest member that
-    cannot reach it.
-    """
-    _require_fit(graph, hierarchy)
-    adj = graph.adj
-    depth = hierarchy.levels - 1
-    groups = _prefix_groups(hierarchy.label_paths)
-    for key in sorted(groups, key=len):
-        members = groups[key]
-        found = None
-        if key:
-            level = len(key)
-            parent = groups[key[:-1]]
-            found = graphs._gateways(adj, members, set(parent))
-            if len(found) < len(parent):
-                u = next(u for u in parent if u not in found)
-                raise RoutingError(
-                    f"node {u} cannot reach level {level} cluster {key[-1]} "
-                    f"inside level {level - 1} cluster {key[-2]}"
-                )
-            if level == depth:  # a leaf; the entire graph is connected
-                reached = graphs._gateways(adj, members[:1], set(members))
-                if len(reached) < len(members):
-                    u = next(u for u in members if u not in reached)
-                    raise RoutingError(
-                        f"node {u} cannot reach node {members[0]} "
-                        "inside its leaf cluster"
-                    )
-        yield key, members, found
-
-
 def _nesting(
     paths: Sequence[tuple[int, ...]],
 ) -> list[tuple[np.ndarray, np.ndarray, list[int], list[int]]]:
@@ -205,15 +151,16 @@ def _nesting(
     return nest
 
 
-def _toward(graph: Graph, nest: list) -> list[list[tuple]] | None:
-    """toward[k - 1][c] for level k cluster c: the nodes of its parent
-    outside it, their distances to it inside the parent (an int32
-    column) and their gateways to it, from one graphs._gateway_search of
-    every level and sibling rank side by side: copy j of level k starts
-    from the rank j children of every level k - 1 cluster.  None when a
-    node cannot reach a sibling cluster inside their parent."""
+def _toward(graph: Graph, nest: list) -> tuple[list, list[list[tuple]] | None]:
+    """(found, toward): found is the graphs._gateway_search of every level
+    and sibling rank side by side, copy j of level k starting from the
+    rank j children of every level k - 1 cluster, and toward[k - 1][c],
+    for level k cluster c, holds the nodes of its parent outside it,
+    their distances to it inside the parent (an int32 column) and their
+    gateways to it.  toward is None when a node cannot reach a sibling
+    cluster inside their parent."""
     if not nest:
-        return []
+        return [], []
     starts = np.array([np.array(rank)[cluster] for _, cluster, _, rank in nest])
     found = graphs._gateway_search(graph, [inside for inside, *_ in nest], starts)
     toward = []
@@ -233,19 +180,52 @@ def _toward(graph: Graph, nest: list) -> list[list[tuple]] | None:
         for r, p, m in zip(rank, up, outside):
             nodes, d, g, cut = copies[r]
             if cut[p + 1] - cut[p] < m:
-                return None  # a node of the parent is out of reach
+                return found, None  # a node of the parent is out of reach
             s = slice(cut[p], cut[p + 1])
             level.append((nodes[s], d[s], g[s]))
         toward.append(level)
-    return toward
+    return found, toward
 
 
-def _fault(graph: Graph, hierarchy: Hierarchy) -> NoReturn:
-    """Raise the RoutingError of the first fault the _clusters walk finds,
-    once measure's arrays have shown that there is one."""
-    for _ in _clusters(graph, hierarchy):
-        pass
-    raise AssertionError("measure saw a fault that the cluster walk does not find")
+def _fault(graph: Graph, hierarchy: Hierarchy, nest: list, found: list) -> NoReturn:
+    """Raise the RoutingError of the first fault once the arrays show one:
+    clusters coarsest level first, then by lowest member, a leaf's
+    sibling check before its leaf check.  A sibling check fails at the
+    lowest node of the parent that the cluster's copy in _toward's
+    `found` leaves unreached, a leaf check at the lowest member that the
+    leaf search from the leaf's lowest member leaves unreached."""
+    n = graph.n_nodes
+    paths = hierarchy.label_paths
+    for k, ((dist, _), (inside, cluster, up, rank)) in enumerate(zip(found, nest), 1):
+        # which[r, p]: the rank r child of level k - 1 cluster p, -1 for none
+        which = np.full((len(dist), max(up) + 1), -1)
+        which[rank, up] = np.arange(len(up))
+        copy, u = np.nonzero(dist < 0)
+        c = which[copy, inside[u]]
+        # a fault's place in that order: 2c for c's sibling check, 2c + 1
+        # for its leaf check, then the node
+        order = 2 * c[c >= 0] * n + u[c >= 0]
+        if k == len(nest):
+            firsts = np.unique(cluster, return_index=True)[1]
+            reach = graphs._search(graph, cluster)(firsts, np.zeros_like(firsts))
+            split = np.flatnonzero(reach[:, 0] < 0)
+            order = np.concatenate((order, (2 * cluster[split] + 1) * n + split))
+        if order.size:
+            at, u = divmod(int(order.min()), n)
+            m = int(np.argmax(cluster == at // 2))  # the cluster's lowest member
+            if at % 2:
+                raise RoutingError(f"node {u} cannot reach node {m} inside its leaf cluster")
+            raise RoutingError(
+                f"node {u} cannot reach level {k} cluster {paths[m][k - 1]} "
+                f"inside level {k - 1} cluster {paths[u][k - 2]}"
+            )
+    raise AssertionError("the arrays show a fault that they do not name")
+
+
+def _members(cluster: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(order, cut): the nodes by cluster, each cluster's in ascending
+    order, cluster c's members at order[cut[c]:cut[c + 1]]."""
+    return np.argsort(cluster, kind="stable"), [0, *np.bincount(cluster).cumsum().tolist()]
 
 
 def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]:
@@ -256,9 +236,19 @@ def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]
     module docstring).  A disconnected cluster raises RoutingError
     naming a node and the target it cannot reach.
     """
+    _require_fit(graph, hierarchy)
     n = graph.n_nodes
     adj = graph.adj
-    depth = hierarchy.levels - 1
+    paths = hierarchy.label_paths
+    nest = _nesting(paths)
+    searched, toward = _toward(graph, nest)
+    leaf = nest[-1][1] if nest else np.zeros(n, dtype=np.intp)
+    order, cut = _members(leaf)
+    # member j of every leaf starts bit j: column j holds each node's
+    # distance to member j of its own leaf
+    near = graphs._search(graph, leaf)(order, np.arange(n) - np.array(cut)[leaf[order]])
+    if toward is None or near[:, 0].min() < 0:
+        _fault(graph, hierarchy, nest, searched)
     node_entries: list[dict[int, int]] = [{} for _ in range(n)]
     cluster_entries: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
 
@@ -274,15 +264,19 @@ def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]
                         break
 
     # coarsest first, so every table lists its cluster entries level by level
-    for key, members, found in _clusters(graph, hierarchy):
-        if found is not None:
+    for k, ((_, cluster, _, _), level) in enumerate(zip(nest, toward), 1):
+        by_cluster, bounds = _members(cluster)
+        for (out, dist, gw), a, b in zip(level, bounds, bounds[1:]):
             # toward a sibling cluster, for every node of the parent outside it
-            add_entries(cluster_entries, (len(key), key[-1]), found)
-        if len(key) == depth:
-            # toward each member t of a leaf: a sibling entry toward {t}
-            leaf = set(members)
-            for t in members:
-                add_entries(node_entries, t, graphs._gateways(adj, [t], leaf))
+            members = by_cluster[a:b].tolist()
+            found = {m: (0, m) for m in members}
+            found.update(zip(out.tolist(), zip(dist[:, 0].tolist(), gw.tolist())))
+            add_entries(cluster_entries, (k, paths[members[0]][k - 1]), found)
+    # toward each member t of a leaf: a sibling entry toward {t}
+    for a, b in zip(cut, cut[1:]):
+        members = order[a:b].tolist()
+        for t, d in zip(members, near[order[a:b], : b - a].T.tolist()):
+            add_entries(node_entries, t, {u: (x, t) for u, x in zip(members, d)})
     return tuple(
         RoutingTable(u, node_entries[u], cluster_entries[u]) for u in range(n)
     )
@@ -452,14 +446,13 @@ def measure(
         raise ValueError("stretch measurement needs at least two nodes")
     _require_fit(graph, hierarchy)
     nest = _nesting(hierarchy.label_paths)
-    toward = _toward(graph, nest)
+    found, toward = _toward(graph, nest)
     if toward is None:
-        _fault(graph, hierarchy)
+        _fault(graph, hierarchy, nest, found)
     # self entries and sibling entries
     entries = n + sum(len(out) for level in toward for out, _, _ in level)
     leaf = nest[-1][1] if nest else np.zeros(n, dtype=np.intp)  # each node's leaf
-    order = np.argsort(leaf, kind="stable")
-    cut = [0, *np.bincount(leaf).cumsum().tolist()]
+    order, cut = _members(leaf)
     leaves = []  # (members, the toward arrays from the leaf outward)
     for c, (a, b) in enumerate(zip(cut, cut[1:])):
         entries += (b - a) * (b - a - 1)
@@ -488,7 +481,7 @@ def measure(
             near = local(starts, np.concatenate([np.arange(len(run[0])) for run in runs]))
             # column 0 of the first chunk starts at member 0 of every leaf
             if not j0 and near[:, 0].min() < 0:
-                _fault(graph, hierarchy)  # a split leaf
+                _fault(graph, hierarchy, nest, found)  # a split leaf
         for block in _target_blocks(runs, size):
             joint = _tally(joint, *_route_lengths(block, whole, near))
     joint[0, 0] = 0  # each node toward itself

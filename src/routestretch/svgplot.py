@@ -2,11 +2,13 @@
 
 Emits a fixed 800x600 viewport with linear axes, one polyline per
 series, and a legend.  Output depends only on the input data, so equal
-inputs give byte-identical files.
+inputs give byte-identical files.  A NaN or infinite coordinate is
+rejected, not drawn.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 from xml.sax.saxutils import escape
 
@@ -44,6 +46,10 @@ def render_line_chart(
 ) -> str:
     if not series or not any(pts for _, pts in series):
         raise ValueError("nothing to plot")
+    for label, pts in series:
+        for i, (x, y) in enumerate(pts):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"series {label!r} point {i} is not finite: ({x}, {y})")
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts]
     x_lo, x_hi = _bounds(xs)

@@ -140,6 +140,54 @@ def clusters_at_level(hierarchy, level):
     return groups
 
 
+def prefix_groups(paths):
+    """Members under every label-path prefix, in ascending id order: the
+    empty prefix is the entire graph, a full path is a leaf cluster."""
+    groups = {}
+    for u, p in enumerate(paths):
+        for k in range(len(p) + 1):
+            groups.setdefault(p[:k], []).append(u)
+    return groups
+
+
+def oracle_failure(g, h):
+    """(exception type, message) of the first check table construction
+    fails, or None: the sizes, the path lengths, then every cluster by
+    prefix length, whether each node of its parent reaches it inside the
+    parent and, for a leaf, the first target in id order that some member
+    cannot reach inside the leaf, with the lowest such member."""
+    if h.n_nodes != g.n_nodes:
+        return ValueError, f"hierarchy covers {h.n_nodes} nodes, graph has {g.n_nodes}"
+    depth = h.levels - 1
+    for u, p in enumerate(h.label_paths):
+        if len(p) != depth:
+            return ValueError, (
+                f"node {u} has a label path of length {len(p)}, expected {depth}; "
+                "run validate() for a full report"
+            )
+    groups = prefix_groups(h.label_paths)
+    for key in sorted(groups, key=len):
+        members = groups[key]
+        if key:
+            parent = groups[key[:-1]]
+            d = induced_distances(parent, g.adj)
+            for u in parent:
+                if not any(m in d[u] for m in members):
+                    return rt.RoutingError, (
+                        f"node {u} cannot reach level {len(key)} cluster {key[-1]} "
+                        f"inside level {len(key) - 1} cluster {key[-2]}"
+                    )
+        if len(key) == depth:
+            d = induced_distances(members, g.adj)
+            for t in members:
+                for u in members:
+                    if t not in d[u]:
+                        return rt.RoutingError, (
+                            f"node {u} cannot reach node {t} inside its leaf cluster"
+                        )
+    return None
+
+
 def hop_toward(adj, d_ctx, u, t):
     """Lowest-id neighbor one step closer to t inside the context whose
     distances are d_ctx (adj rows are sorted)."""

@@ -22,7 +22,8 @@ def test_each_helper_has_one_definition():
     assert sorted(n for n, c in counts.items() if c > 1 and not n.startswith("test_")) == []
     shared = functions(TESTS / "oracles.py")
     assert {"floyd_warshall", "clusters_at_level", "bfs", "reference",
-            "per_pair_random_graph", "per_line_save_graph", "per_line_save_hierarchy"} <= shared
+            "per_pair_random_graph", "per_line_save_graph", "per_line_save_hierarchy",
+            "oracle_failure", "prefix_groups"} <= shared
     elsewhere = [
         (path.name, name)
         for path in MODULES if path.name != "oracles.py"

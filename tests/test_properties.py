@@ -18,19 +18,20 @@ label; the reference is one breadth-first search per source
 the reference for graphs._gateways, the one breadth-first search of a
 node set (nearest source, lowest id on ties); oracles.components is the
 reference for graphs._components.
-build_tables() finds every next hop from gateway-carrying BFS runs, one
-per sibling cluster and one per leaf member; the table oracle
+build_tables() finds every next hop from measure's gateway arrays and
+one bit-parallel search of the leaves side by side; the table oracle
 (oracle_tables) finds them from all-pairs distances inside each cluster,
 the definition the tables must reproduce exactly, and a frozen digest
 pins their order; their lengths must give measure()'s mean table length.
 measure() takes its gateways from one array search of every level and
 sibling rank side by side (graphs._gateway_search), which must give
-graphs._gateways' distance and gateway for every node of every parent,
-and it runs no node-set search on a valid hierarchy.  It composes
-route lengths from gateway distances and leaf distances without
-building tables; the walker reference (reference) routes every pair
-with route() and must be reproduced exactly, with the mean per-pair
-ratio as the correctly rounded exact mean.  A block holds at
+graphs._gateways' distance and gateway for every node of every parent.
+Neither it nor build_tables() runs a node-set search, not even to name
+a fault: both name the one oracle_failure names, from those arrays.
+measure() composes route lengths from gateway distances and leaf
+distances without building tables; the walker reference (reference)
+routes every pair with route() and must be reproduced exactly, with the
+mean per-pair ratio as the correctly rounded exact mean.  A block holds at
 least 64 targets, so blocks of 64 (_SEARCH_CELLS = 1) are checked on
 the 20x20 torus against the walker and on graphs of 65-160 nodes against
 one block; on 64x64 grids and tori, beyond the walker's reach, nested
@@ -67,7 +68,8 @@ from routestretch import hierarchy as hi
 from routestretch import routing as rt
 
 from oracles import (bfs, check_route, clusters_at_level, components, draw_random_graph,
-                     induced_distances, largest_component, oracle_tables, reference)
+                     induced_distances, largest_component, oracle_failure, oracle_tables,
+                     prefix_groups, reference)
 
 
 @st.composite
@@ -251,47 +253,6 @@ def labelled_graphs(draw):
     return g, hi.Hierarchy(levels, tuple(paths))
 
 
-def oracle_failure(g, h):
-    """(exception type, message) of the first check table construction
-    fails, or None: the sizes, the path lengths, then every cluster by
-    prefix length, whether each node of its parent reaches it inside the
-    parent and, for a leaf, the first target in id order that some member
-    cannot reach inside the leaf, with the lowest such member."""
-    if h.n_nodes != g.n_nodes:
-        return ValueError, f"hierarchy covers {h.n_nodes} nodes, graph has {g.n_nodes}"
-    depth = h.levels - 1
-    for u, p in enumerate(h.label_paths):
-        if len(p) != depth:
-            return ValueError, (
-                f"node {u} has a label path of length {len(p)}, expected {depth}; "
-                "run validate() for a full report"
-            )
-    groups = {}
-    for u, p in enumerate(h.label_paths):
-        for k in range(depth + 1):
-            groups.setdefault(p[:k], []).append(u)
-    for key in sorted(groups, key=len):
-        members = groups[key]
-        if key:
-            parent = groups[key[:-1]]
-            d = induced_distances(parent, g.adj)
-            for u in parent:
-                if not any(m in d[u] for m in members):
-                    return rt.RoutingError, (
-                        f"node {u} cannot reach level {len(key)} cluster {key[-1]} "
-                        f"inside level {len(key) - 1} cluster {key[-2]}"
-                    )
-        if len(key) == depth:
-            d = induced_distances(members, g.adj)
-            for t in members:
-                for u in members:
-                    if t not in d[u]:
-                        return rt.RoutingError, (
-                            f"node {u} cannot reach node {t} inside its leaf cluster"
-                        )
-    return None
-
-
 def outcome(call, *args):
     try:
         return call(*args)
@@ -326,9 +287,9 @@ def check_array_gateways(g, h):
     every node of the parent, or no arrays when some node of a parent
     cannot reach one of its children."""
     nest = rt._nesting(h.label_paths)
-    toward = rt._toward(g, nest)
+    toward = rt._toward(g, nest)[1]
     missed = False
-    groups = rt._prefix_groups(h.label_paths)
+    groups = prefix_groups(h.label_paths)
     for key, members in groups.items():
         if not key:
             continue
@@ -394,7 +355,15 @@ def test_array_gateways_on_benchmark_graphs():
 
 def test_measure_runs_no_node_set_search_on_valid_hierarchies(monkeypatch):
     # the gateways come from the array search and the leaf check from the
-    # leaf search, so only a fault brings in the _clusters walk
+    # leaf search, and faults are named from those arrays, so neither
+    # measure nor build_tables runs a node-set search, valid or faulty
+    ring = gr.ring_graph(8)
+    torus = gr.torus_graph(20, 20)
+    valid = (
+        (ring, hi.build_balanced(ring, 2, 2)),
+        (torus, hi.build_balanced(torus, 4, 2)),
+        (torus, hi.build_grid_blocks(torus, 20, 20, [(10, 4), (5, 2)])),
+    )
     calls = []
     search = gr._gateways
 
@@ -403,20 +372,17 @@ def test_measure_runs_no_node_set_search_on_valid_hierarchies(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(gr, "_gateways", counted)
-    ring = gr.ring_graph(8)
-    torus = gr.torus_graph(20, 20)
-    for g, h in (
-        (ring, hi.build_balanced(ring, 2, 2)),
-        (torus, hi.build_balanced(torus, 4, 2)),
-        (torus, hi.build_grid_blocks(torus, 20, 20, [(10, 4), (5, 2)])),
-    ):
+    for g, h in valid:
         rt.measure(g, h)
-    assert calls == []
-    # a split leaf: the walk runs and names it
+        rt.build_tables(g, h)
+    # a split leaf, and a level 2 cluster that 4 cannot reach inside its parent
     split = hi.Hierarchy(2, ((0,), (1,), (1,), (1,), (0,), (2,), (2,), (2,)))
-    with pytest.raises(rt.RoutingError, match="node 4 cannot reach node 0"):
-        rt.measure(ring, split)
-    assert calls
+    cut_off = hi.Hierarchy(3, ((0, 0), (0, 0), (1, 2), (1, 2), (0, 1), (0, 1), (1, 3), (1, 3)))
+    for h, fault in ((split, "node 4 cannot reach node 0"), (cut_off, "node 4 cannot reach level 2")):
+        for call in (rt.measure, rt.build_tables):
+            with pytest.raises(rt.RoutingError, match=fault):
+                call(ring, h)
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", [7, 8])

@@ -11,7 +11,7 @@ from routestretch import graphs as gr
 from routestretch import hierarchy as hi
 from routestretch import routing as rt
 
-from oracles import bfs, check_route, every_route
+from oracles import bfs, check_route, components, every_route, oracle_failure, prefix_groups
 
 
 def ring8_setup():
@@ -201,6 +201,9 @@ def test_measure_names_the_walkers_first_fault(monkeypatch, search_cells):
     h = hi.Hierarchy(3, paths)
     want = walker_error(g, h)
     assert isinstance(want, rt.RoutingError)
+    # build_tables and measure name faults alike: the oracle is the
+    # independent reference for the wording
+    assert (type(want), str(want)) == oracle_failure(g, h)
     with pytest.raises(type(want)) as exc:
         rt.measure(g, h)
     assert str(exc.value) == str(want)
@@ -221,10 +224,10 @@ def test_disconnected_parent_cluster_raises_routing_error():
     # clusters {0, 1} and {4, 5} are connected but cannot reach each other
     g = gr.ring_graph(8)
     h = hi.Hierarchy(3, ((0, 0), (0, 0), (1, 2), (1, 2), (0, 1), (0, 1), (1, 3), (1, 3)))
+    want = "node 4 cannot reach level 2 cluster 0 inside level 1 cluster 0"
+    assert oracle_failure(g, h) == (rt.RoutingError, want)
     for call in (rt.build_tables, rt.measure):
-        with pytest.raises(
-            rt.RoutingError, match="node 4 cannot reach level 2 cluster 0 inside level 1 cluster 0"
-        ):
+        with pytest.raises(rt.RoutingError, match=want):
             call(g, h)
 
 
@@ -232,6 +235,9 @@ def test_disconnected_leaf_raises_routing_error():
     # leaf 0 = {0, 4} has no edge inside it; leaves {1, 2, 3} and {5, 6, 7} do
     g = gr.ring_graph(8)
     h = hi.Hierarchy(2, ((0,), (1,), (1,), (1,), (0,), (2,), (2,), (2,)))
+    assert oracle_failure(g, h) == (
+        rt.RoutingError, "node 4 cannot reach node 0 inside its leaf cluster"
+    )
     for call in (rt.build_tables, rt.measure):
         with pytest.raises(rt.RoutingError, match="node 4 cannot reach node 0"):
             call(g, h)
@@ -244,11 +250,48 @@ def test_disconnected_leaf_names_lowest_pair(monkeypatch, search_cells):
     monkeypatch.setattr(gr, "_SEARCH_CELLS", search_cells)
     g = gr.ring_graph(10)
     h = hi.Hierarchy(2, tuple((0,) if u in (0, 1, 2, 5, 6, 9) else (1,) for u in range(10)))
+    want = "node 5 cannot reach node 0 inside its leaf cluster"
+    assert oracle_failure(g, h) == (rt.RoutingError, want)
     for call in (rt.build_tables, rt.measure):
-        with pytest.raises(
-            rt.RoutingError, match="^node 5 cannot reach node 0 inside its leaf cluster$"
-        ):
+        with pytest.raises(rt.RoutingError, match=f"^{want}$"):
             call(g, h)
+
+
+def moved_node(g, paths, source, into, apart):
+    """paths with the lowest node under `source` that touches no node under
+    `apart` moved to path `into`, where every cluster it quits stays
+    connected without it."""
+    groups = prefix_groups(paths)
+    for u in groups[source]:
+        quits = [paths[u][:k] for k in range(1, len(into) + 1) if paths[u][:k] != into[:k]]
+        if not set(g.adj[u]) & set(groups[apart]) and all(
+            len(components([v for v in groups[q] if v != u], g.adj)) == 1 for q in quits
+        ):
+            return hi.Hierarchy(len(into) + 1, paths[:u] + (into,) + paths[u + 1 :])
+    raise AssertionError("no node to move")
+
+
+@pytest.mark.parametrize("search_cells", [1, 1 << 18])
+def test_faults_on_the_balanced_torus_match_the_oracle(monkeypatch, search_cells):
+    # the 20x20 torus balanced at L4 (leaves (0, 0, 0) and (0, 0, 1) share
+    # a parent), altered twice: (a) a node of leaf (0, 0, 1) moves into
+    # leaf (0, 0, 0), which it does not touch, so that leaf is split; (b)
+    # a node of level 1 cluster 1 that touches no node of level 1 cluster
+    # 0 moves into leaf (0, 0, 1), so it cannot reach its new level 2
+    # sibling (0, 1) inside level 1 cluster 0, a fault one level above
+    # its split leaf
+    monkeypatch.setattr(gr, "_SEARCH_CELLS", search_cells)
+    g = gr.torus_graph(20, 20)
+    paths = hi.build_balanced(g, 4, 2).label_paths
+    split = moved_node(g, paths, (0, 0, 1), (0, 0, 0), (0, 0, 0))
+    cut_off = moved_node(g, paths, (1,), (0, 0, 1), (0,))
+    for h, fault in ((split, "inside its leaf cluster"), (cut_off, "inside level 1 cluster 0")):
+        want = oracle_failure(g, h)
+        assert want[0] is rt.RoutingError and want[1].endswith(fault)
+        for call in (rt.measure, rt.build_tables):
+            with pytest.raises(rt.RoutingError) as exc:
+                call(g, h)
+            assert (type(exc.value), str(exc.value)) == want
 
 
 def test_non_uniform_label_paths_raise_value_error():

@@ -63,6 +63,13 @@ def test_empty_series_rejected():
         sv.render_line_chart([("empty", [])], "x", "y")
 
 
+@pytest.mark.parametrize("point", [(1.0, float("nan")), (float("inf"), 2.0), (0.0, float("-inf"))])
+def test_non_finite_point_rejected(point):
+    series = [("ok", [(0.0, 0.0)]), ("N=10", [(0.5, 1.0), point])]
+    with pytest.raises(ValueError, match=r"^series 'N=10' point 1 is not finite"):
+        sv.render_line_chart(series, "x", "y")
+
+
 def test_write_line_chart(tmp_path):
     p = tmp_path / "chart.svg"
     sv.write_line_chart(p, sample_series(), "x", "y", title="t")
