@@ -567,25 +567,36 @@ def _block_size(n: int) -> int:
     return -(-max(1, _SEARCH_CELLS // n) // 64) * 64
 
 
+def _distance_type(n: int) -> type:
+    """The integer type of _search's distances on a graph of n nodes.
+    n - 1 bounds every hop distance and the length of every route that
+    visits no node twice, so int16 holds them below 2**15 nodes."""
+    return np.int16 if n < 1 << 15 else np.int32
+
+
 def _search(
     graph: Graph, labels: np.ndarray | None = None
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+) -> Callable[..., np.ndarray]:
     """The hop-distance search of `graph` or, given one label per node, of
     the subgraph that keeps only the edges whose two ends share a label,
     set up once.  Called with distinct start nodes and a bit for each,
-    it returns an (n x k) int32 array, k the highest bit plus one: column
-    b holds each node's hop distance from the nearest start of bit b,
-    -1 where no start of bit b reaches it.
+    it returns an (n x k) array of _distance_type(n), k the highest bit
+    plus one: column b holds each node's hop distance from the nearest
+    start of bit b, -1 where no start of bit b reaches it.  Given `out`,
+    an array of that type with n rows and at least k columns, it fills
+    and returns out's first k columns, so a caller that searches block
+    after block can keep one buffer.
 
     One level-synchronous search serves all the starts of a call.  Every
     node holds its frontier and its unreached set as bits, one per
     column, packed into 64-bit words.  At each level a node's new
     frontier is the OR of its neighbors' frontiers, minus what it has
     reached; a bit that turns on at level L means a distance of L, and
-    is added to the bit planes of L's binary digits.  A level costs one
-    pass over the kept edges per 64 columns.  Starts of one bit in
-    different labels search their own labels side by side, which is how
-    measure searches every leaf cluster at once.
+    is added to the bit planes of L's binary digits.  The distances are
+    then read from the planes highest first, shifting and ORing in place.
+    A level costs one pass over the kept edges per 64 columns.  Starts of
+    one bit in different labels search their own labels side by side,
+    which is how measure searches every leaf cluster at once.
 
     The set-up masks the graph's CSR arrays and ranks each node's
     neighbors; nodes are searched in falling order of degree, so the
@@ -608,7 +619,7 @@ def _search(
         for r in range(degree.max(initial=0))
     ]
 
-    def search(starts: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    def search(starts: np.ndarray, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         k = int(bits.max()) + 1
         frontier = np.zeros((n, (k + 63) // 64), dtype="<u8")
         frontier[place[starts], bits // 64] = np.uint64(1) << (bits % 64).astype(np.uint64)
@@ -628,10 +639,13 @@ def _search(
                         planes.append(np.zeros_like(new))
                     planes[b] |= new
             frontier = new
-        dist = np.zeros((n, k), dtype=np.int32)
-        for b, plane in enumerate(planes):
-            dist += _bit_columns(plane.take(place, axis=0), k) * np.int32(1 << b)
-        dist[_bit_columns(unreached.take(place, axis=0), k).view(bool)] = -1
+        dist = np.empty((n, k), dtype=_distance_type(n)) if out is None else out[:, :k]
+        dist[...] = 0
+        for plane in reversed(planes):
+            dist <<= 1
+            dist |= _bit_columns(plane.take(place, axis=0), k)
+        # an unreached node has no plane bit: 0 - 1
+        dist -= _bit_columns(unreached.take(place, axis=0), k)
         return dist
 
     return search
@@ -646,9 +660,9 @@ def _gateway_search(
     starts[k, u] is the copy of group k that node u starts.  A copy of
     group k follows only the edges whose two ends share a label in
     labels[k].  Returns (dist, gw) for each group, two (copies x n)
-    arrays: each node's hop distance from the copy's nearest start and
-    the lowest id among those starts, -1 and n where the copy does not
-    reach it.
+    arrays: each node's hop distance from the copy's nearest start, of
+    _distance_type(n), and the lowest id among those starts, -1 and n
+    where the copy does not reach it.
 
     One level-synchronous search serves every copy of every group.  Node
     u of the c-th copy in all is the virtual node c * n + u, and row
@@ -669,7 +683,7 @@ def _gateway_search(
     base = np.concatenate(([0], width.cumsum()))
     row = (np.repeat(np.arange(len(labels)), width)[:, None] * n + np.arange(n)).ravel()
     frontier = ((starts + base[:-1, None]) * n + np.arange(n)).ravel()
-    dist = np.full(row.size, -1, dtype=np.int32)
+    dist = np.full(row.size, -1, dtype=_distance_type(n))
     dist[frontier] = 0
     gw = np.full(row.size, n, dtype=np.intp)
     gw[frontier] = frontier % n

@@ -62,8 +62,14 @@ filled from the leaf outward, one array gather per level.  Chunks and
 blocks hold about graphs._SEARCH_CELLS (node, target) cells, rounded
 up to whole 64-bit words of targets, so no n x n array is held whatever
 n is; a hierarchy whose one leaf is the entire graph takes its leaf
-distances from the whole-graph search.  Each block adds to a count of
-(route length, shortest length) pairs, from which the means follow as
+distances from the whole-graph search.  Distances and route lengths are
+int16 below 2**15 nodes (graphs._distance_type), and one measure call
+allocates one block-sized buffer each for the shortest lengths, the
+route lengths and the leaf distances, refilled for every block and
+chunk, so it does not touch fresh pages block after block.  Each block
+adds to a count of (route length, shortest length) pairs, keyed and
+counted a row chunk of about _TALLY_CELLS cells at a time, so no
+block-sized intp array is made.  The means follow from that count as
 exact integer sums, and the mean of per-pair ratios as one correctly
 rounded division of exact integers.  The result equals routing every
 ordered pair with route().  The headline s_p is the ratio of means
@@ -156,9 +162,9 @@ def _toward(graph: Graph, nest: list) -> tuple[list, list[list[tuple]] | None]:
     and sibling rank side by side, copy j of level k starting from the
     rank j children of every level k - 1 cluster, and toward[k - 1][c],
     for level k cluster c, holds the nodes of its parent outside it,
-    their distances to it inside the parent (an int32 column) and their
-    gateways to it.  toward is None when a node cannot reach a sibling
-    cluster inside their parent."""
+    their distances to it inside the parent (a column of
+    graphs._distance_type(n)) and their gateways to it.  toward is None
+    when a node cannot reach a sibling cluster inside their parent."""
     if not nest:
         return [], []
     starts = np.array([np.array(rank)[cluster] for _, cluster, _, rank in nest])
@@ -396,31 +402,47 @@ def _target_blocks(runs: list, size: int) -> Iterator[list]:
         yield block
 
 
+# (node, target) cells per row chunk of _tally: 64 KB of intp keys
+_TALLY_CELLS = 1 << 13
+
+
 def _tally(joint: np.ndarray, lengths: np.ndarray, short: np.ndarray) -> np.ndarray:
     """joint, grown as needed, plus the count of every (route length,
-    shortest length) pair of two arrays of one shape."""
+    shortest length) pair of two (n x k) arrays.  bincount takes intp
+    keys, so the rows are keyed and counted a chunk of about _TALLY_CELLS
+    cells at a time, in one buffer."""
     rows, width = int(lengths.max()) + 1, int(short.max()) + 1
-    cells = lengths.astype(np.intp)  # bincount's own type, so it copies nothing
-    cells *= width
-    cells += short
-    cells = np.bincount(cells.ravel(), minlength=rows * width)
+    n, k = lengths.shape
+    step = max(1, _TALLY_CELLS // k)
+    keys = np.empty((min(step, n), k), dtype=np.intp)
+    counts = np.zeros(rows * width, dtype=np.intp)
+    for r0 in range(0, n, step):
+        chunk = keys[: min(step, n - r0)]
+        np.multiply(lengths[r0 : r0 + step], width, out=chunk, dtype=np.intp)
+        chunk += short[r0 : r0 + step]
+        counts += np.bincount(chunk.ravel(), minlength=rows * width)
     have, wide = joint.shape
     grown = np.zeros((max(rows, have), max(width, wide)), dtype=np.int64)
     grown[:have, :wide] = joint
-    grown[:rows, :width] += cells.reshape(rows, width)
+    grown[:rows, :width] += counts.reshape(rows, width)
     return grown
 
 
 def _route_lengths(
-    block: list, whole: Callable[[np.ndarray, np.ndarray], np.ndarray], near: np.ndarray | None
+    block: list,
+    whole: Callable[..., np.ndarray],
+    near: np.ndarray | None,
+    short: np.ndarray,
+    lengths: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(route lengths, shortest lengths) from every node [x] toward the
-    targets of a block [t].  `whole` searches the entire graph and `near`
+    targets of a block [t], filled into the first columns of the buffers
+    `lengths` and `short`.  `whole` searches the entire graph and `near`
     holds the leaf distances toward the targets' chunk (None when the
-    one leaf is the entire graph)."""
+    one leaf is the entire graph, whose route lengths are the shortest)."""
     targets = np.concatenate([run[0][i0:i1] for run, i0, i1 in block])
-    short = whole(targets, np.arange(len(targets)))
-    lengths = short if near is None else np.empty_like(short)
+    short = whole(targets, np.arange(len(targets)), short)
+    lengths = short if near is None else lengths[:, : len(targets)]
     c0 = 0
     for (_, members, chain), i0, i1 in block:
         cols = slice(c0, c0 + i1 - i0)
@@ -431,7 +453,9 @@ def _route_lengths(
         # the nodes x of P outside C, the child of P holding t (module
         # docstring)
         for out, dist, gw in chain:
-            lengths[out, cols] = dist + lengths[gw, cols]
+            via = lengths[gw, cols]
+            via += dist
+            lengths[out, cols] = via
     return lengths, short
 
 
@@ -467,6 +491,9 @@ def measure(
     whole = graphs._search(graph)
     local = graphs._search(graph, leaf) if len(leaves) > 1 else None
     size = graphs._block_size(n)
+    # one buffer each for the shortest lengths, the route lengths and the
+    # leaf distances, refilled for every block and chunk
+    short, lengths, near_buffer = np.empty((3, n, size), dtype=graphs._distance_type(n))
     joint = np.zeros((1, 1), dtype=np.int64)  # [route length, shortest length]
     for j0 in range(0, max(len(members) for members, _ in leaves), size):
         # the targets: members j0..j0+size-1 of every leaf
@@ -478,12 +505,13 @@ def measure(
         near = None
         if local is not None:
             starts = np.concatenate([run[0] for run in runs])
-            near = local(starts, np.concatenate([np.arange(len(run[0])) for run in runs]))
+            bits = np.concatenate([np.arange(len(run[0])) for run in runs])
+            near = local(starts, bits, near_buffer)
             # column 0 of the first chunk starts at member 0 of every leaf
             if not j0 and near[:, 0].min() < 0:
                 _fault(graph, hierarchy, nest, found)  # a split leaf
         for block in _target_blocks(runs, size):
-            joint = _tally(joint, *_route_lengths(block, whole, near))
+            joint = _tally(joint, *_route_lengths(block, whole, near, short, lengths))
     joint[0, 0] = 0  # each node toward itself
     pairs = n * (n - 1)
     route_lens, short_lens = np.nonzero(joint)

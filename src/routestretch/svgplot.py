@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 WIDTH = 800
 HEIGHT = 600
@@ -32,6 +31,13 @@ PALETTE = (
 )
 
 Series = Sequence[tuple[str, Sequence[tuple[float, float]]]]
+
+
+def _escape(text: str) -> str:
+    """Text as XML character data: xml.sax.saxutils.escape's three
+    replacements in its order, without importing xml.sax, whose import
+    loads urllib.request, http.client, ssl and email."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _bounds(values: list[float]) -> tuple[float, float]:
@@ -71,7 +77,7 @@ def render_line_chart(
     if title:
         out.append(
             f'<text x="{WIDTH / 2:.2f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
         )
     # axes
     x0, y0 = MARGIN_LEFT, MARGIN_TOP + plot_h
@@ -104,12 +110,12 @@ def render_line_chart(
         )
     out.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.2f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="13">{_escape(x_label)}</text>'
     )
     out.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.2f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.2f})">{_escape(y_label)}</text>'
     )
     # series
     for idx, (label, pts) in enumerate(series):
@@ -126,7 +132,7 @@ def render_line_chart(
         )
         out.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(label)}</text>'
+            f'font-size="12">{_escape(label)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -73,3 +73,17 @@ def test_importing_cli_builds_no_parser():
         "assert built.count('routestretch') == 1, built"
     )
     assert "routestretch.cli" in got["loaded"]
+
+
+def test_importing_cli_loads_no_network_modules():
+    # xml.sax.saxutils would load urllib.request, http.client, ssl and
+    # email into every CLI process.  A site hook may load some of them
+    # before any import, so only what the import adds counts
+    got = fresh_import(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import routestretch.cli\n"
+        "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "assert not added & {'urllib', 'http', 'ssl', 'email'}, sorted(added)"
+    )
+    assert "routestretch.cli" in got["loaded"]

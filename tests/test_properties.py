@@ -115,6 +115,32 @@ def test_torus_ladder_equals_route_walker(levels):
         assert rt.measure(g, h) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(clustered_graphs(), st.integers(1, 200))
+def test_measure_tallies_in_any_row_chunks(gh, cells):
+    # _tally keys and counts a chunk of about _TALLY_CELLS cells of a
+    # block at a time: one row per chunk at 1 cell, and a short last
+    # chunk wherever the chunk's rows do not divide n
+    g, h = gh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rt, "_TALLY_CELLS", cells)
+        assert rt.measure(g, h) == reference(g, h)
+
+
+def test_torus_tally_chunks_across_reused_blocks():
+    # blocks of 64 targets (_SEARCH_CELLS = 1) refill measure's buffers
+    # seven times; chunks of one row, and of three rows with a short last
+    # chunk of one, tally each block
+    g = gr.torus_graph(20, 20)
+    h = hi.build_balanced(g, 4, 2)
+    want = reference(g, h)
+    for cells in (1, 3 * 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gr, "_SEARCH_CELLS", 1)
+            mp.setattr(rt, "_TALLY_CELLS", cells)
+            assert rt.measure(g, h) == want
+
+
 @st.composite
 def wider_clustered_graphs(draw):
     """Connected graphs of 65-160 nodes, more than one 64-target block,
@@ -218,9 +244,9 @@ def test_measure_reads_no_tables(monkeypatch):
 
 def test_measure_holds_no_n_by_n_array():
     # the 64x64 torus at level 2: 2048-member leaves searched in 32 chunks
-    # of 64 positions.  Measured peaks were 6.3 MB (48x48, blocks of 128
-    # targets) and 6.1 MB (64x64, blocks of 64): about six int32 arrays of
-    # one block
+    # of 64 positions.  Measured peaks were 2.9 MB (48x48, blocks of 128
+    # targets) and 2.8 MB (64x64, blocks of 64): about five int16 arrays of
+    # one block, the three buffers measure refills and the search's bits
     for side, levels in ((48, 3), (64, 2)):
         g = gr.torus_graph(side, side)
         h = hi.build_balanced(g, levels, 2)
@@ -232,7 +258,7 @@ def test_measure_holds_no_n_by_n_array():
             tracemalloc.stop()
         n = g.n_nodes
         assert peak < n**2 * 4  # one n x n int32 array
-        assert peak < 8 * n * gr._block_size(n) * 4
+        assert peak < 8 * n * gr._block_size(n) * 2
 
 
 @st.composite
@@ -300,7 +326,7 @@ def check_array_gateways(g, h):
             continue
         level = len(key) - 1
         out, dist, gw = toward[level][nest[level][1][members[0]]]
-        assert dist.dtype == np.int32 and dist.shape == (len(out), 1)
+        assert dist.dtype == gr._distance_type(g.n_nodes) and dist.shape == (len(out), 1)
         got = {m: (0, m) for m in members}
         got.update(zip(out.tolist(), zip(dist[:, 0].tolist(), gw.tolist())))
         assert len(got) == len(members) + len(out)
@@ -566,6 +592,18 @@ def test_search_of_long_paths_spans_many_levels():
             check_search(g, range(g.n_nodes), per_block)
 
 
+def test_search_distances_are_int16_below_two_to_the_fifteen_nodes():
+    # n - 1 bounds every distance, so int16 holds them up to 32,767
+    # nodes; the 128 x 256 torus has 32,768, and its far corner is
+    # 64 + 128 hops from node 0
+    small = gr._search(gr.torus_graph(20, 20))(np.array([0]), np.array([0]))
+    assert small.dtype == np.int16
+    assert small.max() == 20
+    big = gr._search(gr.torus_graph(128, 256))(np.array([0]), np.array([0]))
+    assert big.dtype == np.int32
+    assert big.max() == 192
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(2, 40),
@@ -588,8 +626,15 @@ def test_packed_search_equals_per_label_bfs(n, data, seed, n_labels, per_block):
     size = per_block or n
     for j0 in range(0, max(map(len, groups)), size):
         runs = [m[j0 : j0 + size] for m in groups if len(m) > j0]
-        got = search(np.concatenate(runs), np.concatenate([np.arange(len(r)) for r in runs]))
+        starts, bits = np.concatenate(runs), np.concatenate([np.arange(len(r)) for r in runs])
+        got = search(starts, bits)
         assert got.shape == (n, max(map(len, runs)))
+        # into a wider buffer left dirty by an earlier block: the first
+        # columns, refilled whole
+        buffer = np.full((n, size + 1), 7, dtype=got.dtype)
+        into = search(starts, bits, buffer)
+        assert np.shares_memory(into, buffer)
+        assert np.array_equal(into, got)
         for m in groups:
             d = induced_distances(m.tolist(), g.adj)
             for b, t in enumerate(m[j0 : j0 + size].tolist()):

@@ -1,8 +1,11 @@
 """SVG output is checked structurally by parsing it back as XML."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from routestretch import svgplot as sv
 
@@ -48,6 +51,11 @@ def test_chart_escapes_markup_in_labels():
     root = parse(svg)  # would raise if unescaped
     texts = [t.text for t in root.iter(f"{NS}text")]
     assert "a<b&c" in texts
+
+
+@given(st.text(st.sampled_from("&<>;amplgt") | st.characters()))
+def test_escape_is_saxutils_escape(text):
+    assert sv._escape(text) == escape(text)
 
 
 def test_chart_handles_degenerate_extents():
