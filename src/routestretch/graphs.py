@@ -30,28 +30,23 @@ and it only locates the first bad row and names its line: it never
 accepts a file.
 
 One breadth-first search of a node set, ``_gateways``, backs the
-balanced builder's component and connectivity checks.  Four other
-searches stay for speed: ``hierarchy._severed``,
-whose searches from a cut candidate's neighbours stop once they meet,
-or do not start when its two neighbours share a third, and which holds
-its searches as bit sets when a candidate has more than four
-unassigned neighbours in a split dense enough for bit sets to pay
-(``hierarchy._search_masks``, whose starts are the candidate's
-adjacency row ANDed with the remainder, and ``hierarchy._masks_pay``;
-the rows are packed from the constructor's CSR arrays once a split
-takes that search);
-``_search``, the bit-parallel hop-distance search, which runs a block of sources
-at once as bits over the whole graph (``all_pairs_shortest_lengths``
-and measure's shortest lengths) or over labelled node sets side by side
+balanced builder's component and connectivity checks over `adj`.
+Three other searches stay for speed: ``hierarchy._severed``, the
+builder's local cut test (see that module); ``_search``, the
+bit-parallel hop-distance search, which runs a block of sources at once
+as bits over the whole graph (``all_pairs_shortest_lengths`` and
+measure's shortest lengths) or over labelled node sets side by side
 (routing's leaf clusters), set up by masking the CSR arrays that the
-constructor keeps as ``_csr``; ``_gateway_search``, ``_gateways``'
+constructor keeps as ``_csr``; and ``_gateway_search``, ``_gateways``'
 distance and gateway for many start sets at once as arrays over the
 same CSR, one level-synchronous search of every copy side by side
-(routing's sibling clusters, every level and sibling rank at once); and
-``_split_labels``, one flood over a list of flags that never leaves a
-label, shared by the constructor's whole-graph check (one label), run
-on every load, and ``hierarchy.validate`` (one label per cluster of a
-level).
+(routing's sibling clusters, every level and sibling rank at once).
+Whether each label's nodes are connected is one array routine,
+``_label_roots`` (hook and shortcut over the edge arrays: a few rounds,
+where a search confined to the labels takes a level per hop): the
+constructor's check gives every node one label, ``hierarchy.validate``
+one per cluster of a level and ``routing._fault``'s leaf check one per
+leaf.
 
 ``random_graph`` keeps each node pair whose ``random.Random(seed)``
 double falls below p, and draws those doubles in bulk: one
@@ -64,11 +59,12 @@ template over the flattened edge arrays.
 
 The constructor sorts the edges unless they already come in strict
 (lo, hi) order, as files that ``save`` writes and ``random_graph``
-draws do; one pass over the rows checks that order.  A Graph keeps the
-sorted edges as two int64 arrays, which ``num_edges``, ``==``, ``hash``
-and ``save`` read; the ``edges`` tuple of pairs is built on first use.
-Its CSR adjacency arrays come from one sort of the distinct keys
-src * n + dst, two per edge, which puts every row in ascending order.
+draws do; one pass over the rows checks that order.  A Graph holds
+arrays only: the sorted edges as two int64 arrays, which ``num_edges``,
+``==``, ``hash``, ``save`` and ``_label_roots`` read, and CSR adjacency
+arrays from one sort of the distinct keys src * n + dst, two per edge,
+which puts every row in ascending order.  The ``edges`` tuple of pairs
+and the ``adj`` tuple of neighbor rows are built on first use.
 """
 
 from __future__ import annotations
@@ -122,12 +118,13 @@ class Graph:
     Then the first edge in input order that is a self-loop, out of range
     or a repeat raises EdgeError.
 
-    The graph holds its edges as sorted (lo, hi) int64 arrays and builds
-    the `edges` tuple of pairs from them on first use: a graph whose
-    `edges` is never read keeps no Python object per edge beyond `adj`.
+    The graph holds its edges as sorted (lo, hi) int64 arrays and its
+    adjacency as CSR arrays, and builds the `edges` tuple of pairs and
+    the `adj` tuple of neighbor rows on first use: a graph whose `edges`
+    and `adj` are never read keeps no Python object per edge.
     """
 
-    __slots__ = ("n_nodes", "adj", "_csr", "_lo", "_hi", "_edges")
+    __slots__ = ("n_nodes", "_csr", "_lo", "_hi", "_edges", "_adj")
 
     def __init__(self, n_nodes: int, edges: np.ndarray | Iterable[tuple[int, int]]):
         if n_nodes < 1:
@@ -153,7 +150,7 @@ class Graph:
         lo, hi = _sorted_edges(n_nodes, pairs)
         message = f"graph with {n_nodes} nodes and {len(lo)} edges is not connected"
         # fewer than n - 1 edges cannot connect n nodes: fail before
-        # allocating adjacency for a node count read from a file
+        # allocating arrays for a node count read from a file
         if len(lo) < n_nodes - 1:
             raise DisconnectedGraphError(message)
         self.n_nodes = n_nodes
@@ -162,24 +159,20 @@ class Graph:
         lo.flags.writeable = hi.flags.writeable = False
         self._lo, self._hi = lo, hi
         self._edges: tuple[tuple[int, int], ...] | None = None
+        self._adj: tuple[tuple[int, ...], ...] | None = None
+        if _label_roots(self, np.zeros(n_nodes, dtype=np.intp)).any():
+            raise DisconnectedGraphError(message)
         # adjacency in CSR form, rows of (src, dst) in lexicographic order:
         # one sort of the distinct keys src * n + dst, each edge giving
         # (lo, hi) and (hi, lo).  With m >= n - 1 edges the keys stay
         # below (m + 1)**2, inside int64.  The arrays stay on the graph
         # as `_csr`, (row ends, neighbors, degrees), for the array
-        # searches (_search, _gateway_search) and the balanced builder's
-        # bit rows (hierarchy._rows).
+        # searches (_search, _gateway_search), the balanced builder's
+        # bit rows (hierarchy._rows) and `adj`.
         keys = np.sort(np.concatenate((lo * n_nodes + hi, hi * n_nodes + lo)))
         neighbors = keys % n_nodes
         degree = np.bincount(lo, minlength=n_nodes) + np.bincount(hi, minlength=n_nodes)
-        ends = degree.cumsum()
-        self._csr = (ends, neighbors, degree)
-        dst, stops = neighbors.tolist(), ends.tolist()
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(dst[a:b]) for a, b in zip([0, *stops], stops)
-        )
-        if _split_labels(self.adj, [0] * n_nodes):
-            raise DisconnectedGraphError(message)
+        self._csr = (degree.cumsum(), neighbors, degree)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -187,6 +180,14 @@ class Graph:
         if self._edges is None:
             self._edges = tuple(zip(self._lo.tolist(), self._hi.tolist()))
         return self._edges
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's neighbors in ascending order, as tuples of ints."""
+        if self._adj is None:
+            dst, stops = self._csr[1].tolist(), self._csr[0].tolist()
+            self._adj = tuple(tuple(dst[a:b]) for a, b in zip([0, *stops], stops))
+        return self._adj
 
     @property
     def num_edges(self) -> int:
@@ -292,34 +293,30 @@ def _gateways(adj, sources: list[int], inside: set[int]) -> dict[int, tuple[int,
     return found
 
 
-def _split_labels(adj, labels: list) -> set:
-    """The labels whose nodes do not induce a connected subgraph.
+def _label_roots(graph: Graph, labels: np.ndarray) -> np.ndarray:
+    """Each node's lowest id among the nodes it reaches over the edges
+    whose two ends share a label (one per node in `labels`).
 
-    One flood over a list of flags covers every node: it starts at each
-    node no earlier flood reached and never leaves the start's label, so
-    a label flooded from two starts is split.  The Graph constructor's
-    check gives every node one label, and validate one per cluster.
+    Shiloach and Vishkin's hook and shortcut ("An O(log n) parallel
+    connectivity algorithm", 1982) over the edge arrays: each node starts
+    as its own tree; each round hooks every root to the lowest root across
+    its crossing edges, then jumps pointers until every tree is a star.
+    Hooks point down, so a tree's root is its lowest node; an edge inside
+    a tree stays inside, so each round keeps only the crossing edges.
     """
-    seen = [False] * len(labels)
-    flooded = set()
-    split = set()
-    start = 0
-    while True:
-        try:
-            start = seen.index(False, start)
-        except ValueError:  # every node is reached
-            return split
-        label = labels[start]
-        if label in flooded:
-            split.add(label)
-        flooded.add(label)
-        seen[start] = True
-        reached = [start]
-        for u in reached:
-            for w in adj[u]:
-                if not seen[w] and labels[w] == label:
-                    seen[w] = True
-                    reached.append(w)
+    lo, hi = graph._lo, graph._hi
+    kept = labels[lo] == labels[hi]
+    lo, hi = lo[kept], hi[kept]
+    root = np.arange(graph.n_nodes)
+    while lo.size:
+        a, b = root[lo], root[hi]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+        crossing = root[lo] != root[hi]
+        lo, hi = lo[crossing], hi[crossing]
+    return root
 
 
 def _connected_set(nodes: set[int], adj) -> bool:

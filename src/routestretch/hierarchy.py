@@ -20,9 +20,9 @@ Invariants of a well-formed hierarchy over a graph:
 ``validate`` reports violations instead of raising so broken files can
 be inspected.  Builders only ever produce valid hierarchies:
 ``build_grid_blocks`` raises on the first violation ``validate`` finds
-in its blocks.  ``validate`` floods each level once
-(``graphs._split_labels``, the Graph constructor's check with one label
-per cluster).
+in its blocks.  ``validate`` checks each level's connectivity with
+``graphs._label_roots``, the Graph constructor's check, one label per
+cluster.
 
 ``build_balanced`` grows each region breadth-first and never takes a
 node whose loss would disconnect the nodes still unassigned.  That test
@@ -67,7 +67,7 @@ hands any other to a line reader (see ``load``).
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -78,8 +78,8 @@ from .graphs import (
     Graph,
     _components,
     _connected_set,
+    _label_roots,
     _parsed,
-    _split_labels,
 )
 
 
@@ -622,8 +622,8 @@ def validate(hierarchy: Hierarchy, graph: Graph) -> list[str]:
     With the label-path encoding, a malformed partition can only appear
     as label paths of the wrong length, which is reported as a nesting
     violation and short-circuits the deeper checks.  Otherwise each
-    level costs one flood of the graph that never leaves a cluster
-    (``graphs._split_labels``) and one set of (parent, cluster) pairs;
+    level costs one ``graphs._label_roots`` call (a cluster of more than
+    one tree is split) and one ``np.unique`` of (parent, cluster) pairs;
     the violations come level by level, clusters in id order, a
     cluster's nesting before its connectivity.
     """
@@ -642,25 +642,28 @@ def validate(hierarchy: Hierarchy, graph: Graph) -> list[str]:
             for u, p in enumerate(paths)
             if len(p) != want
         ]
-    # what tells each node's parent cluster apart: its label path above
-    # the level, or the parent's id while every id has one parent
-    parent = [0] * len(paths)
-    for level in range(1, hierarchy.levels):
-        ids = [p[level - 1] for p in paths]
-        split = _split_labels(graph.adj, ids)
-        parents = Counter(cid for _, cid in set(zip(parent, ids)))
-        for cid in sorted(parents):
-            if parents[cid] > 1:
+    # one dense index for the ids of every level, made in Python: an id
+    # can pass int64, and numpy would hold it as a float, merging ids
+    index = {cid: i for i, cid in enumerate(dict.fromkeys(chain.from_iterable(paths)))}
+    ids, k, n = list(index), len(index), len(paths)
+    table = np.fromiter(map(index.__getitem__, chain.from_iterable(paths)), np.intp)
+    parent = np.zeros(n, dtype=np.intp)  # each node's label path above the level, indexed
+    for level, label in enumerate(table.reshape(n, want).T, 1):
+        trees = np.bincount(label[_label_roots(graph, label) == np.arange(n)], minlength=k)
+        pairs, parent = np.unique(parent * k + label, return_inverse=True)
+        parents = np.bincount(pairs % k, minlength=k)
+        faults = np.flatnonzero((parents > 1) | (trees > 1)).tolist()
+        for cid, i in sorted(zip(map(ids.__getitem__, faults), faults)):
+            if parents[i] > 1:
                 violations.append(
                     f"nesting: level {level} cluster {cid} spans "
-                    f"{parents[cid]} parent clusters"
+                    f"{parents[i]} parent clusters"
                 )
-            if cid in split:
+            if trees[i] > 1:
                 violations.append(
                     f"connectivity: level {level} cluster {cid} induces a "
                     "disconnected subgraph"
                 )
-        parent = ids if len(parents) == sum(parents.values()) else list(zip(parent, ids))
     return violations
 
 

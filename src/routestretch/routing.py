@@ -29,8 +29,8 @@ builds none.
 
 build_tables and measure name a faulty hierarchy's first fault alike,
 from the same arrays (_fault): the nodes of a parent that a copy of the
-gateway search leaves unreached, and the members of a leaf that the
-leaf search from its lowest member does not reach.  routing runs no
+gateway search leaves unreached, and the members of a leaf that do not
+reach its lowest member in it (graphs._label_roots).  routing runs no
 breadth-first search of a node set.
 
 Forwarding resolves the destination to the finest key the current node
@@ -198,8 +198,8 @@ def _fault(graph: Graph, hierarchy: Hierarchy, nest: list, found: list) -> NoRet
     clusters coarsest level first, then by lowest member, a leaf's
     sibling check before its leaf check.  A sibling check fails at the
     lowest node of the parent that the cluster's copy in _toward's
-    `found` leaves unreached, a leaf check at the lowest member that the
-    leaf search from the leaf's lowest member leaves unreached."""
+    `found` leaves unreached, a leaf check at the lowest member whose
+    leaf root (graphs._label_roots) is not the leaf's lowest member."""
     n = graph.n_nodes
     paths = hierarchy.label_paths
     for k, ((dist, _), (inside, cluster, up, rank)) in enumerate(zip(found, nest), 1):
@@ -213,8 +213,7 @@ def _fault(graph: Graph, hierarchy: Hierarchy, nest: list, found: list) -> NoRet
         order = 2 * c[c >= 0] * n + u[c >= 0]
         if k == len(nest):
             firsts = np.unique(cluster, return_index=True)[1]
-            reach = graphs._search(graph, cluster)(firsts, np.zeros_like(firsts))
-            split = np.flatnonzero(reach[:, 0] < 0)
+            split = np.flatnonzero(graphs._label_roots(graph, cluster) != firsts[cluster])
             order = np.concatenate((order, (2 * cluster[split] + 1) * n + split))
         if order.size:
             at, u = divmod(int(order.min()), n)

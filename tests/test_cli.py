@@ -67,6 +67,22 @@ def test_simulate_output_and_report_file(tmp_path, capsys):
     assert report.read_text() == out
 
 
+def test_simulate_builds_no_adjacency_rows(tmp_path, capsys, monkeypatch):
+    # load, validate and measure read the graph's arrays only
+    graph = tmp_path / "t.graph"
+    hier = tmp_path / "t.clusters"
+    main(["gen", "torus", "--rows", "20", "--cols", "20", "--out", str(graph)])
+    main(["cluster", "--graph", str(graph), "--levels", "3", "--out", str(hier)])
+    capsys.readouterr()
+
+    def refuse(graph):
+        raise AssertionError("adjacency rows built")
+
+    monkeypatch.setattr(gr.Graph, "adj", property(refuse))
+    assert main(["simulate", "--graph", str(graph), "--hierarchy", str(hier)]) == 0
+    assert "s_p: " in capsys.readouterr().out
+
+
 def test_simulate_method_tag(tmp_path, capsys):
     graph = tmp_path / "g.graph"
     hier = tmp_path / "h.clusters"

@@ -167,6 +167,19 @@ def test_validate_reports_disconnected_cluster():
     assert out == ["connectivity: level 1 cluster 0 induces a disconnected subgraph"]
 
 
+def test_validate_keeps_cluster_ids_beyond_int64_apart(tmp_path):
+    # as floats 2**63 and 2**63 + 1 are one value, which would join
+    # nodes 1 and 3 through node 2 into one connected cluster
+    paths = ((1,), (2**63,), (2**63 + 1,), (2**63,))
+    want = ["connectivity: level 1 cluster 9223372036854775808 induces a disconnected subgraph"]
+    g = gr.Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert hi.validate(hi.Hierarchy(2, paths), g) == want
+    # the line reader takes such ids from a file
+    path = tmp_path / "big.clusters"
+    hi.save(hi.Hierarchy(2, paths), path)
+    assert hi.validate(hi.load(path), g) == want
+
+
 def test_save_load_roundtrip(tmp_path):
     h = hi.build_balanced(gr.ring_graph(8), levels=3, branching=2)
     p = tmp_path / "h.clusters"

@@ -1006,6 +1006,9 @@ def oracle_validate(hierarchy, graph):
 
 
 VALIDATE_FAULTS = ["split-parent", "disconnect", "shared-id", "ragged", "count", "relabel"]
+# ids a line reader takes from a file, beyond int64 too: as floats,
+# 2**63 and 2**63 + 1 are one value, and so are 2**64 and 2**64 + 1
+HUGE_IDS = st.sampled_from([2**63, 2**63 + 1, 2**64, 2**64 + 1])
 
 
 @st.composite
@@ -1018,7 +1021,7 @@ def validate_cases(draw):
     try:
         paths = [list(p) for p in hi.build_balanced(g, levels, 2).label_paths]
     except (ValueError, hi.HierarchyBuildError):
-        ids = st.integers(-1, 5)
+        ids = st.one_of(st.integers(-1, 5), HUGE_IDS)
         paths = [draw(st.lists(ids, min_size=levels - 1, max_size=levels - 1)) for _ in range(n)]
     for fault in draw(st.lists(st.sampled_from(VALIDATE_FAULTS), max_size=3)):
         u = draw(st.integers(0, len(paths) - 1))
@@ -1033,7 +1036,7 @@ def validate_cases(draw):
         elif fault == "shared-id" and depth:
             # one cluster takes the id of another, under another parent
             level = draw(st.integers(0, depth - 1))
-            old, new = paths[u][level], draw(st.integers(0, 7))
+            old, new = paths[u][level], draw(st.one_of(st.integers(0, 7), HUGE_IDS))
             for p in paths:
                 if len(p) > level and p[level] == old:
                     p[level] = new
@@ -1045,7 +1048,8 @@ def validate_cases(draw):
             else:
                 paths.append(list(paths[u]))
         elif fault == "relabel":
-            paths = [[draw(st.integers(0, 3)) for _ in p] for p in paths]
+            label = st.one_of(st.integers(0, 3), HUGE_IDS)
+            paths = [[draw(label) for _ in p] for p in paths]
     return gr.Graph(g.n_nodes, g.edges), hi.Hierarchy(levels, tuple(map(tuple, paths)))
 
 
@@ -1739,6 +1743,24 @@ def test_graph_equals_per_edge_constructor(case):
     check_graph(*case)
 
 
+def test_long_relabelled_paths_and_rings_equal_per_edge_constructor():
+    # the inputs that take the constructor's connectivity check the most
+    # rounds: a path and a ring of 2,000 nodes under a random relabelling,
+    # in shuffled order and orientation, each whole and without one edge
+    rng = random.Random(7)
+    n = 2000
+    for ring in (False, True):
+        ids = list(range(n))
+        rng.shuffle(ids)
+        edges = [(ids[i], ids[(i + 1) % n]) for i in range(n if ring else n - 1)]
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(edges)
+        for dropped in (None, rng.randrange(len(edges))):
+            kept = [e for i, e in enumerate(edges) if i != dropped]
+            check_graph(n, kept)
+            check_graph(n, np.array(kept))
+
+
 @settings(max_examples=300, deadline=None)
 @given(edge_lists())
 def test_sorted_edge_lists_equal_per_edge_constructor(case):
@@ -1828,7 +1850,7 @@ def test_list_and_array_graphs_equal_the_argsort_oracle(case):
     array[:] = 0  # the graph holds no view of the caller's array
     pairs = tuple(sorted((min(e), max(e)) for e in edges))
     for g in (by_list, by_array):
-        assert g._edges is None
+        assert g._edges is None and g._adj is None
         assert g.num_edges == len(pairs)
         for got, want in zip(g._csr, oracle_csr(n, pairs)):
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
@@ -1842,3 +1864,16 @@ def test_list_and_array_graphs_equal_the_argsort_oracle(case):
         other = gr.Graph(n, [*pairs, absent])
         assert other != by_list and other.num_edges == len(pairs) + 1
     assert by_list != gr.Graph(n + 1, [*pairs, (n - 1, n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_edge_lists(), st.data())
+def test_label_roots_are_the_lowest_node_reached_inside_each_label(case, data):
+    n, edges = case
+    g = gr.Graph(n, edges)
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    roots = gr._label_roots(g, np.array(labels))
+    for label in set(labels):
+        members = [u for u in range(n) if labels[u] == label]
+        for comp in components(members, g.adj):
+            assert roots[comp].tolist() == [min(comp)] * len(comp)
