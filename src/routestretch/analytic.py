@@ -199,7 +199,12 @@ def sweep_curve(
 def golden_section_min(
     fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-9
 ) -> tuple[float, float]:
-    """Minimize a unimodal function on [lo, hi]; returns (argmin, min value)."""
+    """Minimize a unimodal function on [lo, hi]; returns (argmin, min value).
+
+    The search ends once [a, b] is no wider than tol, or once a step no
+    longer narrows it: a tol below the float spacing of the bracket
+    cannot be reached.
+    """
     if not hi > lo:
         raise ValueError("need hi > lo")
     if not tol > 0:
@@ -209,7 +214,9 @@ def golden_section_min(
     c = b - (b - a) * invphi
     d = a + (b - a) * invphi
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * invphi

@@ -9,9 +9,28 @@ point (no intercept is fitted):
 
 The first two are closed-form ratios; the third is a 1-D search (grid
 over (0, 5] with step 1e-4, widened with a warning when the optimum
-hits the boundary, then golden-section refinement to 1e-7).  Empirical
-alpha values from real topologies are their own quantity and are not
-expected to match the 0.987 default used by the curve tools.
+hits the boundary, up to a cap of 40 that also warns, then
+golden-section refinement to 1e-7).  Empirical alpha values from real
+topologies are their own quantity and are not expected to match the
+0.987 default used by the curve tools.
+
+The grid search picks the same point as scoring every grid alpha (the
+least SSE, the first alpha on a tie) but scores only blocks of 64
+consecutive alphas that could hold it.  Over a block [a_lo, a_hi] each
+point's m lies in [1 + d/a_hi, 1 + d/a_lo] (d = s_p - 1), and
+f(m) = m * N**(1/m - 1) falls until m = ln N and rises after, so f
+is at most its larger end value and at least its value at ln N clipped
+to the interval.  Each residual s_t - f thus lies in an interval, and
+the sum of those intervals' squared distances from 0 is a lower bound
+on the SSE of every alpha in the block.  The block with the least bound
+is scored first; a block whose bound exceeds the least SSE found there
+cannot hold the minimum and is skipped, and the rest are scored in grid
+order.  The f interval is widened, and the bound shrunk, by a relative
+1e-12, a thousand times the rounding error of f and of the SSE's sum
+for any N below e**1000, so the bound holds for the SSE as computed and
+not just as exact.  A margin as wide as 1e-6 would also be exact but
+would keep every block within 1e-6 of the best SSE, as on the flat tail
+of a range whose optimum is on its edge.
 
 r_squared is computed against the constrained model: 1 - SSE/SST with
 SST taken about the observed mean.  For constant observations it is 1.0
@@ -34,6 +53,9 @@ from .analytic import golden_section_min
 _GRID_STEP = 1e-4
 _ALPHA_START = 5.0
 _ALPHA_CAP = 40.0
+_BLOCK = 64  # grid points bounded together
+_CHUNK = 4096  # most grid points scored in one array
+_SLACK = 1e-12  # relative margin of each block bound (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -141,13 +163,62 @@ def fit_alpha_ipea(points: Sequence[tuple[float, float]]) -> FitResult:
                       "ipea-log", "every point has s_t = 1")
 
 
+def _eq3_curve(m: np.ndarray, ln_n: float) -> np.ndarray:
+    return m * np.exp((1.0 / m - 1.0) * ln_n)
+
+
 def _eq3_sse_vector(alphas: np.ndarray, d: np.ndarray, st: np.ndarray, ln_n: float) -> np.ndarray:
     # rows: candidate alphas; cols: data points
     with np.errstate(over="ignore"):  # an inf sum is reported by _scored
         m = 1.0 + d[None, :] / alphas[:, None]
-        pred = m * np.exp((1.0 / m - 1.0) * ln_n)
+        pred = _eq3_curve(m, ln_n)
         resid = st[None, :] - pred
         return (resid * resid).sum(axis=1)
+
+
+def _eq3_block_bounds(a_lo: np.ndarray, a_hi: np.ndarray, d: np.ndarray,
+                      st: np.ndarray, ln_n: float) -> np.ndarray:
+    """For each block of alphas [a_lo, a_hi], a lower bound on the SSE of
+    every alpha in it (see the module docstring)."""
+    with np.errstate(over="ignore"):
+        m_lo = 1.0 + d[None, :] / a_hi[:, None]
+        m_hi = 1.0 + d[None, :] / a_lo[:, None]
+        f_max = np.maximum(_eq3_curve(m_lo, ln_n), _eq3_curve(m_hi, ln_n)) * (1.0 + _SLACK)
+        f_min = _eq3_curve(np.clip(ln_n, m_lo, m_hi), ln_n) * (1.0 - _SLACK)
+        gap = np.maximum(np.maximum(st[None, :] - f_max, f_min - st[None, :]), 0.0)
+        return (gap * gap).sum(axis=1) * (1.0 - _SLACK)
+
+
+def _eq3_grid_min(d: np.ndarray, st: np.ndarray, ln_n: float, lo: float,
+                  hi: float) -> tuple[float, float]:
+    """The least SSE on the grid lo + _GRID_STEP * i over [lo, hi], and the
+    first grid alpha that reaches it; only blocks whose bound does not
+    exceed the SSE of the most promising block are scored."""
+    count = int(round((hi - lo) / _GRID_STEP)) + 1
+    first = np.arange(0, count, _BLOCK)
+    bounds = _eq3_block_bounds(lo + _GRID_STEP * first,
+                               lo + _GRID_STEP * np.minimum(first + _BLOCK - 1, count - 1),
+                               d, st, ln_n)
+    b = int(np.argmin(bounds))
+    best = (math.inf, 0, lo)  # SSE, grid index, alpha
+
+    def scan(rows: np.ndarray, best: tuple[float, int, float]) -> tuple[float, int, float]:
+        # chunked so a long input series cannot blow up the grid matrix
+        for start in range(0, len(rows), _CHUNK):
+            chunk = rows[start:start + _CHUNK]
+            alphas = lo + _GRID_STEP * chunk
+            sse = _eq3_sse_vector(alphas, d, st, ln_n)
+            j = int(np.argmin(sse))
+            # the first index wins a tie, as on a scan of the whole grid
+            if sse[j] < best[0] or (sse[j] == best[0] and chunk[j] < best[1]):
+                best = (float(sse[j]), int(chunk[j]), float(alphas[j]))
+        return best
+
+    best = scan(np.arange(first[b], min(first[b] + _BLOCK, count)), best)
+    keep = ~(bounds > best[0])  # a NaN bound is kept
+    keep[b] = False
+    best = scan(np.flatnonzero(np.repeat(keep, _BLOCK)[:count]), best)
+    return best[0], best[2]
 
 
 def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitResult:
@@ -155,7 +226,8 @@ def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitRes
 
     n_nodes is the network size the observations came from.  The search
     range (0, 5] doubles with a warning whenever the optimum
-    lands on its upper edge, up to a hard cap.
+    lands on its upper edge, up to a hard cap; an optimum on the cap
+    warns that alpha_hat is the cap.
     """
     pts = _finite_points(points)
     if not pts:
@@ -176,20 +248,16 @@ def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitRes
 
     lo, hi = _GRID_STEP, _ALPHA_START
     while True:
-        count = int(round((hi - lo) / _GRID_STEP)) + 1
-        best_sse = math.inf
-        best_alpha = lo
-        # chunked so a long input series cannot blow up the grid matrix
-        for start in range(0, count, 4096):
-            stop = min(start + 4096, count)
-            alphas = lo + _GRID_STEP * np.arange(start, stop)
-            sse = _eq3_sse_vector(alphas, d, st, ln_n)
-            j = int(np.argmin(sse))
-            if sse[j] < best_sse:
-                best_sse = float(sse[j])
-                best_alpha = float(alphas[j])
-        if hi - best_alpha >= _GRID_STEP / 2 or hi >= _ALPHA_CAP:
-            break  # an optimum inside the range, or the cap reached
+        best_alpha = _eq3_grid_min(d, st, ln_n, lo, hi)[1]
+        if hi - best_alpha >= _GRID_STEP / 2:
+            break  # an optimum inside the range
+        if hi >= _ALPHA_CAP:
+            warnings.warn(
+                f"alpha optimum hit the search cap {_ALPHA_CAP}; alpha_hat is "
+                "the cap, not an optimum",
+                stacklevel=2,
+            )
+            break
         new_hi = min(hi * 2, _ALPHA_CAP)
         warnings.warn(
             f"alpha optimum hit the search boundary {hi}; widening to {new_hi}",

@@ -4,13 +4,16 @@ test_oracles.py fails when one of these names is defined again.  Pytest
 does not collect this module, as its name does not start with test_.
 """
 
+import math
 import random
 from collections import Counter, deque
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from routestretch import fitting as ft
 from routestretch import graphs as gr
 from routestretch import routing as rt
 
@@ -292,3 +295,21 @@ def check_route(path, src, dst, edges, shortest):
     assert path[0] == src and path[-1] == dst
     assert all((min(a, b), max(a, b)) in edges for a, b in zip(path, path[1:]))
     assert len(path) - 1 >= shortest
+
+
+def eq3_grid_min(d, st_, ln_n, lo, hi):
+    """The least eq3 SSE on the alpha grid lo + 1e-4 * i over [lo, hi] and
+    the first grid alpha that reaches it, by scoring every grid point,
+    4,096 at a time."""
+    count = int(round((hi - lo) / ft._GRID_STEP)) + 1
+    best_sse = math.inf
+    best_alpha = lo
+    for start in range(0, count, 4096):
+        stop = min(start + 4096, count)
+        alphas = lo + ft._GRID_STEP * np.arange(start, stop)
+        sse = ft._eq3_sse_vector(alphas, d, st_, ln_n)
+        j = int(np.argmin(sse))
+        if sse[j] < best_sse:
+            best_sse = float(sse[j])
+            best_alpha = float(alphas[j])
+    return best_sse, best_alpha

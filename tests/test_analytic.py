@@ -131,6 +131,23 @@ def test_golden_section_min_on_a_parabola():
     assert math.isclose(fx, 1.0, abs_tol=1e-12)
 
 
+def test_golden_section_min_ends_below_the_float_spacing():
+    # tol = 1e-9 is below the float spacing at 1e10 (about 1.9e-6): the
+    # search once never returned; a regression now raises instead of hanging
+    calls = 0
+
+    def fn(x):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("golden_section_min did not stop")
+        return (x - 1e10) ** 2
+
+    x, fx = an.golden_section_min(fn, 1e10 - 1, 1e10 + 1, tol=1e-9)
+    assert abs(x - 1e10) <= 4e-6
+    assert fx == (x - 1e10) ** 2
+
+
 def test_find_min_matches_closed_form():
     for n in (10, 100, 1000, 10**4, 10**5):
         params = an.AnalyticParams(n_nodes=n, alpha=0.987)

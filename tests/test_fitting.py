@@ -3,9 +3,14 @@
 import math
 import random
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import eq3_grid_min
 from routestretch import analytic as an
 from routestretch import fitting as ft
 from routestretch import graphs as gr
@@ -95,6 +100,24 @@ def test_eq3_widens_and_warns_for_large_alpha():
     with pytest.warns(UserWarning, match="widening"):
         got = ft.fit_alpha_eq3(pts, 100)
     assert abs(got.alpha_hat - alpha) <= 1e-3
+
+
+def test_eq3_warns_when_the_cap_stops_the_search():
+    # alpha = 60 lies past the cap of 40: the result is the cap, not an optimum
+    params = an.AnalyticParams(n_nodes=1000, alpha=60.0)
+    pts = [(sp, an.table_stretch_from_path_stretch(sp, params)) for sp in (5, 10, 20, 40)]
+    with pytest.warns(UserWarning) as record:
+        got = ft.fit_alpha_eq3(pts, 1000)
+    assert [str(w.message) for w in record] == [
+        "alpha optimum hit the search boundary 5.0; widening to 10.0",
+        "alpha optimum hit the search boundary 10.0; widening to 20.0",
+        "alpha optimum hit the search boundary 20.0; widening to 40.0",
+        "alpha optimum hit the search cap 40.0; alpha_hat is the cap, not an optimum",
+    ]
+    assert got.to_text() == (
+        "model: eq3\nalpha_hat: 39.99999996\nresidual_sse: 0.03627257647\n"
+        "r_squared: 0.814865194\nn_points: 4\n"
+    )
 
 
 def test_eq3_error_paths():
@@ -195,3 +218,100 @@ def test_fit_texts_are_frozen():
         "model: eq3\nalpha_hat: 7.999999972\nresidual_sse: 2.673635943e-18\n"
         "r_squared: 1\nn_points: 4\n"
     )
+
+
+# the search ranges of fit_alpha_eq3: (0, 5], then each widening to the cap
+EQ3_RANGES = [(ft._GRID_STEP, ft._ALPHA_START), (5.0, 10.0), (10.0, 20.0), (20.0, 40.0)]
+
+
+@st.composite
+def eq3_points(draw):
+    """1-20 (s_p, s_t) points, some with s_p = 1 or a few float steps
+    above it, their s_t either spread over decades or near the curve of a
+    drawn alpha, and a network size."""
+    n = draw(st.integers(2, 10**5))
+    near_one = st.floats(-16.0, -12.0).map(lambda x: 1.0 + 10.0 ** x)
+    s_p = draw(st.lists(st.just(1.0) | near_one | st.floats(1.0, 100.0),
+                        min_size=1, max_size=20))
+    alpha = draw(st.floats(1e-3, 100.0))
+    noise = draw(st.sampled_from([None, 0.0, 1e-9, 1e-3, 0.3]))
+    if noise is None:
+        s_t = [10.0 ** draw(st.floats(-5.0, 3.0)) for _ in s_p]
+    else:
+        params = an.AnalyticParams(n_nodes=n, alpha=alpha)
+        s_t = [an.table_stretch_from_path_stretch(sp, params)
+               * math.exp(noise * draw(st.floats(-1.0, 1.0))) for sp in s_p]
+    return list(zip(s_p, s_t)), n
+
+
+def eq3_arrays(points, n):
+    return (np.array([sp - 1.0 for sp, _ in points]), np.array([s for _, s in points]),
+            math.log(n))
+
+
+def scored_alphas(call):
+    """The value of call() and how many alphas it scored with _eq3_sse_vector."""
+    with mock.patch.object(ft, "_eq3_sse_vector", wraps=ft._eq3_sse_vector) as sse:
+        value = call()
+    return value, sum(len(c.args[0]) for c in sse.call_args_list)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eq3_points(), st.sampled_from(EQ3_RANGES))
+def test_eq3_grid_min_equals_scoring_every_grid_point(case, search_range):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the bounds raise no RuntimeWarning
+        args = eq3_arrays(*case) + search_range
+        assert ft._eq3_grid_min(*args) == eq3_grid_min(*args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(eq3_points())
+def test_eq3_fit_equals_the_fit_on_every_grid_point(case):
+    points, n = case
+    points[0] = (points[0][0] + 0.5, points[0][1])  # an s_p > 1 to fit
+    runs = []
+    for grid_min in (ft._eq3_grid_min, eq3_grid_min):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            with mock.patch.object(ft, "_eq3_grid_min", grid_min):
+                text = ft.fit_alpha_eq3(points, n).to_text()
+        runs.append((text, [str(w.message) for w in record]))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("search_range", EQ3_RANGES)
+def test_flat_eq3_grid_scores_every_point(search_range):
+    # with every s_p = 1 the SSE is the same at every alpha, so no block
+    # can be skipped and the first grid alpha wins the tie
+    lo, hi = search_range
+    args = (np.zeros(2), np.array([0.5, 2.0]), math.log(100), lo, hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, scored = scored_alphas(lambda: ft._eq3_grid_min(*args))
+    assert got == eq3_grid_min(*args) == (1.25, lo)
+    assert scored == int(round((hi - lo) / ft._GRID_STEP)) + 1
+
+
+def test_eq3_grid_tie_goes_to_the_first_alpha():
+    # with s_p - 1 = 1e-14, m = 1 + (s_p - 1)/alpha takes only a few float
+    # values over (20, 40], so the SSE is flat in runs; the least run
+    # starts at 20, away from the block with the least bound
+    args = (np.array([1e-14]), np.array([2.0]), math.log(10), 20.0, 40.0)
+    assert ft._eq3_grid_min(*args) == eq3_grid_min(*args) == (1.0000000000000009, 20.0)
+
+
+def test_eq3_fit_scores_few_grid_points():
+    # a count of the work, not a timing: scoring the whole grid again fails
+    # it.  The torus-ladder points (the 20x20 torus at b = 2, levels 2-4)
+    # search (0, 5]; the widening case also searches (5, 10].
+    g = gr.torus_graph(20, 20)
+    reps = [rt.measure(g, hi.build_balanced(g, levels, 2)) for levels in (2, 3, 4)]
+    _, scored = scored_alphas(lambda: ft.fit_alpha_eq3([(r.s_p, r.s_t) for r in reps], 400))
+    assert scored < 0.02 * 50_000
+    params = an.AnalyticParams(n_nodes=100, alpha=8.0)
+    pts = [(sp, an.table_stretch_from_path_stretch(sp, params)) for sp in (1.5, 2.5, 3.5, 4.5)]
+    with pytest.warns(UserWarning, match="widening"):
+        _, scored = scored_alphas(lambda: ft.fit_alpha_eq3(pts, 100))
+    assert scored < 0.02 * (50_000 + 50_001)
