@@ -17,6 +17,7 @@ import functools
 import math
 import random
 import sys
+from itertools import chain
 
 from . import analytic, fitting, graphs, hierarchy, routing, svgplot
 from .routing import _fmt
@@ -29,17 +30,15 @@ EXIT_IO = 3
 DEFAULT_CURVE_SIZES = [10, 100, 1000, 10000, 100000]
 
 
-# the gen options each topology reads; gen rejects any other one given
-_GEN_OPTIONS = {
-    "ring": {"n"},
-    "grid": {"rows", "cols"},
-    "torus": {"rows", "cols"},
-    "random": {"n", "p", "seed"},
-}
-# the cluster options that only one method reads
-_CLUSTER_OPTIONS = {
-    "balanced": ("--levels", "--branching"),
-    "grid": ("--rows", "--cols", "--block-rows", "--block-cols"),
+# the options each choice reads, for the subcommands whose options hang
+# on a choice: gen's topology, cluster's method and fit's model.  An
+# option given that the choice made does not read is a usage error.
+_READS = {
+    "gen": ("topology", {"ring": ("--n",), "grid": ("--rows", "--cols"),
+                         "torus": ("--rows", "--cols"), "random": ("--n", "--p", "--seed")}),
+    "cluster": ("method", {"balanced": ("--levels", "--branching"),
+                           "grid": ("--rows", "--cols", "--block-rows", "--block-cols")}),
+    "fit": ("model", {"linear": (), "eq3": ("--n-nodes",), "ipea": ()}),
 }
 
 
@@ -65,42 +64,34 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _unread_gen_options(args) -> str | None:
-    """A usage error naming the gen options given that the topology does
-    not read, or None when every option given is read."""
+def _given(args, flag: str) -> bool:
+    return getattr(args, flag[2:].replace("-", "_")) is not None
+
+
+def _unread_options(command: str, args) -> str | None:
+    """A usage error naming the options given to `command` that its
+    choice does not read (see _READS), or None."""
+    name, reads = _READS[command]
+    choice = getattr(args, name)
     unread = [
-        f"--{name}"
-        for name in ("n", "rows", "cols", "p", "seed")
-        if getattr(args, name) is not None and name not in _GEN_OPTIONS[args.topology]
+        flag
+        for flag in dict.fromkeys(chain.from_iterable(reads.values()))
+        if flag not in reads[choice] and _given(args, flag)
     ]
     if unread:
-        return f"the {args.topology} topology does not read {', '.join(unread)}"
+        return f"the {choice} {name} does not read {', '.join(unread)}"
     return None
 
 
 def _cluster_options(args) -> str | None:
-    """A usage error naming the cluster options given that the method does
-    not read, or the grid options missing; None when the options fit."""
-    def given(flag):
-        return getattr(args, flag[2:].replace("-", "_")) is not None
-
-    other = "grid" if args.method == "balanced" else "balanced"
-    unread = [flag for flag in _CLUSTER_OPTIONS[other] if given(flag)]
-    if unread:
-        return f"the {args.method} method does not read {', '.join(unread)}"
-    if args.method == "grid":
-        missing = [flag for flag in _CLUSTER_OPTIONS["grid"] if not given(flag)]
+    """_unread_options for cluster, else a usage error naming the grid
+    options missing; None when the options fit."""
+    problem = _unread_options("cluster", args)
+    if problem is None and args.method == "grid":
+        missing = [flag for flag in _READS["cluster"][1]["grid"] if not _given(args, flag)]
         if missing:
             return f"the grid method needs {', '.join(missing)}"
-    return None
-
-
-def _fit_options(args) -> str | None:
-    """A usage error when --n-nodes is given to a model that does not
-    read it (only eq3 does), else None."""
-    if args.n_nodes is not None and args.model != "eq3":
-        return f"the {args.model} model does not read --n-nodes"
-    return None
+    return problem
 
 
 def _validate_files(args) -> str | None:
@@ -139,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="optional SVG chart path")
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("gen", help="generate a graph file", check=_unread_gen_options)
-    p.add_argument("topology", choices=list(_GEN_OPTIONS))
+    p = sub.add_parser("gen", help="generate a graph file",
+                       check=functools.partial(_unread_options, "gen"))
+    p.add_argument("topology", choices=list(_READS["gen"][1]))
     p.add_argument("--n", type=int, help="node count (ring, random)")
     p.add_argument("--rows", type=int, help="rows (grid, torus)")
     p.add_argument("--cols", type=int, help="cols (grid, torus)")
@@ -152,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="build a hierarchy over a graph",
                        check=_cluster_options)
     p.add_argument("--graph", required=True)
-    p.add_argument("--method", choices=["balanced", "grid"], default="balanced")
+    p.add_argument("--method", choices=list(_READS["cluster"][1]), default="balanced")
     # None when not given, so grid can reject them; balanced uses 2
     p.add_argument("--levels", type=int, help="balanced: level count (default 2)")
     p.add_argument("--branching", type=int, help="balanced: parts per split (default 2)")
@@ -173,9 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="estimate alpha from a results CSV",
-                       check=_fit_options)
+                       check=functools.partial(_unread_options, "fit"))
     p.add_argument("--input", required=True, help="CSV with measurement rows")
-    p.add_argument("--model", choices=["linear", "eq3", "ipea"], default="linear")
+    p.add_argument("--model", choices=list(_READS["fit"][1]), default="linear")
     p.add_argument("--n-nodes", type=int, help="network size (eq3; else inferred)")
     p.add_argument("--out", help="write the fit report here (also printed)")
     p.set_defaults(func=cmd_fit)

@@ -29,18 +29,17 @@ are array checks.  Only once one fails does a scan of the lines run,
 and it only locates the first bad row and names its line: it never
 accepts a file.
 
-One breadth-first search of a node set, ``_gateways``, backs the
-balanced builder's component and connectivity checks over `adj`.
-Three other searches stay for speed: ``hierarchy._severed``, the
-builder's local cut test (see that module); ``_search``, the
-bit-parallel hop-distance search, which runs a block of sources at once
-as bits over the whole graph (``all_pairs_shortest_lengths`` and
+The searches here are array searches over the CSR arrays that the
+constructor keeps as ``_csr``; the balanced builder keeps its own
+neighbour rows and searches them (see ``hierarchy``).  ``_search`` is
+the bit-parallel hop-distance search, which runs a block of sources at
+once as bits over the whole graph (``all_pairs_shortest_lengths`` and
 measure's shortest lengths) or over labelled node sets side by side
-(routing's leaf clusters), set up by masking the CSR arrays that the
-constructor keeps as ``_csr``; and ``_gateway_search``, ``_gateways``'
-distance and gateway for many start sets at once as arrays over the
-same CSR, one level-synchronous search of every copy side by side
-(routing's sibling clusters, every level and sibling rank at once).
+(routing's leaf clusters), set up by masking the CSR.
+``_gateway_search`` gives the distance to many start sets at once and
+the nearest start (lowest id among ties), one level-synchronous search
+of every copy side by side (routing's sibling clusters, every level and
+sibling rank at once).
 Whether each label's nodes are connected is one array routine,
 ``_label_roots`` (hook and shortcut over the edge arrays: a few rounds,
 where a search confined to the labels takes a level per hop): the
@@ -64,7 +63,7 @@ arrays only: the sorted edges as two int64 arrays, which ``num_edges``,
 ``==``, ``hash``, ``save`` and ``_label_roots`` read, and CSR adjacency
 arrays from one sort of the distinct keys src * n + dst, two per edge,
 which puts every row in ascending order.  The ``edges`` tuple of pairs
-and the ``adj`` tuple of neighbor rows are built on first use.
+is built on first use.
 """
 
 from __future__ import annotations
@@ -119,12 +118,12 @@ class Graph:
     or a repeat raises EdgeError.
 
     The graph holds its edges as sorted (lo, hi) int64 arrays and its
-    adjacency as CSR arrays, and builds the `edges` tuple of pairs and
-    the `adj` tuple of neighbor rows on first use: a graph whose `edges`
-    and `adj` are never read keeps no Python object per edge.
+    adjacency as CSR arrays, and builds the `edges` tuple of pairs on
+    first use: a graph whose `edges` are never read keeps no Python
+    object per edge.
     """
 
-    __slots__ = ("n_nodes", "_csr", "_lo", "_hi", "_edges", "_adj")
+    __slots__ = ("n_nodes", "_csr", "_lo", "_hi", "_edges")
 
     def __init__(self, n_nodes: int, edges: np.ndarray | Iterable[tuple[int, int]]):
         if n_nodes < 1:
@@ -159,7 +158,6 @@ class Graph:
         lo.flags.writeable = hi.flags.writeable = False
         self._lo, self._hi = lo, hi
         self._edges: tuple[tuple[int, int], ...] | None = None
-        self._adj: tuple[tuple[int, ...], ...] | None = None
         if _label_roots(self, np.zeros(n_nodes, dtype=np.intp)).any():
             raise DisconnectedGraphError(message)
         # adjacency in CSR form, rows of (src, dst) in lexicographic order:
@@ -167,8 +165,8 @@ class Graph:
         # (lo, hi) and (hi, lo).  With m >= n - 1 edges the keys stay
         # below (m + 1)**2, inside int64.  The arrays stay on the graph
         # as `_csr`, (row ends, neighbors, degrees), for the array
-        # searches (_search, _gateway_search), the balanced builder's
-        # bit rows (hierarchy._rows) and `adj`.
+        # searches (_search, _gateway_search), routing's next hops and
+        # the balanced builder's rows (hierarchy._adjacency, _rows).
         keys = np.sort(np.concatenate((lo * n_nodes + hi, hi * n_nodes + lo)))
         neighbors = keys % n_nodes
         degree = np.bincount(lo, minlength=n_nodes) + np.bincount(hi, minlength=n_nodes)
@@ -180,14 +178,6 @@ class Graph:
         if self._edges is None:
             self._edges = tuple(zip(self._lo.tolist(), self._hi.tolist()))
         return self._edges
-
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's neighbors in ascending order, as tuples of ints."""
-        if self._adj is None:
-            dst, stops = self._csr[1].tolist(), self._csr[0].tolist()
-            self._adj = tuple(tuple(dst[a:b]) for a, b in zip([0, *stops], stops))
-        return self._adj
 
     @property
     def num_edges(self) -> int:
@@ -259,40 +249,6 @@ def _sorted_edges(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _gateways(adj, sources: list[int], inside: set[int]) -> dict[int, tuple[int, int]]:
-    """node -> (distance, gateway) for every node of `inside` that a
-    breadth-first search from the ascending `sources` reaches without
-    leaving it.  The gateway is the nearest source, ties going to the
-    lowest id.
-
-    The search goes one layer at a time, and a layer is a list of runs:
-    the nodes of one gateway, in the order they were found.  The runs
-    of a layer are in ascending gateway order, so the run that first
-    finds a node carries the lowest gateway of its nearest sources, and
-    a run makes one (distance, gateway) pair for all the nodes it finds.
-    Nodes enter the result in the order a first-in first-out queue of
-    single nodes would find them.
-    """
-    found = {s: (0, s) for s in sources}
-    layer = [(s, [s]) for s in sources]
-    d = 0
-    while layer:
-        d += 1
-        runs = []
-        for g, run in layer:
-            step = (d, g)
-            new = []
-            for u in run:
-                for w in adj[u]:
-                    if w not in found and w in inside:
-                        found[w] = step
-                        new.append(w)
-            if new:
-                runs.append((g, new))
-        layer = runs
-    return found
-
-
 def _label_roots(graph: Graph, labels: np.ndarray) -> np.ndarray:
     """Each node's lowest id among the nodes it reaches over the edges
     whose two ends share a label (one per node in `labels`).
@@ -317,24 +273,6 @@ def _label_roots(graph: Graph, labels: np.ndarray) -> np.ndarray:
         crossing = root[lo] != root[hi]
         lo, hi = lo[crossing], hi[crossing]
     return root
-
-
-def _connected_set(nodes: set[int], adj) -> bool:
-    """Whether `nodes` induce a connected subgraph (the empty set does)."""
-    return len(nodes) <= 1 or len(_gateways(adj, [next(iter(nodes))], nodes)) == len(nodes)
-
-
-def _components(nodes: set[int], adj) -> list[list[int]]:
-    """Connected components of the subgraph `nodes` induce, each sorted,
-    ordered by (size, lowest id)."""
-    remaining = set(nodes)
-    comps: list[list[int]] = []
-    while remaining:
-        comp = _gateways(adj, [min(remaining)], remaining)
-        comps.append(sorted(comp))
-        remaining.difference_update(comp)
-    comps.sort(key=lambda c: (len(c), c[0]))
-    return comps
 
 
 def ring_graph(n: int) -> Graph:
@@ -651,7 +589,8 @@ def _search(
 def _gateway_search(
     graph: Graph, labels: Sequence[np.ndarray], starts: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_gateways for many start sets at once, as arrays.
+    """Hop distances from many start sets at once, with the nearest
+    start of each node, as arrays.
 
     Each of `labels` gives one label per node for a group of copies, and
     starts[k, u] is the copy of group k that node u starts.  A copy of
@@ -666,8 +605,7 @@ def _gateway_search(
     k * n + u of a CSR of id offsets lists u's neighbors that share its
     label in labels[k].  A level gathers the rows of the frontier, and a
     newly reached node takes the smallest gateway among its frontier
-    neighbors (np.minimum.at): the lowest id among its nearest starts,
-    as in _gateways.
+    neighbors (np.minimum.at): the lowest id among its nearest starts.
     """
     n = graph.n_nodes
     _, neighbors, degree = graph._csr

@@ -24,39 +24,43 @@ in its blocks.  ``validate`` checks each level's connectivity with
 ``graphs._label_roots``, the Graph constructor's check, one label per
 cluster.
 
-``build_balanced`` grows each region breadth-first and never takes a
-node whose loss would disconnect the nodes still unassigned.  That test
-is exact but local: a node with just two unassigned neighbours that
-share a third unassigned one is cleared at once, and otherwise searches
-from the node's unassigned neighbours stop as soon as they all meet or
-one runs dry (``_severed``).  In a dense split, a node with more than
-four unassigned neighbours is searched with bit sets, Python ints with
-one bit per node id, so that one AND of an adjacency row with the
-remainder finds all of a node's unassigned neighbours
-(``_search_masks``); with more than eight, a fast join first grows one
-set from the lowest neighbour's closed neighbourhood, which on a dense
-graph takes in every neighbour within a pass or two.  A bit operation
-costs the remainder's width in bits whatever the degree, a set search
-a probe per edge, so a split takes the masks only when its members'
-mean degree passes 3 + width / 300 (``_masks_pay``).  The rows are
-packed from the graph's CSR arrays for the first split that takes the
-masks, and the remainder's bit set is kept only in such splits.  Grids
-and tori never build either; nor do the 40x40 and 200x200 tori with one
-extra edge, or random giants of 4,000 nodes with mean degree 12.
-Each seed gets the same test, so the remainder is known to be connected
-from a part's first candidate on unless the seed cut it.  A node found
-to cut the remainder keeps a memo of the cut, counted down as nodes are
-taken, which answers for it without a search while nodes are left on
-both sides of the cut.  Until then a deferred node is also held off the
-frontier, so it is not asked either (see ``_grow_regions``): the 40x40
-torus at level 5 asks 3,207 cut questions instead of 7,467 for the same
-3,209 searches.  A candidate whose neighbours meet only far away still
-costs a search of the whole remainder, so the worst case stays
-quadratic in the cluster size.
-A part that grows past its seed leaves the remainder connected, so the
-last part of each split, every node still unassigned, is taken whole
-without growing it or testing a single cut (when parts are single nodes,
-so is the last).
+``build_balanced`` reads the graph as neighbour rows, one tuple of ints
+per node built once per call from the CSR arrays (``_adjacency``); no
+other module reads such rows.  It grows each region breadth-first and
+never takes a node whose loss would disconnect the nodes still
+unassigned.  That test is exact but local: a node with just two
+unassigned neighbours that share a third unassigned one is cleared at
+once, and otherwise searches from the node's unassigned neighbours stop
+as soon as they all meet or one runs dry (``_severed``).  In a dense
+split, a node with more than four unassigned neighbours is searched with
+bit sets, Python ints with one bit per node id, so that one AND of an
+adjacency row with the remainder finds all of a node's unassigned
+neighbours (``_search_masks``); with more than eight, a fast join first
+grows one set from the lowest neighbour's closed neighbourhood, which on
+a dense graph takes in every neighbour within a pass or two.  A bit
+operation costs the remainder's width in bits whatever the degree, a set
+search a probe per edge, so a split takes the masks only when its
+members' mean degree passes 3 + width / 300 (``_masks_pay``).  The rows
+are packed from the graph's CSR arrays for the first split that takes
+the masks, and the remainder's bit set is kept only in such splits.
+Grids and tori never build either; nor do the 40x40 and 200x200 tori
+with one extra edge, or random giants of 4,000 nodes with mean degree
+12.  Each seed gets the same test, so the remainder is known to be
+connected from a part's first candidate on unless the seed cut it.  A
+node found to cut the remainder keeps a memo of the cut, counted down as
+nodes are taken, which answers for it without a search while nodes are
+left on both sides of the cut.  Until then a deferred node is also held
+off the frontier, so it is not asked either (see ``_grow_regions``): the
+40x40 torus at level 5 asks 3,207 cut questions instead of 7,467 for the
+same 3,209 searches.  A candidate whose neighbours meet only far away
+still costs a search of the whole remainder, so the worst case stays
+quadratic in the cluster size.  A part that grows past its seed leaves
+the remainder connected, so the last part of each split, every node
+still unassigned, is taken whole without growing it or testing a single
+cut (when parts are single nodes, so is the last).  While the remainder
+is not known to be connected, a cut test searches all of it, and a
+swallow finds its components, with one plain breadth-first search of a
+node set (``_reach``).
 
 File format: one line per node, ``node_id path_0 path_1 ...``, sorted
 by node id; ``#`` comments and blank lines are skipped.  ``load`` parses
@@ -73,14 +77,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .graphs import (
-    FileFormatError,
-    Graph,
-    _components,
-    _connected_set,
-    _label_roots,
-    _parsed,
-)
+from .graphs import FileFormatError, Graph, _label_roots, _parsed
 
 
 class HierarchyFormatError(FileFormatError):
@@ -160,10 +157,18 @@ def _bits(ids) -> int:
     return mask
 
 
+def _adjacency(graph: Graph) -> list[tuple[int, ...]]:
+    """Every node's neighbours in ascending order, a tuple of ints per
+    node, from the CSR arrays."""
+    ends, neighbors, _ = graph._csr
+    dst, stops = neighbors.tolist(), ends.tolist()
+    return [tuple(dst[a:b]) for a, b in zip([0, *stops], stops)]
+
+
 def _rows(graph: Graph) -> list[int]:
-    """Every node's adjacency row as a bit set, ``_bits(graph.adj[u])``,
-    packed from the CSR arrays: a boolean row of whole bytes per node,
-    at most `_ROW_CELLS` booleans at a time."""
+    """Every node's adjacency row as a bit set, ``_bits`` of its row of
+    ``_adjacency(graph)``, packed from the CSR arrays: a boolean row of
+    whole bytes per node, at most `_ROW_CELLS` booleans at a time."""
     ends, neighbors, degree = graph._csr
     n = graph.n_nodes
     size = -(-n // 8)  # bytes per row
@@ -180,6 +185,37 @@ def _rows(graph: Graph) -> list[int]:
             int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)
         )
     return rows
+
+
+def _reach(adj, start: int, inside: set[int]) -> list[int]:
+    """The nodes of `inside` that a breadth-first search from `start`
+    reaches without leaving it, in the order found."""
+    seen = {start}
+    found = [start]
+    for u in found:
+        for w in adj[u]:
+            if w not in seen and w in inside:
+                seen.add(w)
+                found.append(w)
+    return found
+
+
+def _connected_set(nodes: set[int], adj) -> bool:
+    """Whether `nodes` induce a connected subgraph (the empty set does)."""
+    return len(nodes) <= 1 or len(_reach(adj, next(iter(nodes)), nodes)) == len(nodes)
+
+
+def _components(nodes: set[int], adj) -> list[list[int]]:
+    """Connected components of the subgraph `nodes` induce, each sorted,
+    ordered by (size, lowest id)."""
+    remaining = set(nodes)
+    comps: list[list[int]] = []
+    while remaining:
+        comp = sorted(_reach(adj, min(remaining), remaining))
+        comps.append(comp)
+        remaining.difference_update(comp)
+    comps.sort(key=lambda c: (len(c), c[0]))
+    return comps
 
 
 def _ids(mask: int) -> set[int]:
@@ -534,6 +570,7 @@ def build_balanced(graph: Graph, levels: int, branching: int = 2) -> Hierarchy:
     if levels == 1:
         return flat_hierarchy(graph)
     paths: list[list[int]] = [[] for _ in range(graph.n_nodes)]
+    adj = _adjacency(graph)
     # a split passes _masks_pay only with a node of more than four
     # neighbours; the bit rows, shared by every split, are built for the
     # first split that passes
@@ -550,12 +587,7 @@ def build_balanced(graph: Graph, levels: int, branching: int = 2) -> Hierarchy:
             if masked and rows is None:
                 rows = _rows(graph)
             for region in _grow_regions(
-                members,
-                graph.adj,
-                branching,
-                level,
-                parent_id,
-                rows if masked else None,
+                members, adj, branching, level, parent_id, rows if masked else None
             ):
                 cid = len(nxt)
                 for u in region:

@@ -18,14 +18,14 @@ Tables come from measure's arrays (below), and no all-pairs distance
 matrix is kept.  A sibling cluster's entries come from its copy of the
 gateway search, confined to its parent: a reached node has a distance
 and a gateway (nearest member, lowest id among ties), and its next hop
-is its lowest-id neighbor one step closer with the same gateway.  A
-node entry toward t is a sibling entry toward the one-member cluster
-{t} inside the leaf: one search of the leaves side by side, member j of
-every leaf starting bit j, gives each d(u, t) inside a leaf, and the
-next hop from u toward t is the lowest-id neighbor w inside the leaf
-with d(w, t) = d(u, t) - 1.  Only the reference walk (route() over
-these tables) and the benchmark's traced probe build tables: measure
-builds none.
+is its lowest-id neighbor one step closer with the same gateway, found
+for every node at once over the CSR arrays (_first_hops).  A node entry
+toward t is a sibling entry toward the one-member cluster {t} inside
+the leaf: one search of the leaves side by side, member j of every leaf
+starting bit j, gives each d(u, t) inside a leaf, and the same rule,
+with the leaf for the gateway, gives the next hop from u toward t.
+Only the reference walk (route() over these tables) and the benchmark's
+traced probe build tables: measure builds none.
 
 build_tables and measure name a faulty hierarchy's first fault alike,
 from the same arrays (_fault): the nodes of a parent that a copy of the
@@ -49,7 +49,8 @@ with one array search over the graph's CSR (graphs._gateway_search):
 every level and every sibling rank j side by side, copy (level, j)
 starting from the rank j child of every cluster one level up and
 keeping to that parent, and a newly reached node taking the lowest
-gateway among its frontier neighbors, which is _gateways' rule.
+gateway among its frontier neighbors: the lowest id among its nearest
+members.
 measure takes the targets a chunk of leaf positions at a time: member j
 of every leaf, for j in the chunk.  One bit-parallel search of the
 graph with the edges between two leaves dropped finds the leaf
@@ -172,16 +173,14 @@ def _toward(graph: Graph, nest: list) -> tuple[list, list[list[tuple]] | None]:
     toward = []
     for (dist, gw), (inside, cluster, up, rank) in zip(found, nest):
         # each parent's nodes in one run, runs in parent order
-        by_parent = np.argsort(inside, kind="stable")
-        parent_size = np.bincount(inside)
-        bounds = np.concatenate(([0], parent_size.cumsum()))
+        by_parent, bounds = _members(inside)
         copies = []
         for d, g in zip(dist, gw):
             row = d[by_parent]
             at = np.flatnonzero(row > 0)  # the reached nodes outside the starts
             nodes = by_parent[at]
             copies.append((nodes, row[at][:, None], g[nodes], np.searchsorted(at, bounds).tolist()))
-        outside = (parent_size[up] - np.bincount(cluster)).tolist()
+        outside = (np.bincount(inside)[up] - np.bincount(cluster)).tolist()
         level = []
         for r, p, m in zip(rank, up, outside):
             nodes, d, g, cut = copies[r]
@@ -233,6 +232,45 @@ def _members(cluster: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return np.argsort(cluster, kind="stable"), [0, *np.bincount(cluster).cumsum().tolist()]
 
 
+def _prelude(graph: Graph, hierarchy: Hierarchy) -> tuple:
+    """(nest, found, toward, leaf, order, cut), what measure and
+    build_tables both start from: the _nesting of the label paths, the
+    _toward arrays, each node's leaf cluster, and the nodes by leaf
+    (_members).  Raises the first fault when a node cannot reach a
+    sibling cluster inside their parent."""
+    _require_fit(graph, hierarchy)
+    nest = _nesting(hierarchy.label_paths)
+    found, toward = _toward(graph, nest)
+    if toward is None:
+        _fault(graph, hierarchy, nest, found)
+    leaf = nest[-1][1] if nest else np.zeros(graph.n_nodes, dtype=np.intp)
+    return nest, found, toward, leaf, *_members(leaf)
+
+
+def _first_hops(graph: Graph, dist: np.ndarray, gw: np.ndarray) -> np.ndarray:
+    """The next-hop rule: hop[c, u] is the lowest-id neighbor w of node u
+    one step closer to the same gateway, dist[c, w] = dist[c, u] - 1 and
+    gw[c, w] = gw[c, u], for each row c of the (copies x n) arrays `dist`
+    and `gw` (one gw row may serve all) where dist[c, u] > 0, and -1
+    elsewhere.  Each node's hits are marked over its CSR row and the
+    least is kept, for a chunk of rows of about a quarter of
+    graphs._SEARCH_CELLS (row, edge) cells at a time."""
+    ends, neighbors, degree = graph._csr
+    gw = np.broadcast_to(gw, dist.shape)
+    # node ids, like distances, lie below n
+    hops = np.full(dist.shape, -1, dtype=graphs._distance_type(graph.n_nodes))
+    if not neighbors.size:  # one node, no edges
+        return hops
+    step = max(1, (graphs._SEARCH_CELLS >> 2) // neighbors.size)
+    for a in range(0, len(dist), step):
+        d, g = dist[a : a + step], gw[a : a + step]
+        closer = d[:, neighbors] == np.repeat(d, degree, axis=1) - 1
+        closer &= g[:, neighbors] == np.repeat(g, degree, axis=1)
+        hit = np.minimum.reduceat(np.where(closer, neighbors, graph.n_nodes), ends - degree, axis=1)
+        hops[a : a + step] = np.where(d > 0, hit, -1)
+    return hops
+
+
 def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]:
     """Tables for every node.
 
@@ -241,47 +279,34 @@ def build_tables(graph: Graph, hierarchy: Hierarchy) -> tuple[RoutingTable, ...]
     module docstring).  A disconnected cluster raises RoutingError
     naming a node and the target it cannot reach.
     """
-    _require_fit(graph, hierarchy)
+    nest, found, _, leaf, order, cut = _prelude(graph, hierarchy)
     n = graph.n_nodes
-    adj = graph.adj
     paths = hierarchy.label_paths
-    nest = _nesting(paths)
-    searched, toward = _toward(graph, nest)
-    leaf = nest[-1][1] if nest else np.zeros(n, dtype=np.intp)
-    order, cut = _members(leaf)
     # member j of every leaf starts bit j: column j holds each node's
     # distance to member j of its own leaf
     near = graphs._search(graph, leaf)(order, np.arange(n) - np.array(cut)[leaf[order]])
-    if toward is None or near[:, 0].min() < 0:
-        _fault(graph, hierarchy, nest, searched)
-    node_entries: list[dict[int, int]] = [{} for _ in range(n)]
+    if near[:, 0].min() < 0:
+        _fault(graph, hierarchy, nest, found)
+    ids = list(range(n))  # one int per node, shared by every entry
     cluster_entries: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-
-    def add_entries(entries, key, found) -> None:
-        # an entry toward key for every reached node but the sources: the
-        # lowest-id neighbor one step closer to the same gateway
-        for u, (d, g) in found.items():
-            if d:
-                closer = (d - 1, g)
-                for w in adj[u]:
-                    if found.get(w) == closer:
-                        entries[u][key] = w
-                        break
-
-    # coarsest first, so every table lists its cluster entries level by level
-    for k, ((_, cluster, _, _), level) in enumerate(zip(nest, toward), 1):
-        by_cluster, bounds = _members(cluster)
-        for (out, dist, gw), a, b in zip(level, bounds, bounds[1:]):
-            # toward a sibling cluster, for every node of the parent outside it
-            members = by_cluster[a:b].tolist()
-            found = {m: (0, m) for m in members}
-            found.update(zip(out.tolist(), zip(dist[:, 0].tolist(), gw.tolist())))
-            add_entries(cluster_entries, (k, paths[members[0]][k - 1]), found)
-    # toward each member t of a leaf: a sibling entry toward {t}
+    # coarsest first, then by sibling rank, so every table lists its
+    # cluster entries level by level, each level's in cluster order: an
+    # entry toward the cluster of the gateway, for every reached node but
+    # the sources
+    for k, (dist, gw) in enumerate(found, 1):
+        for d, g, hop in zip(dist, gw, _first_hops(graph, dist, gw)):
+            at = np.flatnonzero(d > 0)
+            for u, t, w in zip(at.tolist(), g[at].tolist(), hop[at].tolist()):
+                cluster_entries[u][k, paths[t][k - 1]] = ids[w]
+    # toward each member t of a leaf: a sibling entry toward {t}, the leaf
+    # for the gateway
+    hops = _first_hops(graph, near.T, leaf)
+    node_entries: list[dict[int, int]] = [{} for _ in range(n)]
     for a, b in zip(cut, cut[1:]):
         members = order[a:b].tolist()
-        for t, d in zip(members, near[order[a:b], : b - a].T.tolist()):
-            add_entries(node_entries, t, {u: (x, t) for u, x in zip(members, d)})
+        for u, row in zip(members, hops[: b - a, order[a:b]].T):
+            node_entries[u] = dict(zip(members, map(ids.__getitem__, row.tolist())))
+            del node_entries[u][u]
     return tuple(
         RoutingTable(u, node_entries[u], cluster_entries[u]) for u in range(n)
     )
@@ -467,15 +492,9 @@ def measure(
     n = graph.n_nodes
     if n < 2:
         raise ValueError("stretch measurement needs at least two nodes")
-    _require_fit(graph, hierarchy)
-    nest = _nesting(hierarchy.label_paths)
-    found, toward = _toward(graph, nest)
-    if toward is None:
-        _fault(graph, hierarchy, nest, found)
+    nest, found, toward, leaf, order, cut = _prelude(graph, hierarchy)
     # self entries and sibling entries
     entries = n + sum(len(out) for level in toward for out, _, _ in level)
-    leaf = nest[-1][1] if nest else np.zeros(n, dtype=np.intp)  # each node's leaf
-    order, cut = _members(leaf)
     leaves = []  # (members, the toward arrays from the leaf outward)
     for c, (a, b) in enumerate(zip(cut, cut[1:])):
         entries += (b - a) * (b - a - 1)

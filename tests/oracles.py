@@ -38,6 +38,16 @@ def floyd_warshall(n, edges):
     return d
 
 
+def adjacency(graph):
+    """Each node's neighbors in ascending order, one list per node, from
+    graph.edges."""
+    rows = [[] for _ in range(graph.n_nodes)]
+    for u, v in graph.edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return [sorted(row) for row in rows]
+
+
 def bfs(adj, source, inside=None):
     """Hop distances from `source` by one breadth-first search that keeps
     to the node set `inside` (every node when None), in the order nodes
@@ -169,11 +179,12 @@ def oracle_failure(g, h):
                 "run validate() for a full report"
             )
     groups = prefix_groups(h.label_paths)
+    adj = adjacency(g)
     for key in sorted(groups, key=len):
         members = groups[key]
         if key:
             parent = groups[key[:-1]]
-            d = induced_distances(parent, g.adj)
+            d = induced_distances(parent, adj)
             for u in parent:
                 if not any(m in d[u] for m in members):
                     return rt.RoutingError, (
@@ -181,7 +192,7 @@ def oracle_failure(g, h):
                         f"inside level {len(key) - 1} cluster {key[-2]}"
                     )
         if len(key) == depth:
-            d = induced_distances(members, g.adj)
+            d = induced_distances(members, adj)
             for t in members:
                 for u in members:
                     if t not in d[u]:
@@ -203,13 +214,14 @@ def oracle_tables(g, h):
     for each sibling cluster inside the parent (the entire graph at level
     1), its nearest member by (distance, id) and the hop toward it."""
     n = g.n_nodes
-    entire = induced_distances(range(n), g.adj)
+    adj = adjacency(g)
+    entire = induced_distances(range(n), adj)
     paths = h.label_paths
     leaves = {}
     for u, p in enumerate(paths):
         leaves.setdefault(p, []).append(u)
     leaf_dist = {
-        key: entire if len(mem) == n else induced_distances(mem, g.adj)
+        key: entire if len(mem) == n else induced_distances(mem, adj)
         for key, mem in leaves.items()
     }
     level_members, level_siblings, parent_dist = [], [], []
@@ -222,7 +234,7 @@ def oracle_tables(g, h):
             ctx = {(): entire}
         else:
             ctx = {
-                paths[pmem[0]][: level - 1]: induced_distances(pmem, g.adj)
+                paths[pmem[0]][: level - 1]: induced_distances(pmem, adj)
                 for pmem in level_members[-1].values()
             }
         level_members.append(members)
@@ -232,7 +244,7 @@ def oracle_tables(g, h):
     for u in range(n):
         pu = paths[u]
         node_entries = {
-            v: hop_toward(g.adj, leaf_dist[pu], u, v) for v in leaves[pu] if v != u
+            v: hop_toward(adj, leaf_dist[pu], u, v) for v in leaves[pu] if v != u
         }
         cluster_entries = {}
         for level in range(1, h.levels):
@@ -241,7 +253,7 @@ def oracle_tables(g, h):
                 if cid != pu[level - 1]:
                     members = level_members[level - 1][cid]
                     gateway = min(members, key=lambda m: (d_ctx[u][m], m))
-                    cluster_entries[(level, cid)] = hop_toward(g.adj, d_ctx, u, gateway)
+                    cluster_entries[(level, cid)] = hop_toward(adj, d_ctx, u, gateway)
         tables.append(rt.RoutingTable(u, node_entries, cluster_entries))
     return tuple(tables)
 
@@ -258,7 +270,7 @@ def reference(g, h):
     """The report measure() must reproduce, from route() of every ordered
     pair: the mean per-pair ratio is the exact mean, rounded once."""
     n = g.n_nodes
-    dist = induced_distances(range(n), g.adj)
+    dist = induced_distances(range(n), adjacency(g))
     tables = rt.build_tables(g, h)
     total_hier = 0
     total_short = 0

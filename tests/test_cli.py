@@ -68,19 +68,30 @@ def test_simulate_output_and_report_file(tmp_path, capsys):
 
 
 def test_simulate_builds_no_adjacency_rows(tmp_path, capsys, monkeypatch):
-    # load, validate and measure read the graph's arrays only
+    # load, validate and measure read the graph's arrays only: neighbour
+    # rows are the balanced builder's, which validate's own suite runs on
+    # its 8-node ring and never on the files it checks
     graph = tmp_path / "t.graph"
     hier = tmp_path / "t.clusters"
     main(["gen", "torus", "--rows", "20", "--cols", "20", "--out", str(graph)])
     main(["cluster", "--graph", str(graph), "--levels", "3", "--out", str(hier)])
     capsys.readouterr()
+    built = []
 
-    def refuse(graph):
-        raise AssertionError("adjacency rows built")
+    def recorded(build):
+        def rows(graph):
+            built.append(graph.n_nodes)
+            return build(graph)
+        return rows
 
-    monkeypatch.setattr(gr.Graph, "adj", property(refuse))
+    monkeypatch.setattr(hi, "_adjacency", recorded(hi._adjacency))
+    monkeypatch.setattr(hi, "_rows", recorded(hi._rows))
     assert main(["simulate", "--graph", str(graph), "--hierarchy", str(hier)]) == 0
     assert "s_p: " in capsys.readouterr().out
+    assert built == []
+    assert main(["validate", "--graph", str(graph), "--hierarchy", str(hier)]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    assert built == [8]
 
 
 def test_simulate_method_tag(tmp_path, capsys):
@@ -207,6 +218,9 @@ def test_gen_writes_each_topology(tmp_path, capsys, argv, graph):
     (["grid", "--rows", "3", "--cols", "4", "--seed", "0"], "--seed"),
     (["torus", "--rows", "4", "--cols", "4", "--p", "0.3"], "--p"),
     (["random", "--n", "20", "--p", "0.2", "--cols", "4"], "--cols"),
+    # named in a fixed order, not in the order given
+    (["torus", "--rows", "4", "--cols", "4", "--seed", "1", "--p", "0.3", "--n", "16"],
+     "--n, --p, --seed"),
 ])
 def test_gen_rejects_an_option_its_topology_does_not_read(tmp_path, capsys, argv, unread):
     out = tmp_path / "g.graph"

@@ -22,13 +22,13 @@ from routestretch import graphs as gr
 from routestretch import hierarchy as hi
 from routestretch import routing as rt
 
-from oracles import floyd_warshall, per_line_save_graph, per_pair_random_graph
+from oracles import adjacency, floyd_warshall, per_line_save_graph, per_pair_random_graph
 
 
 def test_graph_normalizes_edges():
     g = gr.Graph(3, [(2, 1), (0, 1)])
     assert g.edges == ((0, 1), (1, 2))
-    assert g.adj == ((1,), (0, 2), (1,))
+    assert adjacency(g) == [[1], [0, 2], [1]]
     assert g.num_edges == 2
 
 
@@ -93,7 +93,7 @@ def test_ring_shape():
     g = gr.ring_graph(8)
     assert g.n_nodes == 8
     assert g.num_edges == 8
-    assert all(len(g.adj[u]) == 2 for u in range(8))
+    assert all(len(adjacency(g)[u]) == 2 for u in range(8))
     assert (0, 7) in g.edges
     with pytest.raises(ValueError):
         gr.ring_graph(2)
@@ -103,8 +103,8 @@ def test_grid_shape():
     g = gr.grid_graph(3, 4)
     # 3*(4-1) horizontal + 4*(3-1) vertical
     assert g.num_edges == 17
-    assert len(g.adj[0]) == 2
-    assert len(g.adj[5]) == 4
+    assert len(adjacency(g)[0]) == 2
+    assert len(adjacency(g)[5]) == 4
     with pytest.raises(ValueError):
         gr.grid_graph(1, 4)
 
@@ -112,13 +112,13 @@ def test_grid_shape():
 def test_torus_shape():
     g = gr.torus_graph(4, 4)
     assert g.num_edges == 32
-    assert all(len(g.adj[u]) == 4 for u in range(16))
+    assert all(len(adjacency(g)[u]) == 4 for u in range(16))
     # 3x3 torus still has 2 distinct ring edges per line
     assert gr.torus_graph(3, 3).num_edges == 18
     # 2x2 wraps collapse onto the grid edges
     g22 = gr.torus_graph(2, 2)
     assert g22.num_edges == 4
-    assert all(len(g22.adj[u]) == 2 for u in range(4))
+    assert all(len(adjacency(g22)[u]) == 2 for u in range(4))
     with pytest.raises(ValueError):
         gr.torus_graph(1, 5)
 
@@ -281,10 +281,10 @@ def test_save_of_a_graph_without_edges(tmp_path):
 
 
 def test_a_loaded_graph_holds_its_edges_once(tmp_path):
-    # the edges stay two int64 arrays next to the CSR arrays, and the
-    # tuples of edge pairs and of adjacency rows are built only when
-    # read: the 100x100 torus (20,000 edges) held 0.76 MB, against 2.7 MB
-    # while the adjacency rows were built on every load
+    # the edges stay two int64 arrays next to the CSR arrays, the tuple
+    # of edge pairs is built only when read, and a graph keeps no
+    # neighbour rows: the 100x100 torus (20,000 edges) held 0.76 MB,
+    # against 2.7 MB while adjacency rows were built on every load
     path = tmp_path / "torus100.graph"
     gr.save(gr.torus_graph(100, 100), path)
     gr.load(path)  # the first load's one-time allocations do not count
@@ -297,7 +297,7 @@ def test_a_loaded_graph_holds_its_edges_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert g.num_edges == 20000
-    assert g._adj is None
+    assert gr.Graph.__slots__ == ("n_nodes", "_csr", "_lo", "_hi", "_edges")  # no rows
     assert held < 2**20
 
 

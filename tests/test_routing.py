@@ -11,7 +11,8 @@ from routestretch import graphs as gr
 from routestretch import hierarchy as hi
 from routestretch import routing as rt
 
-from oracles import bfs, check_route, components, every_route, oracle_failure, prefix_groups
+from oracles import (adjacency, bfs, check_route, components, every_route, oracle_failure,
+                     prefix_groups)
 
 
 def ring8_setup():
@@ -101,7 +102,7 @@ def test_torus_regression_two_level():
     h = hi.build_balanced(g, levels=2, branching=4)
     tables = rt.build_tables(g, h)
     path = rt.route(tables, g, h, 0, 22)
-    check_route(path, 0, 22, set(g.edges), bfs(g.adj, 0)[22])
+    check_route(path, 0, 22, set(g.edges), bfs(adjacency(g), 0)[22])
     assert all(t.length == 67 for t in tables)
 
 
@@ -116,10 +117,32 @@ def test_torus_balanced_b2_frozen_numbers():
     assert rep.s_p == rep.mean_hier_path / rep.mean_shortest_path
 
 
+def test_tables_and_measure_build_no_adjacency_rows(monkeypatch):
+    # next hops come from the CSR arrays: only the balanced builder builds
+    # neighbour rows
+    torus = gr.torus_graph(20, 20)
+    dense = gr.random_graph(60, 0.1, seed=7)
+    cases = [(torus, hi.build_balanced(torus, 3, 2)), (dense, hi.flat_hierarchy(dense))]
+    split = hi.Hierarchy(2, tuple((u % 2,) for u in range(400)))  # a leaf per colour
+
+    def refuse(graph):
+        raise AssertionError("adjacency rows built")
+
+    monkeypatch.setattr(hi, "_adjacency", refuse)
+    monkeypatch.setattr(hi, "_rows", refuse)
+    for g, h in cases:
+        entries = sum(t.length for t in rt.build_tables(g, h))
+        assert entries == g.n_nodes * rt.measure(g, h).mean_table_length
+    for call in (rt.build_tables, rt.measure):
+        with pytest.raises(rt.RoutingError, match="cannot reach"):
+            call(torus, split)
+
+
 def test_delivery_on_random_graphs():
     for seed in range(5):
         g = gr.random_graph(24, 0.25, seed=seed)
-        short = [bfs(g.adj, s) for s in range(24)]
+        adj = adjacency(g)
+        short = [bfs(adj, s) for s in range(24)]
         edges = set(g.edges)
         for levels in (1, 2, 3):
             h = hi.build_balanced(g, levels=levels, branching=2)
@@ -262,10 +285,11 @@ def moved_node(g, paths, source, into, apart):
     `apart` moved to path `into`, where every cluster it quits stays
     connected without it."""
     groups = prefix_groups(paths)
+    adj = adjacency(g)
     for u in groups[source]:
         quits = [paths[u][:k] for k in range(1, len(into) + 1) if paths[u][:k] != into[:k]]
-        if not set(g.adj[u]) & set(groups[apart]) and all(
-            len(components([v for v in groups[q] if v != u], g.adj)) == 1 for q in quits
+        if not set(adj[u]) & set(groups[apart]) and all(
+            len(components([v for v in groups[q] if v != u], adj)) == 1 for q in quits
         ):
             return hi.Hierarchy(len(into) + 1, paths[:u] + (into,) + paths[u + 1 :])
     raise AssertionError("no node to move")
@@ -313,3 +337,5 @@ def test_measure_needs_two_nodes():
     g = gr.Graph(1, [])
     with pytest.raises(ValueError):
         rt.measure(g, hi.flat_hierarchy(g))
+    # a graph with no edges has tables all the same: the self entry
+    assert rt.build_tables(g, hi.flat_hierarchy(g)) == (rt.RoutingTable(0, {}, {}),)
