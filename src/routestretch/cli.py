@@ -20,7 +20,6 @@ import sys
 from itertools import chain
 
 from . import analytic, fitting, graphs, hierarchy, routing, svgplot
-from .routing import _fmt
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,6 +90,11 @@ def _cluster_options(args) -> str | None:
         missing = [flag for flag in _READS["cluster"][1]["grid"] if not _given(args, flag)]
         if missing:
             return f"the grid method needs {', '.join(missing)}"
+        if len(args.block_rows) != len(args.block_cols):
+            return (
+                "--block-rows and --block-cols need one value per level "
+                f"(got {len(args.block_rows)} and {len(args.block_cols)})"
+            )
     return problem
 
 
@@ -150,8 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branching", type=int, help="balanced: parts per split (default 2)")
     p.add_argument("--rows", type=int, help="grid: grid rows")
     p.add_argument("--cols", type=int, help="grid: grid cols")
-    p.add_argument("--block-rows", type=int, help="grid: block rows")
-    p.add_argument("--block-cols", type=int, help="grid: block cols")
+    p.add_argument("--block-rows", type=int, nargs="+", metavar="R",
+                   help="grid: block rows, one value per level")
+    p.add_argument("--block-cols", type=int, nargs="+", metavar="C",
+                   help="grid: block cols, one value per level")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)
 
@@ -187,13 +193,13 @@ def cmd_curve(args) -> int:
     for n in args.n_nodes:
         params = analytic.AnalyticParams(n_nodes=n, alpha=args.alpha)
         series.append(analytic.sweep_curve(params, args.s_p_min, args.s_p_max, args.step))
+    # one template over every row; "%.10g" formats a double as routing._fmt does
+    rows = [(cs.n_nodes, cs.alpha, *point) for cs in series for point in cs.points]
+    text = ("N,alpha,s_p,m,s_t\n" + "%d,%.10g,%.10g,%.10g,%.10g\n" * len(rows)) % tuple(
+        chain.from_iterable(rows)
+    )
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("N,alpha,s_p,m,s_t\n")
-        for cs in series:
-            for s_p, m, s_t in cs.points:
-                fh.write(
-                    f"{cs.n_nodes},{_fmt(cs.alpha)},{_fmt(s_p)},{_fmt(m)},{_fmt(s_t)}\n"
-                )
+        fh.write(text)
     if args.svg:
         chart = [
             (f"N={cs.n_nodes}", [(p[0], p[2]) for p in cs.points]) for cs in series
@@ -230,7 +236,7 @@ def cmd_cluster(args) -> int:
         )
     else:
         h = hierarchy.build_grid_blocks(
-            g, args.rows, args.cols, [(args.block_rows, args.block_cols)]
+            g, args.rows, args.cols, list(zip(args.block_rows, args.block_cols))
         )
     hierarchy.save(h, args.out)
     counts = ",".join(map(str, hierarchy.stats(h))) or "-"

@@ -28,10 +28,12 @@ cluster.
 per node built once per call from the CSR arrays (``_adjacency``); no
 other module reads such rows.  It grows each region breadth-first and
 never takes a node whose loss would disconnect the nodes still
-unassigned.  That test is exact but local: a node with just two
-unassigned neighbours that share a third unassigned one is cleared at
-once, and otherwise searches from the node's unassigned neighbours stop
-as soon as they all meet or one runs dry (``_severed``).  In a dense
+unassigned.  That test is exact but local: a node is cleared at once
+when it has at most one unassigned neighbour, or two or three that the
+unassigned neighbours they share, other than the node itself, join
+pairwise into one group (``_meets_nearby``); otherwise searches from
+the node's unassigned neighbours stop as soon as they all meet or one
+runs dry (``_severed``).  In a dense
 split, a node with more than four unassigned neighbours is searched with
 bit sets, Python ints with one bit per node id, so that one AND of an
 adjacency row with the remainder finds all of a node's unassigned
@@ -51,8 +53,10 @@ node found to cut the remainder keeps a memo of the cut, counted down as
 nodes are taken, which answers for it without a search while nodes are
 left on both sides of the cut.  Until then a deferred node is also held
 off the frontier, so it is not asked either (see ``_grow_regions``): the
-40x40 torus at level 5 asks 3,207 cut questions instead of 7,467 for the
-same 3,209 searches.  A candidate whose neighbours meet only far away
+40x40 torus at level 5 asks 3,207 cut questions instead of 7,467, and of
+these and its 15 seeds' tests the shared-neighbour rule leaves 129 to a
+search, against 519 when it covered only two neighbours.  A candidate
+whose neighbours meet only far away
 still costs a search of the whole remainder, so the worst case stays
 quadratic in the cluster size.  A part that grows past its seed leaves
 the remainder connected, so the last part of each split, every node
@@ -230,9 +234,10 @@ def _severed(w: int, nodes: set[int], adj, rows, rest: int) -> set[int] | None:
 
     Every node of `nodes` reaches w through one of w's neighbours in
     `nodes`, so `nodes` is connected exactly when those neighbours reach
-    one another inside it.  Two neighbours that share a neighbour in
-    `nodes` do so at once; a scan of one adjacency list finds that, and
-    it settles most candidates on a torus.  Otherwise searches start at
+    one another inside it.  One neighbour, or two or three that
+    neighbours they share in `nodes` join pairwise, need no search
+    (``_meets_nearby``), which settles most candidates on a torus.
+    Otherwise searches start at
     the neighbours and stop once they all meet or one runs dry.  Up to
     four neighbours take ``_search_sets``, with a set probe per edge.
     More take ``_search_masks`` where `rows`, the bit rows, is given,
@@ -245,17 +250,47 @@ def _severed(w: int, nodes: set[int], adj, rows, rest: int) -> set[int] | None:
     without w; the masks get it without w.
     """
     starts = [x for x in adj[w] if x in nodes]
-    if len(starts) <= 1:
-        return None
     if len(starts) > _MASK_STARTS and rows is not None:
         return _search_masks(w, starts, rest & ~(1 << w), rows)
-    if len(starts) == 2:
-        # a neighbour shared by both starts joins them (w is not in nodes)
-        a, b = starts
-        for x in adj[a]:
-            if x in nodes and b in adj[x]:
-                return None
+    if _meets_nearby(w, starts, nodes, adj):
+        return None
     return _search_sets(starts, nodes, adj)
+
+
+def _meets_nearby(w: int, starts: list[int], nodes: set[int], adj) -> bool:
+    """Whether taking w leaves `nodes` connected, decided near w: True
+    when `starts`, w's neighbours in `nodes`, number at most one, or two
+    or three that neighbours they share in `nodes`, other than w, join
+    pairwise into one group.  False leaves the question to a search.
+
+    `nodes` may hold w or not, with the same answer.  True is exact only
+    while `nodes` with w is connected: then every node of `nodes` reaches
+    w through a start, so starts that meet keep `nodes` connected.
+    """
+    if len(starts) <= 1:
+        return True
+    if len(starts) > 3:
+        return False
+    if len(starts) == 3:
+        a, b, c = starts
+        joined = 0  # bit 1: a meets b, bit 2: a meets c
+        for x in adj[a]:
+            if x != w and x in nodes:
+                row = adj[x]
+                if b in row:
+                    joined |= 1
+                if c in row:
+                    joined |= 2
+        if joined == 3:
+            return True
+        if not joined:
+            return False
+        starts = starts[1:]  # a meets one of b and c; b must meet c
+    a, b = starts
+    for x in adj[a]:
+        if x != w and x in nodes and b in adj[x]:
+            return True
+    return False
 
 
 def _search_sets(starts: list[int], nodes: set[int], adj) -> set[int] | None:
@@ -389,7 +424,12 @@ def _grow_regions(
 
     The disconnect test is exact but local.  While the remainder is
     connected, ``_severed`` only has to check that the candidate's
-    unassigned neighbours still meet.  It is connected after a pick or
+    unassigned neighbours still meet.  In a split without bit rows,
+    `severs` first asks ``_meets_nearby`` whether shared neighbours join
+    them, before it edits `unassigned`; with bit rows most candidates
+    have more than four such neighbours, a second scan of them costs
+    more than the rule saves, and ``_severed`` asks it instead.  The
+    remainder is connected after a pick or
     a swallow, and before every seed whose part tests a candidate: part
     0's members are a connected cluster, each earlier part ended on a
     pick, a swallow or its seed alone, and a seed-only part is followed
@@ -463,6 +503,12 @@ def _grow_regions(
         memo answers without a search."""
         if w in cuts:
             return True
+        if (
+            connected
+            and rows is None
+            and _meets_nearby(w, [x for x in adj[w] if x in unassigned], unassigned, adj)
+        ):
+            return False
         unassigned.remove(w)
         if connected:
             comp = _severed(w, unassigned, adj, rows, rest)

@@ -154,6 +154,22 @@ def test_curve_defaults_and_determinism(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def test_curve_csv_equals_the_per_row_format(tmp_path, capsys):
+    # one "%.10g" template writes the bytes that formatting each row with
+    # routing._fmt did, on the default sizes and grid
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {401 * 5} rows to {out}\n"
+    want = ["N,alpha,s_p,m,s_t\n"]
+    for n in cli.DEFAULT_CURVE_SIZES:
+        cs = an.sweep_curve(an.AnalyticParams(n_nodes=n, alpha=an.DEFAULT_ALPHA))
+        for s_p, m, s_t in cs.points:
+            want.append(
+                f"{cs.n_nodes},{rt._fmt(cs.alpha)},{rt._fmt(s_p)},{rt._fmt(m)},{rt._fmt(s_t)}\n"
+            )
+    assert out.read_bytes() == "".join(want).encode()
+
+
 def test_curve_svg(tmp_path):
     out = tmp_path / "curve.csv"
     svg = tmp_path / "curve.svg"
@@ -247,8 +263,10 @@ GRID_2X2 = ["--method", "grid", "--rows", "4", "--cols", "4", "--block-rows", "2
     (["--rows", "4"], "the balanced method does not read --rows"),
     (["--method", "balanced", "--levels", "3", "--block-cols", "2", "--block-rows", "2"],
      "the balanced method does not read --block-rows, --block-cols"),
+    ([*GRID_2X2[:6], "--block-rows", "4", "2", "--block-cols", "4"],
+     "--block-rows and --block-cols need one value per level (got 2 and 1)"),
 ], ids=["grid-bare", "grid-no-blocks", "grid-levels", "grid-both", "balanced-rows",
-        "balanced-blocks"])
+        "balanced-blocks", "grid-uneven-blocks"])
 def test_cluster_rejects_options_that_do_not_fit_its_method(tmp_path, capsys, argv, message):
     # a usage error before the graph is read: the graph file is absent
     out = tmp_path / "h.clusters"
@@ -259,6 +277,41 @@ def test_cluster_rejects_options_that_do_not_fit_its_method(tmp_path, capsys, ar
     assert captured.err.startswith("usage: routestretch cluster ")
     assert captured.err.endswith(f"routestretch cluster: error: {message}\n")
     assert not out.exists()
+
+
+def test_cluster_grid_nests_one_block_per_level(tmp_path, capsys):
+    # three block levels on the 8x8 grid: halves, quarters, then 2x2 blocks
+    graph = tmp_path / "g.graph"
+    hier = tmp_path / "h.clusters"
+    gr.save(gr.grid_graph(8, 8), graph)
+    assert main([
+        "cluster", "--graph", str(graph), "--method", "grid", "--rows", "8", "--cols", "8",
+        "--block-rows", "4", "4", "2", "--block-cols", "8", "4", "2", "--out", str(hier),
+    ]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote 4-level hierarchy (grid-blocks-4x8+4x4+2x2; clusters per level: "
+        f"2,4,16) to {hier}\n"
+    )
+    want = "".join(
+        f"{u} {u // 32} {u // 32 * 2 + u % 8 // 4} {u // 16 * 4 + u % 8 // 2}\n"
+        for u in range(64)
+    )
+    assert hier.read_text() == want
+    assert want.splitlines()[27] == "27 0 0 5"
+
+
+def test_cluster_grid_rejects_blocks_that_do_not_nest(tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    hier = tmp_path / "h.clusters"
+    gr.save(gr.grid_graph(8, 8), graph)
+    assert main([
+        "cluster", "--graph", str(graph), "--method", "grid", "--rows", "8", "--cols", "8",
+        "--block-rows", "4", "3", "--block-cols", "4", "4", "--out", str(hier),
+    ]) == 2
+    assert capsys.readouterr() == (
+        "", "routestretch: block 3x4 does not divide the enclosing 4x4\n"
+    )
+    assert not hier.exists()
 
 
 def test_cluster_balanced_defaults_to_two_levels_of_two(tmp_path, capsys):

@@ -1210,6 +1210,14 @@ SMALL_GRAPHS = {
                         + [(i, i % 6 + 1) for i in range(1, 7)]),
     "two-K4-hub": gr.Graph(7, [*combinations((0, 1, 2, 3), 2),
                                *combinations((0, 4, 5, 6), 2)]),
+    # three-start candidates for the shared-neighbour rule: the centre
+    # of K1,3, whose starts meet only through it; the centre 0 of K2,3,
+    # whose starts all share 4; and a centre 0 whose starts 1, 2 share 4
+    # while 3 reaches 1 only around 3-5-6-1
+    "star-3": gr.Graph(4, [(0, 1), (0, 2), (0, 3)]),
+    "K2,3": gr.Graph(5, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2), (4, 3)]),
+    "one-pair": gr.Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5),
+                             (5, 6), (1, 6)]),
 }
 
 
@@ -1233,6 +1241,12 @@ def test_local_cut_test_exhaustive(name):
                 got = hi._severed(w, rest, adj, rows, hi._bits(remainder))
                 assert (got is None) == hi._connected_set(rest, adj), (chosen, w)
                 starts = [x for x in adj[w] if x in rest]
+                # the shared-neighbour rule answers alike with w in the
+                # set or out of it, and clears w only when it cuts nothing
+                cleared = hi._meets_nearby(w, starts, rest, adj)
+                assert hi._meets_nearby(w, starts, remainder, adj) == cleared, (chosen, w)
+                if cleared:
+                    assert got is None, (chosen, w)
                 searches = [got]
                 if len(starts) > 1:
                     # the set search and the mask search agree
@@ -1244,6 +1258,50 @@ def test_local_cut_test_exhaustive(name):
                         # one whole component, reached from a neighbour of w
                         assert sorted(found) in comps
                         assert any(x in found for x in starts)
+
+
+@pytest.mark.parametrize("name, w, nodes, cleared", [
+    ("path-6", 0, range(6), True),  # one start
+    ("torus-3x4", 0, range(12), False),  # four starts are left to the search
+    ("grid-3x3", 4, range(9), False),  # and so are the grid centre's four
+    ("diamond", 0, range(4), True),  # two starts that share 3
+    ("ring-7", 0, range(7), False),  # two starts that share only w
+    ("star-3", 0, range(4), False),  # three starts that share only w
+    ("K2,3", 0, range(5), True),  # 1 meets 2 and 3 through 4
+    ("grid-3x3", 3, range(9), True),  # 0 meets 4, not 6; 4 meets 6
+    ("grid-3x3", 1, range(9), True),  # 0 meets 4, not 2; 2 meets 4
+    ("one-pair", 0, range(7), False),  # 1 meets 2, not 3; 2 misses 3
+])
+def test_shared_neighbour_rule_branches(name, w, nodes, cleared):
+    # each way the rule answers, with w in the set and out of it
+    adj = adjacency(SMALL_GRAPHS[name])
+    nodes = set(nodes)
+    assert hi._connected_set(nodes, adj)
+    starts = [x for x in adj[w] if x in nodes]
+    assert hi._meets_nearby(w, starts, nodes, adj) == cleared
+    assert hi._meets_nearby(w, starts, nodes - {w}, adj) == cleared
+
+
+def test_shared_neighbour_rule_spares_torus_searches(monkeypatch):
+    # the 40x40 torus at level 5 runs 129 set searches, 519 with only the
+    # two-start check, and of its 3,209 cut tests (15 of them seeds') 139
+    # reach _severed, every one when `severs` does not ask the rule first.
+    # The build is deterministic, so a rule that stops firing moves a count
+    calls = {"_severed": 0, "_search_sets": 0}
+
+    def counted(name):
+        function = getattr(hi, name)
+
+        def count(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(hi, name, counted(name))
+    hi.build_balanced(gr.torus_graph(40, 40), 5, 2)
+    assert calls == {"_severed": 139, "_search_sets": 129}
 
 
 @st.composite
