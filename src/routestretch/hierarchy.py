@@ -28,43 +28,43 @@ cluster.
 per node built once per call from the CSR arrays (``_adjacency``); no
 other module reads such rows.  It grows each region breadth-first and
 never takes a node whose loss would disconnect the nodes still
-unassigned.  That test is exact but local: a node is cleared at once
-when it has at most one unassigned neighbour, or two or three that the
-unassigned neighbours they share, other than the node itself, join
-pairwise into one group (``_meets_nearby``); otherwise searches from
-the node's unassigned neighbours stop as soon as they all meet or one
-runs dry (``_severed``).  In a dense
-split, a node with more than four unassigned neighbours is searched with
-bit sets, Python ints with one bit per node id, so that one AND of an
-adjacency row with the remainder finds all of a node's unassigned
-neighbours (``_search_masks``); with more than eight, a fast join first
-grows one set from the lowest neighbour's closed neighbourhood, which on
-a dense graph takes in every neighbour within a pass or two.  A bit
-operation costs the remainder's width in bits whatever the degree, a set
-search a probe per edge, so a split takes the masks only when its
-members' mean degree passes 3 + width / 300 (``_masks_pay``).  The rows
-are packed from the graph's CSR arrays for the first split that takes
-the masks, and the remainder's bit set is kept only in such splits.
-Grids and tori never build either; nor do the 40x40 and 200x200 tori
-with one extra edge, or random giants of 4,000 nodes with mean degree
-12.  Each seed gets the same test, so the remainder is known to be
-connected from a part's first candidate on unless the seed cut it.  A
-node found to cut the remainder keeps a memo of the cut, counted down as
-nodes are taken, which answers for it without a search while nodes are
-left on both sides of the cut.  Until then a deferred node is also held
-off the frontier, so it is not asked either (see ``_grow_regions``): the
-40x40 torus at level 5 asks 3,207 cut questions instead of 7,467, and of
-these and its 15 seeds' tests the shared-neighbour rule leaves 129 to a
-search, against 519 when it covered only two neighbours.  A candidate
-whose neighbours meet only far away
-still costs a search of the whole remainder, so the worst case stays
-quadratic in the cluster size.  A part that grows past its seed leaves
-the remainder connected, so the last part of each split, every node
-still unassigned, is taken whole without growing it or testing a single
-cut (when parts are single nodes, so is the last).  While the remainder
-is not known to be connected, a cut test searches all of it, and a
-swallow finds its components, with one plain breadth-first search of a
-node set (``_reach``).
+unassigned.  One question, asked once per candidate and once per seed
+(``_grow_regions``' `severs`), decides that, exactly but locally: a node
+is cleared at once when it has at most one unassigned neighbour, or two
+or three that the unassigned neighbours they share, other than the node
+itself, join pairwise into one group (``_meets_nearby``); otherwise
+searches from the node's unassigned neighbours stop as soon as they all
+meet or one runs dry (``_search_sets``).  In a dense split, a node with
+more than four unassigned neighbours is searched with bit sets, Python
+ints with one bit per node id, so that one AND of an adjacency row with
+the remainder finds all of a node's unassigned neighbours
+(``_search_masks``); with more than eight, a fast join first grows one
+set from the lowest neighbour's closed neighbourhood, which on a dense
+graph takes in every neighbour within a pass or two.  A bit operation
+costs the remainder's width in bits whatever the degree, a set search a
+probe per edge, so a split takes the masks only when its members' mean
+degree passes 3 + width / 300 (``_masks_pay``).  The rows are packed
+from the graph's CSR arrays for the first split that takes the masks,
+and the remainder's bit set is kept only in such splits.  Grids and tori
+never build either; nor do the 40x40 and 200x200 tori with one extra
+edge, or random giants of 4,000 nodes with mean degree 12.  A seed that
+cuts the remainder leaves it split until the next pick or swallow, so
+its components are listed once (``_components``, one plain
+breadth-first search of a node set, ``_reach``, per component) and
+answer every question until then.  A node found to cut the remainder
+keeps a memo of the cut, counted down as nodes are taken, which answers
+for it without a search while nodes are left on both sides of the cut.
+Until then a deferred node is also held off the frontier, so it is not
+asked either: the 40x40 torus at level 5 asks 3,207 cut questions
+instead of 7,467.  With its 15 seeds' that makes 3,222, of which memos
+and the one component list answer 13, the shared-neighbour rule clears
+3,080 and 129 are searched, against 519 when the rule covered only two
+neighbours.  A candidate whose neighbours meet only far away still costs
+a search of the whole remainder, so the worst case stays quadratic in
+the cluster size.  A part that grows past its seed leaves the remainder
+connected, so the last part of each split, every node still unassigned,
+is taken whole without growing it or testing a single cut (when parts
+are single nodes, so is the last).
 
 File format: one line per node, ``node_id path_0 path_1 ...``, sorted
 by node id; ``#`` comments and blank lines are skipped.  ``load`` parses
@@ -204,11 +204,6 @@ def _reach(adj, start: int, inside: set[int]) -> list[int]:
     return found
 
 
-def _connected_set(nodes: set[int], adj) -> bool:
-    """Whether `nodes` induce a connected subgraph (the empty set does)."""
-    return len(nodes) <= 1 or len(_reach(adj, next(iter(nodes)), nodes)) == len(nodes)
-
-
 def _components(nodes: set[int], adj) -> list[list[int]]:
     """Connected components of the subgraph `nodes` induce, each sorted,
     ordered by (size, lowest id)."""
@@ -226,35 +221,6 @@ def _ids(mask: int) -> set[int]:
     digits = bin(mask)
     top = len(digits) - 1
     return {top - i for i, c in enumerate(digits) if c == "1"}
-
-
-def _severed(w: int, nodes: set[int], adj, rows, rest: int) -> set[int] | None:
-    """Whether taking w out of a connected set left `nodes` (the rest)
-    disconnected: None if not, else one closed component of `nodes`.
-
-    Every node of `nodes` reaches w through one of w's neighbours in
-    `nodes`, so `nodes` is connected exactly when those neighbours reach
-    one another inside it.  One neighbour, or two or three that
-    neighbours they share in `nodes` join pairwise, need no search
-    (``_meets_nearby``), which settles most candidates on a torus.
-    Otherwise searches start at
-    the neighbours and stop once they all meet or one runs dry.  Up to
-    four neighbours take ``_search_sets``, with a set probe per edge.
-    More take ``_search_masks`` where `rows`, the bit rows, is given,
-    which ``build_balanced`` does only in the splits that pass
-    ``_masks_pay``: there one AND of a bit row with the remainder absorbs
-    a node's whole adjacency.  Every mask operation costs the width of
-    `rest` in bits, which a candidate with four neighbours does not win
-    back: sending those to the masks too made the 100x100 torus at level
-    4 cluster 15-17% slower.  `rest` is `nodes` as a bit set, with or
-    without w; the masks get it without w.
-    """
-    starts = [x for x in adj[w] if x in nodes]
-    if len(starts) > _MASK_STARTS and rows is not None:
-        return _search_masks(w, starts, rest & ~(1 << w), rows)
-    if _meets_nearby(w, starts, nodes, adj):
-        return None
-    return _search_sets(starts, nodes, adj)
 
 
 def _meets_nearby(w: int, starts: list[int], nodes: set[int], adj) -> bool:
@@ -422,38 +388,36 @@ def _grow_regions(
     it would reach all of it and never raise.  Deterministic; raises
     when an earlier region cannot reach its target size any other way.
 
-    The disconnect test is exact but local.  While the remainder is
-    connected, ``_severed`` only has to check that the candidate's
-    unassigned neighbours still meet.  In a split without bit rows,
-    `severs` first asks ``_meets_nearby`` whether shared neighbours join
-    them, before it edits `unassigned`; with bit rows most candidates
-    have more than four such neighbours, a second scan of them costs
-    more than the rule saves, and ``_severed`` asks it instead.  The
-    remainder is connected after a pick or
-    a swallow, and before every seed whose part tests a candidate: part
-    0's members are a connected cluster, each earlier part ended on a
-    pick, a swallow or its seed alone, and a seed-only part is followed
-    only by seed-only parts and the last part (targets never grow).  So
-    ``_severed`` also tells whether the seed cut the remainder; only
-    after a seed that did is the whole remainder searched per candidate,
-    until the next pick or swallow.  A cut vertex w found by ``_severed``
-    gets a memo, ``cuts[w] = [comp, left]``: the closed component it cut
-    off and how many of it are still unassigned.  What is left of a
-    closed component stays closed as nodes are taken, so the memo is
-    exact while nodes are left on both sides of the cut; `take` counts
-    `left` down and deletes the memo once a side is empty, so `severs`
-    answers True for any w in `cuts` without a search.  After a pick, a
-    deferred vertex with a memo is held off the heap (`held`) instead of
-    going back on it; `take` pushes it back at its discovery layer when
-    its memo is deleted, so the heap pops the same candidates in the
-    same order as if it were asked after every pick.  A candidate whose
-    cut was found while the remainder was not known to be connected has
-    no memo and goes back on the heap.  When no candidate can be picked,
-    the held ones join the deferred list in (layer, id) order.  A part
-    ends by dropping what it holds; the memos live on and answer in the
-    split's later parts.  Worst case: a pick whose neighbours meet only
-    around the far side of the remainder still costs a search of all of
-    it.
+    The disconnect test, `severs`, is exact but local and is asked once
+    per candidate and once per seed, before `unassigned` is edited.  The
+    remainder is connected after a pick or a swallow, and before every
+    seed whose part tests a candidate: part 0's members are a connected
+    cluster, each earlier part ended on a pick, a swallow or its seed
+    alone, and a seed-only part is followed only by seed-only parts and
+    the last part (targets never grow).  A seed-only part asks nothing.
+    While the remainder is connected, `severs` only has to check that the
+    candidate's unassigned neighbours still meet without it.  A seed that
+    cuts leaves the remainder split, and nothing changes it until the
+    next pick or swallow, since the loop between takes nothing; so its
+    components are listed once, in `pieces`, and a candidate then cuts
+    unless it is the whole of one of exactly two components.  A cut
+    vertex w found by a search gets a memo, ``cuts[w] = [comp, left]``:
+    the closed component it cut off and how many of it are still
+    unassigned.  What is left of a closed component stays closed as
+    nodes are taken, so the memo is exact while nodes are left on both
+    sides of the cut; `take` counts `left` down and deletes the memo once
+    a side is empty or w itself is taken, so `severs` answers True for
+    any w in `cuts` without a search.  After a pick, a deferred vertex
+    with a memo is held off the heap (`held`) instead of going back on
+    it; `take` pushes it back at its discovery layer when its memo is
+    deleted, so the heap pops the same candidates in the same order as
+    if it were asked after every pick.  A candidate that `pieces`
+    answered has no memo and goes back on the heap.  When no candidate
+    can be picked, the held ones join the deferred list in (layer, id)
+    order.  A part ends by dropping what it holds; the memos live on and
+    answer in the split's later parts.  Worst case: a pick whose
+    neighbours meet only around the far side of the remainder still
+    costs a search of all of it.
 
     The remainder is the set `unassigned` and, where `rows` exists, the
     bit set `rest` too; only `take` shrinks them (`severs` puts back the
@@ -470,7 +434,8 @@ def _grow_regions(
     # w -> [a closed component of unassigned - {w}, how many of it are
     # still unassigned]: live while nodes are left on both sides of the cut
     cuts: dict[int, list] = {}
-    connected = False  # whether unassigned is known to be connected
+    # the components of unassigned while a seed has split it, else None
+    pieces: list[list[int]] | None = None
 
     def take(x: int, lay: int) -> None:
         """Assign x to the current part, found at layer `lay`, and delete
@@ -486,6 +451,7 @@ def _grow_regions(
                 layer[y] = lay + 1
                 heapq.heappush(heap, (lay + 1, y))
         if cuts:
+            cuts.pop(x, None)
             lapsed = []
             for w, memo in cuts.items():
                 if x in memo[0]:
@@ -499,26 +465,39 @@ def _grow_regions(
                     heapq.heappush(heap, (layer[w], w))
 
     def severs(w: int) -> bool:
-        """Whether taking w would disconnect the unassigned set; a live
-        memo answers without a search."""
+        """Whether taking w would disconnect the unassigned set.
+
+        A live memo answers first, then `pieces` while the remainder is
+        split.  Otherwise the remainder is connected and every node of it
+        reaches w through one of w's unassigned neighbours, the starts,
+        so w cuts exactly when they do not all meet without it.
+        ``_meets_nearby`` clears most candidates on a torus; the others
+        are searched from the starts, more than `_MASK_STARTS` of them
+        with ``_search_masks`` where the split has bit rows, the rest with
+        ``_search_sets``.  Every mask operation costs the remainder's
+        width in bits, which a candidate with four starts does not win
+        back: sending those to the masks too made the 100x100 torus at
+        level 4 cluster 15-17% slower.  A cut found by a search is
+        memoised.
+        """
         if w in cuts:
             return True
-        if (
-            connected
-            and rows is None
-            and _meets_nearby(w, [x for x in adj[w] if x in unassigned], unassigned, adj)
-        ):
+        if pieces is not None:
+            # taking w rejoins the remainder only if w is all of one of two
+            return len(pieces) != 2 or [w] not in pieces
+        starts = [x for x in adj[w] if x in unassigned]
+        if _meets_nearby(w, starts, unassigned, adj):
             return False
-        unassigned.remove(w)
-        if connected:
-            comp = _severed(w, unassigned, adj, rows, rest)
-            if comp is not None:
-                cuts[w] = [comp, len(comp)]
-            cut = comp is not None
+        if len(starts) > _MASK_STARTS and rows is not None:
+            comp = _search_masks(w, starts, rest & ~(1 << w), rows)
         else:
-            cut = not _connected_set(unassigned, adj)
-        unassigned.add(w)
-        return cut
+            unassigned.remove(w)
+            comp = _search_sets(starts, unassigned, adj)
+            unassigned.add(w)
+        if comp is None:
+            return False
+        cuts[w] = [comp, len(comp)]
+        return True
 
     base, rem = divmod(total, parts)
     regions: list[list[int]] = []
@@ -538,9 +517,10 @@ def _grow_regions(
         heap: list[tuple[int, int]] = []  # its frontier, in (layer, id) order
         held: set[int] = set()  # deferred vertices off the heap while memoised
         seed = min(unassigned)
+        cut = target > 1 and severs(seed)
         take(seed, 0)
-        # exact whenever this part tests a candidate (see the docstring)
-        connected = _severed(seed, unassigned, adj, rows, rest) is None
+        if cut:  # unassigned stays as it is until the next pick or swallow
+            pieces = _components(unassigned, adj)
         while len(taken) < target:
             deferred: list[tuple[int, int]] = []
             pick = None
@@ -556,10 +536,10 @@ def _grow_regions(
                 for lay, w in deferred:
                     if w in cuts:
                         held.add(w)
-                    else:  # tested while the remainder was not known connected
+                    else:  # answered by `pieces`, with no memo
                         heapq.heappush(heap, (lay, w))
                 take(pick[1], pick[0])
-                connected = True
+                pieces = None
                 continue
             size = len(taken)
             deferred = sorted(deferred + [(layer[w], w) for w in held])
@@ -583,7 +563,7 @@ def _grow_regions(
                 )
             for x in chain([w], *comps[:-1]):
                 take(x, lay)
-            connected = True  # what is left is the largest component
+            pieces = None  # what is left is the largest component
             for item in deferred:
                 if item[1] in unassigned:
                     heapq.heappush(heap, item)
@@ -617,9 +597,11 @@ def build_balanced(graph: Graph, levels: int, branching: int = 2) -> Hierarchy:
         return flat_hierarchy(graph)
     paths: list[list[int]] = [[] for _ in range(graph.n_nodes)]
     adj = _adjacency(graph)
-    # a split passes _masks_pay only with a node of more than four
-    # neighbours; the bit rows, shared by every split, are built for the
-    # first split that passes
+    # the masks serve only candidates with more than _MASK_STARTS
+    # unassigned neighbours, so a graph without such a node takes none,
+    # even where _masks_pay passes a split (at mean degree 4, any split
+    # narrower than 300 ids); the bit rows, shared by every split, are
+    # built for the first split that passes
     degree = graph._csr[2]
     degree = degree.tolist() if degree.max() > _MASK_STARTS else None
     rows = None

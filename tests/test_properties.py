@@ -698,7 +698,7 @@ def oracle_regions(members, adj, parts, level, parent_id):
                 if w not in unassigned:
                     continue
                 unassigned.remove(w)
-                if hi._connected_set(unassigned, adj):
+                if len(components(unassigned, adj)) <= 1:
                     pick = (lay, w)
                     break
                 unassigned.add(w)
@@ -974,18 +974,44 @@ def test_cut_vertex_remainders_equal_oracle(rows, cols, branching, levels):
     assert got == balanced_outcome(oracle_balanced, g, levels, branching)
 
 
+CUT_VERTEX_SEEDS = {
+    # node 0 joins two K4s: every candidate of the first part cuts the
+    # remainder, and the part ends on a swallow
+    "two-K4": (9, [(0, 1), (0, 5), *combinations(range(1, 5), 2),
+                   *combinations(range(5, 9), 2)], [1, 5], {1, 2, 3, 4}),
+    # node 0 joins a pendant 1 to a K4: the remainder splits into {1} and
+    # the K4, and the first part picks 1, which rejoins it
+    "pendant-K4": (6, [(0, 1), (0, 2), *combinations(range(2, 6), 2)], [1, 2], {1}),
+}
+
+
 @pytest.mark.parametrize("levels, branching", [(2, 2), (3, 2), (2, 3)])
-def test_cut_vertex_seed_equals_oracle(levels, branching):
-    # node 0, the first seed, joins two K4s: the remainder it leaves is
-    # disconnected, so the first part's candidates are tested with a
-    # search of the whole remainder
-    edges = [(0, 1), (0, 5), *combinations(range(1, 5), 2), *combinations(range(5, 9), 2)]
-    g = gr.Graph(9, edges)
-    assert hi._severed(0, set(range(1, 9)), adjacency(g), None, hi._bits(range(9))) == {1, 2, 3, 4}
-    got = balanced_outcome(new_balanced, g, levels, branching)
-    assert got == balanced_outcome(oracle_balanced, g, levels, branching)
-    if (levels, branching) == (2, 2):
-        assert got == ((0,),) * 5 + ((1,),) * 4
+def test_cut_vertex_seed_equals_oracle(monkeypatch, levels, branching):
+    # node 0, the first seed, leaves a disconnected remainder, so the first
+    # part's candidates are answered from its list of components
+    listed = []
+    components_of = hi._components
+
+    def record(nodes, adj):
+        listed.append(sorted(nodes))
+        return components_of(nodes, adj)
+
+    monkeypatch.setattr(hi, "_components", record)
+    for name, (n, edges, starts, cut) in CUT_VERTEX_SEEDS.items():
+        g = gr.Graph(n, edges)
+        adj = adjacency(g)
+        nodes = set(range(1, n))
+        assert not hi._meets_nearby(0, starts, nodes, adj)
+        assert hi._search_sets(starts, nodes, adj) == cut
+        listed.clear()
+        got = balanced_outcome(new_balanced, g, levels, branching)
+        assert got == balanced_outcome(oracle_balanced, g, levels, branching), name
+        if name == "two-K4" and (levels, branching) == (2, 2):
+            assert got == ((0,),) * 5 + ((1,),) * 4
+        if name == "pendant-K4":
+            # one list per cutting seed and no swallow: at level 2 the
+            # seed 0 of {0, 1, 2} leaves the single nodes {1} and {2}
+            assert listed == [[1, 2, 3, 4, 5], [1, 2]][: levels - 1]
 
 
 def oracle_validate(hierarchy, graph):
@@ -1230,30 +1256,32 @@ def test_local_cut_test_exhaustive(name):
     for size in range(1, g.n_nodes + 1):
         for chosen in combinations(range(g.n_nodes), size):
             remainder = set(chosen)
-            if not hi._connected_set(remainder, adj):
+            if len(components(remainder, adj)) > 1:
                 continue
             for w in chosen:
                 rest = remainder - {w}
                 comps = hi._components(rest, adj)
                 assert comps == sorted(comps, key=lambda c: (len(c), c[0]))
                 assert sorted(x for c in comps for x in c) == sorted(rest)
-                # the remainder's bit set may still hold w
-                got = hi._severed(w, rest, adj, rows, hi._bits(remainder))
-                assert (got is None) == hi._connected_set(rest, adj), (chosen, w)
+                connected = len(components(rest, adj)) <= 1
                 starts = [x for x in adj[w] if x in rest]
                 # the shared-neighbour rule answers alike with w in the
-                # set or out of it, and clears w only when it cuts nothing
+                # set or out of it, always clears a node with at most one
+                # start, and clears w only when it cuts nothing
                 cleared = hi._meets_nearby(w, starts, rest, adj)
                 assert hi._meets_nearby(w, starts, remainder, adj) == cleared, (chosen, w)
+                assert cleared or len(starts) > 1, (chosen, w)
                 if cleared:
-                    assert got is None, (chosen, w)
-                searches = [got]
-                if len(starts) > 1:
-                    # the set search and the mask search agree
-                    searches.append(hi._search_sets(starts, rest, adj))
-                    searches.append(hi._search_masks(w, starts, hi._bits(rest), rows))
+                    assert connected, (chosen, w)
+                if len(starts) <= 1:
+                    continue
+                # the set search and the mask search find every cut
+                searches = [
+                    hi._search_sets(starts, rest, adj),
+                    hi._search_masks(w, starts, hi._bits(rest), rows),
+                ]
                 for found in searches:
-                    assert (found is None) == (got is None), (chosen, w)
+                    assert (found is None) == connected, (chosen, w)
                     if found is not None:
                         # one whole component, reached from a neighbour of w
                         assert sorted(found) in comps
@@ -1276,18 +1304,20 @@ def test_shared_neighbour_rule_branches(name, w, nodes, cleared):
     # each way the rule answers, with w in the set and out of it
     adj = adjacency(SMALL_GRAPHS[name])
     nodes = set(nodes)
-    assert hi._connected_set(nodes, adj)
+    assert len(components(nodes, adj)) == 1
     starts = [x for x in adj[w] if x in nodes]
     assert hi._meets_nearby(w, starts, nodes, adj) == cleared
     assert hi._meets_nearby(w, starts, nodes - {w}, adj) == cleared
 
 
 def test_shared_neighbour_rule_spares_torus_searches(monkeypatch):
-    # the 40x40 torus at level 5 runs 129 set searches, 519 with only the
-    # two-start check, and of its 3,209 cut tests (15 of them seeds') 139
-    # reach _severed, every one when `severs` does not ask the rule first.
-    # The build is deterministic, so a rule that stops firing moves a count
-    calls = {"_severed": 0, "_search_sets": 0}
+    # one rule check per cut question that no memo or component list
+    # answers, and one search at most after it: the 40x40 torus at level
+    # 5 makes 3,209 rule checks (15 of them seeds') and runs 129 set
+    # searches, 519 with only the two-start check; G(700, 0.043) at
+    # level 3 sends nearly every question to the mask search.  The builds
+    # are deterministic, so a rule that stops firing moves a count
+    calls = dict.fromkeys(("_meets_nearby", "_search_sets", "_search_masks"), 0)
 
     def counted(name):
         function = getattr(hi, name)
@@ -1301,7 +1331,10 @@ def test_shared_neighbour_rule_spares_torus_searches(monkeypatch):
     for name in calls:
         monkeypatch.setattr(hi, name, counted(name))
     hi.build_balanced(gr.torus_graph(40, 40), 5, 2)
-    assert calls == {"_severed": 139, "_search_sets": 129}
+    assert calls == {"_meets_nearby": 3209, "_search_sets": 129, "_search_masks": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    hi.build_balanced(gr.random_graph(700, 0.043, seed=1), 3, 2)
+    assert calls == {"_meets_nearby": 700, "_search_sets": 4, "_search_masks": 695}
 
 
 @st.composite
@@ -1342,12 +1375,13 @@ def test_mask_search_past_one_word(case):
             continue
         checked += 1
         comps = hi._components(rest, adj)
-        got = hi._severed(w, rest, adj, rows, bits)
-        assert (got is None) == hi._connected_set(rest, adj), w
+        connected = len(components(rest, adj)) <= 1
+        # more than three starts are always left to a search
+        assert not hi._meets_nearby(w, starts, rest, adj)
         sets = hi._search_sets(starts, rest, adj)
         masks = hi._search_masks(w, starts, bits & ~(1 << w), rows)
-        for found in (got, sets, masks):
-            assert (found is None) == (got is None), w
+        for found in (sets, masks):
+            assert (found is None) == connected, w
             if found is not None:
                 # one whole component, reached from a neighbour of w
                 assert sorted(found) in comps
@@ -1436,7 +1470,7 @@ def test_fast_join_equals_set_search(case):
             joined += 1
         else:
             fell_back += 1
-        assert (masks is None) == hi._connected_set(rest, adj), w
+        assert (masks is None) == (len(components(rest, adj)) <= 1), w
         sets = hi._search_sets(starts, rest, adj)
         assert (sets is None) == (masks is None), w
         if masks is not None:
