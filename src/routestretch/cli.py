@@ -17,6 +17,7 @@ import functools
 import math
 import random
 import sys
+import warnings
 from itertools import chain
 
 from . import analytic, fitting, graphs, hierarchy, routing, svgplot
@@ -300,13 +301,25 @@ def _read_csv_columns(path: str, columns: list[str]) -> list[tuple[float, ...]]:
     return rows
 
 
+def _warned(fit, *args):
+    """fit(*args), each warning it gives printed to stderr as a
+    `routestretch: warning:` line, in order, also when it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return fit(*args)
+        finally:
+            for w in caught:
+                print(f"routestretch: warning: {w.message}", file=sys.stderr)
+
+
 def cmd_fit(args) -> int:
     if args.model == "linear":
         pts = _read_csv_columns(args.input, ["levels", "s_p"])
-        result = fitting.fit_alpha_linear(pts)
+        result = _warned(fitting.fit_alpha_linear, pts)
     elif args.model == "ipea":
         pts = _read_csv_columns(args.input, ["s_t", "s_p"])
-        result = fitting.fit_alpha_ipea(pts)
+        result = _warned(fitting.fit_alpha_ipea, pts)
     else:
         n = args.n_nodes
         if n is None:
@@ -320,7 +333,7 @@ def cmd_fit(args) -> int:
                 raise ValueError(f"{args.input}: n is not a whole number ({n!r})")
             n = int(n)
         pts = _read_csv_columns(args.input, ["s_p", "s_t"])
-        result = fitting.fit_alpha_eq3(pts, n)
+        result = _warned(fitting.fit_alpha_eq3, pts, n)
     text = result.to_text()
     print(text, end="")
     if args.out:

@@ -7,34 +7,35 @@ point (no intercept is fitted):
   ipea-log          s_p = 1 - alpha * ln(s_t), through (s_t=1, s_p=1)
   eq3               s_t = m * N**(1/m - 1) with m = 1 + (s_p - 1)/alpha
 
-The first two are closed-form ratios; the third is a 1-D search (grid
-over (0, 5] with step 1e-4, widened with a warning when the optimum
-hits the boundary, up to a cap of 40 that also warns, then
-golden-section refinement to 1e-7).  The range widens only while the
-grid optimum sits on its upper edge, so a local minimum inside (0, 5]
-ends the search even when a deeper one lies beyond 5: points drawn from
-the curve with alpha = 100 at N = 100 fit alpha_hat 0.0222 with
-r_squared -274.  Empirical alpha values from real topologies are their
-own quantity and are not expected to match the 0.987 default used by
-the curve tools.
+The first two are closed-form ratios; the third is a 1-D search: one
+grid of step 1e-4 over (0, 40], then golden-section refinement to 1e-7.
+The grid's least SSE is the fit wherever it lies; an optimum on the cap
+of 40 warns that alpha_hat is the cap, not an optimum.  Empirical alpha
+values from real topologies are their own quantity and are not expected
+to match the 0.987 default used by the curve tools.
 
 The grid search picks the same point as scoring every grid alpha (the
 least SSE, the first alpha on a tie) but scores only blocks of 64
-consecutive alphas that could hold it.  Over a block [a_lo, a_hi] each
-point's m lies in [1 + d/a_hi, 1 + d/a_lo] (d = s_p - 1), and
+consecutive alphas that could hold it.  Over an interval [a_lo, a_hi]
+each point's m lies in [1 + d/a_hi, 1 + d/a_lo] (d = s_p - 1), and
 f(m) = m * N**(1/m - 1) falls until m = ln N and rises after, so f
 is at most its larger end value and at least its value at ln N clipped
 to the interval.  Each residual s_t - f thus lies in an interval, and
 the sum of those intervals' squared distances from 0 is a lower bound
-on the SSE of every alpha in the block.  The block with the least bound
-is scored first; a block whose bound exceeds the least SSE found there
-cannot hold the minimum and is skipped, and the rest are scored in grid
-order.  The f interval is widened, and the bound shrunk, by a relative
-1e-12, a thousand times the rounding error of f and of the SSE's sum
-for any N below e**1000, so the bound holds for the SSE as computed and
-not just as exact.  A margin as wide as 1e-6 would also be exact but
-would keep every block within 1e-6 of the best SSE, as on the flat tail
-of a range whose optimum is on its edge.
+on the SSE of every alpha in [a_lo, a_hi].  A wider interval has a
+wider m range, so its bound is at most the bound of each block in it,
+and runs of 64 blocks are bounded first.  In order of their bounds,
+each run's blocks are bounded and its best block is scored, until a
+run's bound exceeds the least SSE found; more than one run is taken
+because the first, whose m range reaches far past ln N, bounds near 0
+on almost any data.  Of the bounded blocks, only those whose bound does
+not exceed the least SSE are then scored, in grid order.  The f
+interval is widened, and the bound shrunk, by a relative 1e-12, a
+thousand times the rounding error of f and of the SSE's sum for any N
+below e**1000, so the bound holds for the SSE as computed and not just
+as exact.  A margin as wide as 1e-6 would also be exact but would keep
+every block within 1e-6 of the best SSE, as on the flat tail of a grid
+whose optimum is on the cap.
 
 r_squared is computed against the constrained model: 1 - SSE/SST with
 SST taken about the observed mean.  For constant observations it is 1.0
@@ -55,10 +56,9 @@ import numpy as np
 from .analytic import golden_section_min
 
 _GRID_STEP = 1e-4
-_ALPHA_START = 5.0
 _ALPHA_CAP = 40.0
 _BLOCK = 64  # grid points bounded together
-_CHUNK = 4096  # most grid points scored in one array
+_CHUNK = 4096  # grid points in a bounded run, and most scored in one array
 _SLACK = 1e-12  # relative margin of each block bound (see the module docstring)
 
 
@@ -182,59 +182,72 @@ def _eq3_sse_vector(alphas: np.ndarray, d: np.ndarray, st: np.ndarray, ln_n: flo
 
 def _eq3_block_bounds(a_lo: np.ndarray, a_hi: np.ndarray, d: np.ndarray,
                       st: np.ndarray, ln_n: float) -> np.ndarray:
-    """For each block of alphas [a_lo, a_hi], a lower bound on the SSE of
-    every alpha in it (see the module docstring)."""
+    """For each interval of alphas [a_lo, a_hi], a lower bound on the SSE
+    of every alpha in it (see the module docstring); 0 where the bound
+    is NaN, which only a curve value inf * 0 at N past e**745 gives."""
     with np.errstate(over="ignore"):
         m_lo = 1.0 + d[None, :] / a_hi[:, None]
         m_hi = 1.0 + d[None, :] / a_lo[:, None]
         f_max = np.maximum(_eq3_curve(m_lo, ln_n), _eq3_curve(m_hi, ln_n)) * (1.0 + _SLACK)
         f_min = _eq3_curve(np.clip(ln_n, m_lo, m_hi), ln_n) * (1.0 - _SLACK)
         gap = np.maximum(np.maximum(st[None, :] - f_max, f_min - st[None, :]), 0.0)
-        return (gap * gap).sum(axis=1) * (1.0 - _SLACK)
+        return np.fmax((gap * gap).sum(axis=1) * (1.0 - _SLACK), 0.0)
 
 
 def _eq3_grid_min(d: np.ndarray, st: np.ndarray, ln_n: float, lo: float,
                   hi: float) -> tuple[float, float]:
     """The least SSE on the grid lo + _GRID_STEP * i over [lo, hi], and the
-    first grid alpha that reaches it; only blocks whose bound does not
-    exceed the SSE of the most promising block are scored."""
+    first grid alpha that reaches it; runs of _CHUNK grid points are
+    bounded before their blocks, and only blocks whose bound does not
+    exceed an SSE found are scored (see the module docstring)."""
     count = int(round((hi - lo) / _GRID_STEP)) + 1
-    first = np.arange(0, count, _BLOCK)
-    bounds = _eq3_block_bounds(lo + _GRID_STEP * first,
-                               lo + _GRID_STEP * np.minimum(first + _BLOCK - 1, count - 1),
-                               d, st, ln_n)
-    b = int(np.argmin(bounds))
-    best = (math.inf, 0, lo)  # SSE, grid index, alpha
 
-    def scan(rows: np.ndarray, best: tuple[float, int, float]) -> tuple[float, int, float]:
-        # chunked so a long input series cannot blow up the grid matrix
-        for start in range(0, len(rows), _CHUNK):
-            chunk = rows[start:start + _CHUNK]
-            alphas = lo + _GRID_STEP * chunk
+    def bounds(first: np.ndarray, size: int) -> np.ndarray:
+        # lower SSE bounds over the grid points first .. first + size - 1
+        return _eq3_block_bounds(lo + _GRID_STEP * first,
+                                 lo + _GRID_STEP * np.minimum(first + size - 1, count - 1),
+                                 d, st, ln_n)
+
+    def scan(first: np.ndarray, best: tuple[float, int, float]) -> tuple[float, int, float]:
+        # the blocks starting at first, which must ascend for the tie
+        # rule below, _CHUNK grid points per array so that a long input
+        # series cannot blow up the grid matrix
+        for i in range(0, len(first), _CHUNK // _BLOCK):
+            rows = (first[i:i + _CHUNK // _BLOCK, None] + np.arange(_BLOCK)).ravel()
+            rows = rows[rows < count]
+            alphas = lo + _GRID_STEP * rows
             sse = _eq3_sse_vector(alphas, d, st, ln_n)
             j = int(np.argmin(sse))
             # the first index wins a tie, as on a scan of the whole grid
-            if sse[j] < best[0] or (sse[j] == best[0] and chunk[j] < best[1]):
-                best = (float(sse[j]), int(chunk[j]), float(alphas[j]))
+            if sse[j] < best[0] or (sse[j] == best[0] and rows[j] < best[1]):
+                best = (float(sse[j]), int(rows[j]), float(alphas[j]))
         return best
 
-    best = scan(np.arange(first[b], min(first[b] + _BLOCK, count)), best)
-    keep = ~(bounds > best[0])  # a NaN bound is kept
-    keep[b] = False
-    best = scan(np.flatnonzero(np.repeat(keep, _BLOCK)[:count]), best)
+    runs = np.arange(0, count, _CHUNK)
+    run_bounds = bounds(runs, _CHUNK)
+    best = (math.inf, 0, lo)  # SSE, grid index, alpha
+    rest = []  # (first index, bound) of each bounded block not yet scored
+    # runs in order of their bounds: each one's best block is scored, until
+    # a run's bound exceeds the least SSE found
+    for r in np.argsort(run_bounds, kind="stable"):
+        if run_bounds[r] > best[0]:
+            break
+        first = np.arange(runs[r], min(runs[r] + _CHUNK, count), _BLOCK)
+        block_bounds = bounds(first, _BLOCK)
+        b = int(np.argmin(block_bounds))
+        best = scan(first[b:b + 1], best)
+        rest.append((np.delete(first, b), np.delete(block_bounds, b)))
+    first, block_bounds = map(np.concatenate, zip(*rest))
+    best = scan(np.sort(first[block_bounds <= best[0]]), best)
     return best[0], best[2]
 
 
 def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitResult:
     """Fit the composed tradeoff curve to (path stretch, table stretch) points.
 
-    n_nodes is the network size the observations came from.  The search
-    range (0, 5] doubles with a warning whenever the optimum
-    lands on its upper edge, up to a hard cap; an optimum on the cap
-    warns that alpha_hat is the cap.  Only an optimum on the edge widens
-    it: a local minimum inside (0, 5] is returned, with no warning, even
-    when a deeper one lies beyond 5 (alpha = 100 at N = 100 fits 0.0222
-    with r_squared -274).
+    n_nodes is the network size the observations came from.  alpha_hat
+    is the least SSE on the grid up to the cap of 40, refined; an optimum
+    on the cap warns that alpha_hat is the cap.
     """
     pts = _finite_points(points)
     if not pts:
@@ -253,25 +266,13 @@ def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitRes
     st = np.array([s for _, s in pts])
     ln_n = math.log(n_nodes)
 
-    lo, hi = _GRID_STEP, _ALPHA_START
-    while True:
-        best_alpha = _eq3_grid_min(d, st, ln_n, lo, hi)[1]
-        if hi - best_alpha >= _GRID_STEP / 2:
-            break  # an optimum inside the range
-        if hi >= _ALPHA_CAP:
-            warnings.warn(
-                f"alpha optimum hit the search cap {_ALPHA_CAP}; alpha_hat is "
-                "the cap, not an optimum",
-                stacklevel=2,
-            )
-            break
-        new_hi = min(hi * 2, _ALPHA_CAP)
+    best_alpha = _eq3_grid_min(d, st, ln_n, _GRID_STEP, _ALPHA_CAP)[1]
+    if _ALPHA_CAP - best_alpha < _GRID_STEP / 2:
         warnings.warn(
-            f"alpha optimum hit the search boundary {hi}; widening to {new_hi}",
+            f"alpha optimum hit the search cap {_ALPHA_CAP}; alpha_hat is "
+            "the cap, not an optimum",
             stacklevel=2,
         )
-        lo, hi = hi, new_hi
-
     ref_lo = max(_GRID_STEP / 2, best_alpha - _GRID_STEP)
     ref_hi = min(_ALPHA_CAP, best_alpha + _GRID_STEP)
     alpha, sse = golden_section_min(

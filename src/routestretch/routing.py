@@ -510,10 +510,14 @@ def measure(
     local = graphs._search(graph, leaf) if len(leaves) > 1 else None
     size = graphs._block_size(n)
     # one buffer each for the shortest lengths, the route lengths and the
-    # leaf distances, refilled for every block and chunk
-    short, lengths, near_buffer = np.empty((3, n, size), dtype=graphs._distance_type(n))
+    # leaf distances, refilled for every block and chunk: a block holds at
+    # most n targets, a chunk at most the largest leaf's members
+    kind = graphs._distance_type(n)
+    largest = max(len(members) for members, _ in leaves)
+    short, lengths = np.empty((2, n, min(size, n)), dtype=kind)
+    near_buffer = np.empty((n, min(size, largest)), dtype=kind)
     joint = np.zeros((1, 1), dtype=np.int64)  # [route length, shortest length]
-    for j0 in range(0, max(len(members) for members, _ in leaves), size):
+    for j0 in range(0, largest, size):
         # the targets: members j0..j0+size-1 of every leaf
         runs = [
             (members[j0 : j0 + size], members, chain)

@@ -535,6 +535,42 @@ def test_fit_rejects_n_nodes_for_a_model_that_does_not_read_it(tmp_path, capsys,
     )
 
 
+def test_fit_prints_each_warning_on_every_call(tmp_path, capsys):
+    # points of alpha = 100 at N = 100: the least SSE is on the cap of 40.
+    # Python's own filter would print the warning once a process, with
+    # the file and line that gave it
+    pts = tmp_path / "pts.csv"
+    params = an.AnalyticParams(n_nodes=100, alpha=100.0)
+    rows = ["s_p,s_t"] + [
+        f"{sp},{an.table_stretch_from_path_stretch(sp, params)}" for sp in (1.5, 2.5, 3.5)
+    ]
+    pts.write_text("\n".join(rows) + "\n")
+    argv = ["fit", "--model", "eq3", "--input", str(pts), "--n-nodes", "100"]
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr() == (
+            "model: eq3\nalpha_hat: 39.99999996\nresidual_sse: 0.01671290301\n"
+            "r_squared: -6.640148997\nn_points: 3\n",
+            "routestretch: warning: alpha optimum hit the search cap 40.0; "
+            "alpha_hat is the cap, not an optimum\n",
+        )
+
+
+def test_fit_prints_warnings_before_its_error(tmp_path, capsys, monkeypatch):
+    def fit(points, n):
+        warnings.warn("first")
+        warnings.warn("second", RuntimeWarning)
+        raise ValueError("no fit")
+
+    monkeypatch.setattr(cli.fitting, "fit_alpha_eq3", fit)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("s_p,s_t\n1.5,0.5\n")
+    assert main(["fit", "--model", "eq3", "--input", str(pts), "--n-nodes", "10"]) == 2
+    assert capsys.readouterr() == ("", "routestretch: warning: first\n"
+                                       "routestretch: warning: second\n"
+                                       "routestretch: no fit\n")
+
+
 def test_fit_eq3_infers_n_from_column(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     params = an.AnalyticParams(n_nodes=10, alpha=0.987)

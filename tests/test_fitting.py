@@ -90,33 +90,62 @@ def test_eq3_recovers_noiseless_alpha(alpha, n):
     assert got.r_squared > 0.999
 
 
-def test_eq3_widens_and_warns_for_large_alpha():
-    alpha = 8.0
-    params = an.AnalyticParams(n_nodes=100, alpha=alpha)
-    pts = [
-        (sp, an.table_stretch_from_path_stretch(sp, params))
-        for sp in (1.5, 2.5, 3.5, 4.5)
-    ]
-    with pytest.warns(UserWarning, match="widening"):
-        got = ft.fit_alpha_eq3(pts, 100)
-    assert abs(got.alpha_hat - alpha) <= 1e-3
+def curve_points(n, alpha, path_stretches):
+    """(s_p, s_t) points on the eq3 curve of alpha at N = n."""
+    params = an.AnalyticParams(n_nodes=n, alpha=alpha)
+    return [(sp, an.table_stretch_from_path_stretch(sp, params)) for sp in path_stretches]
+
+
+def fit_with_warnings(points, n):
+    """The eq3 fit and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        got = ft.fit_alpha_eq3(points, n)
+    return got, [str(w.message) for w in record]
+
+
+CAP_WARNING = "alpha optimum hit the search cap 40.0; alpha_hat is the cap, not an optimum"
+
+
+def test_eq3_fits_large_alpha_without_warning():
+    pts = curve_points(100, 8.0, (1.5, 2.5, 3.5, 4.5))
+    got, messages = fit_with_warnings(pts, 100)
+    assert abs(got.alpha_hat - 8.0) <= 1e-3
+    assert messages == []
 
 
 def test_eq3_warns_when_the_cap_stops_the_search():
     # alpha = 60 lies past the cap of 40: the result is the cap, not an optimum
-    params = an.AnalyticParams(n_nodes=1000, alpha=60.0)
-    pts = [(sp, an.table_stretch_from_path_stretch(sp, params)) for sp in (5, 10, 20, 40)]
-    with pytest.warns(UserWarning) as record:
-        got = ft.fit_alpha_eq3(pts, 1000)
-    assert [str(w.message) for w in record] == [
-        "alpha optimum hit the search boundary 5.0; widening to 10.0",
-        "alpha optimum hit the search boundary 10.0; widening to 20.0",
-        "alpha optimum hit the search boundary 20.0; widening to 40.0",
-        "alpha optimum hit the search cap 40.0; alpha_hat is the cap, not an optimum",
-    ]
+    got, messages = fit_with_warnings(curve_points(1000, 60.0, (5, 10, 20, 40)), 1000)
+    assert messages == [CAP_WARNING]
     assert got.to_text() == (
         "model: eq3\nalpha_hat: 39.99999996\nresidual_sse: 0.03627257647\n"
         "r_squared: 0.814865194\nn_points: 4\n"
+    )
+
+
+def test_eq3_finds_a_minimum_past_an_inner_dip():
+    # the curve of alpha = 30 at N = 10^4 dips to a local minimum near 0,
+    # which a search that widened (0, 5] only from its edge returned as
+    # alpha_hat 0.0003145164896 with r_squared -9.569363956
+    got, messages = fit_with_warnings(curve_points(10_000, 30.0, (1.5, 2.5, 3.5)), 10_000)
+    assert messages == []
+    assert abs(got.alpha_hat - 30.0) <= 1e-4
+    assert got.to_text() == (
+        "model: eq3\nalpha_hat: 29.99999997\nresidual_sse: 1.489100954e-19\n"
+        "r_squared: 1\nn_points: 3\n"
+    )
+
+
+def test_eq3_reaches_the_cap_past_an_inner_dip():
+    # alpha = 100 at N = 100: the least SSE up to the cap is at the cap,
+    # where that search returned the dip at alpha_hat 0.02222799998 with
+    # r_squared -274.2439542 and no warning
+    got, messages = fit_with_warnings(curve_points(100, 100.0, (1.5, 2.5, 3.5)), 100)
+    assert messages == [CAP_WARNING]
+    assert got.to_text() == (
+        "model: eq3\nalpha_hat: 39.99999996\nresidual_sse: 0.01671290301\n"
+        "r_squared: -6.640148997\nn_points: 3\n"
     )
 
 
@@ -195,7 +224,7 @@ def test_fit_result_guards_and_text():
 
 def test_fit_texts_are_frozen():
     # the three fits of the torus-ladder points (the 20x20 torus at b = 2,
-    # levels 2-4) and the widening eq3 case above, as first recorded
+    # levels 2-4) and the alpha = 8 eq3 case above, as first recorded
     g = gr.torus_graph(20, 20)
     reps = [rt.measure(g, hi.build_balanced(g, levels, 2)) for levels in (2, 3, 4)]
     assert ft.fit_alpha_linear([(r.levels, r.s_p) for r in reps]).to_text() == (
@@ -210,18 +239,15 @@ def test_fit_texts_are_frozen():
         "model: eq3\nalpha_hat: 0.9232712323\nresidual_sse: 0.004654943434\n"
         "r_squared: 0.9344873967\nn_points: 3\n"
     )
-    params = an.AnalyticParams(n_nodes=100, alpha=8.0)
-    pts = [(sp, an.table_stretch_from_path_stretch(sp, params)) for sp in (1.5, 2.5, 3.5, 4.5)]
-    with pytest.warns(UserWarning, match="boundary 5.0; widening to 10.0"):
-        got = ft.fit_alpha_eq3(pts, 100)
-    assert got.to_text() == (
+    pts = curve_points(100, 8.0, (1.5, 2.5, 3.5, 4.5))
+    assert ft.fit_alpha_eq3(pts, 100).to_text() == (
         "model: eq3\nalpha_hat: 7.999999972\nresidual_sse: 2.673635943e-18\n"
         "r_squared: 1\nn_points: 4\n"
     )
 
 
-# the search ranges of fit_alpha_eq3: (0, 5], then each widening to the cap
-EQ3_RANGES = [(ft._GRID_STEP, ft._ALPHA_START), (5.0, 10.0), (10.0, 20.0), (20.0, 40.0)]
+# the search range of fit_alpha_eq3: the whole grid up to the cap
+EQ3_RANGES = [(ft._GRID_STEP, ft._ALPHA_CAP)]
 
 
 @st.composite
@@ -249,19 +275,23 @@ def eq3_arrays(points, n):
             math.log(n))
 
 
-def scored_alphas(call):
-    """The value of call() and how many alphas it scored with _eq3_sse_vector."""
-    with mock.patch.object(ft, "_eq3_sse_vector", wraps=ft._eq3_sse_vector) as sse:
+def counted_work(call):
+    """The value of call(), how many alphas it scored with _eq3_sse_vector
+    and how many intervals it passed to _eq3_block_bounds."""
+    with mock.patch.object(ft, "_eq3_sse_vector", wraps=ft._eq3_sse_vector) as sse, \
+            mock.patch.object(ft, "_eq3_block_bounds", wraps=ft._eq3_block_bounds) as bound:
         value = call()
-    return value, sum(len(c.args[0]) for c in sse.call_args_list)
+    return (value, sum(len(c.args[0]) for c in sse.call_args_list),
+            sum(len(c.args[0]) for c in bound.call_args_list))
 
 
-@settings(max_examples=200, deadline=None)
-@given(eq3_points(), st.sampled_from(EQ3_RANGES))
-def test_eq3_grid_min_equals_scoring_every_grid_point(case, search_range):
+# the oracle scores all 400,000 grid alphas, 20-30 ms an example
+@settings(max_examples=100, deadline=None)
+@given(eq3_points())
+def test_eq3_grid_min_equals_scoring_every_grid_point(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the bounds raise no RuntimeWarning
-        args = eq3_arrays(*case) + search_range
+        args = eq3_arrays(*case) + EQ3_RANGES[0]
         assert ft._eq3_grid_min(*args) == eq3_grid_min(*args)
 
 
@@ -289,7 +319,7 @@ def test_flat_eq3_grid_scores_every_point(search_range):
     args = (np.zeros(2), np.array([0.5, 2.0]), math.log(100), lo, hi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, scored = scored_alphas(lambda: ft._eq3_grid_min(*args))
+        got, scored, _ = counted_work(lambda: ft._eq3_grid_min(*args))
     assert got == eq3_grid_min(*args) == (1.25, lo)
     assert scored == int(round((hi - lo) / ft._GRID_STEP)) + 1
 
@@ -297,21 +327,35 @@ def test_flat_eq3_grid_scores_every_point(search_range):
 def test_eq3_grid_tie_goes_to_the_first_alpha():
     # with s_p - 1 = 1e-14, m = 1 + (s_p - 1)/alpha takes only a few float
     # values over (20, 40], so the SSE is flat in runs; the least run
-    # starts at 20, away from the block with the least bound
-    args = (np.array([1e-14]), np.array([2.0]), math.log(10), 20.0, 40.0)
-    assert ft._eq3_grid_min(*args) == eq3_grid_min(*args) == (1.0000000000000009, 20.0)
+    # starts at 20 on (20, 40] and at 18.0144 on the whole grid, away
+    # from the block with the least bound
+    for lo, hi, first in [(20.0, 40.0, 20.0), (*EQ3_RANGES[0], 18.014400000000002)]:
+        args = (np.array([1e-14]), np.array([2.0]), math.log(10), lo, hi)
+        assert ft._eq3_grid_min(*args) == eq3_grid_min(*args) == (1.0000000000000009, first)
+
+
+def test_eq3_nan_bound_is_no_bound():
+    # past N = e**745 a point with s_p - 1 = 1e306 makes m = inf at small
+    # alphas, and its curve value inf * 0: a NaN bound must not skip a run
+    with np.errstate(invalid="ignore"):
+        got = ft._eq3_block_bounds(np.array([1e-4]), np.array([2e-4]),
+                                   np.array([1e306]), np.array([0.5]), math.log(10**400))
+    assert got.tolist() == [0.0]
 
 
 def test_eq3_fit_scores_few_grid_points():
-    # a count of the work, not a timing: scoring the whole grid again fails
-    # it.  The torus-ladder points (the 20x20 torus at b = 2, levels 2-4)
-    # search (0, 5]; the widening case also searches (5, 10].
+    # a count of the work, not a timing: scoring the whole grid of 400,000
+    # alphas, or bounding each of its 6,250 blocks, fails it.  The
+    # torus-ladder points (the 20x20 torus at b = 2, levels 2-4), the
+    # alpha = 8 case, and the two whose dip hid the least SSE from a
+    # search that widened (0, 5] from its edge.
     g = gr.torus_graph(20, 20)
     reps = [rt.measure(g, hi.build_balanced(g, levels, 2)) for levels in (2, 3, 4)]
-    _, scored = scored_alphas(lambda: ft.fit_alpha_eq3([(r.s_p, r.s_t) for r in reps], 400))
-    assert scored < 0.02 * 50_000
-    params = an.AnalyticParams(n_nodes=100, alpha=8.0)
-    pts = [(sp, an.table_stretch_from_path_stretch(sp, params)) for sp in (1.5, 2.5, 3.5, 4.5)]
-    with pytest.warns(UserWarning, match="widening"):
-        _, scored = scored_alphas(lambda: ft.fit_alpha_eq3(pts, 100))
-    assert scored < 0.02 * (50_000 + 50_001)
+    cases = [([(r.s_p, r.s_t) for r in reps], 400),
+             (curve_points(100, 8.0, (1.5, 2.5, 3.5, 4.5)), 100),
+             (curve_points(10_000, 30.0, (1.5, 2.5, 3.5)), 10_000),
+             (curve_points(100, 100.0, (1.5, 2.5, 3.5)), 100)]
+    for pts, n in cases:
+        _, scored, bounded = counted_work(lambda: fit_with_warnings(pts, n))
+        assert scored < 0.0025 * 400_000
+        assert bounded < 0.05 * 6_250

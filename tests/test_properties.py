@@ -250,8 +250,10 @@ def test_measure_holds_no_n_by_n_array():
     # the 64x64 torus at level 2: 2048-member leaves searched in 32 chunks
     # of 64 positions.  Measured peaks were 2.9 MB (48x48, blocks of 128
     # targets) and 2.8 MB (64x64, blocks of 64): about five int16 arrays of
-    # one block, the three buffers measure refills and the search's bits
-    for side, levels in ((48, 3), (64, 2)):
+    # one block, the three buffers measure refills and the search's bits.
+    # On the 20x20 torus a block of 704 columns holds only 400 targets:
+    # buffers of 704 columns peaked at 2.2 MB, of 400 at 1.2 MB
+    for side, levels, arrays in ((20, 2, 5), (48, 3, 8), (64, 2, 8)):
         g = gr.torus_graph(side, side)
         h = hi.build_balanced(g, levels, 2)
         tracemalloc.start()
@@ -261,8 +263,9 @@ def test_measure_holds_no_n_by_n_array():
         finally:
             tracemalloc.stop()
         n = g.n_nodes
-        assert peak < n**2 * 4  # one n x n int32 array
-        assert peak < 8 * n * gr._block_size(n) * 2
+        if gr._block_size(n) < n:  # else one block is n x n
+            assert peak < n**2 * 4  # one n x n int32 array
+        assert peak < arrays * n * min(n, gr._block_size(n)) * 2
 
 
 @st.composite
