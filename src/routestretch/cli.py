@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import math
 import random
 import sys
@@ -31,14 +32,17 @@ DEFAULT_CURVE_SIZES = [10, 100, 1000, 10000, 100000]
 
 
 # the options each choice reads, for the subcommands whose options hang
-# on a choice: gen's topology, cluster's method and fit's model.  An
-# option given that the choice made does not read is a usage error.
+# on a choice: gen's topology, cluster's method and fit's model.  The
+# choice needs each one unless it is in brackets.  An option given that
+# the choice does not read, or one it needs and was not given, is a
+# usage error.
 _READS = {
     "gen": ("topology", {"ring": ("--n",), "grid": ("--rows", "--cols"),
-                         "torus": ("--rows", "--cols"), "random": ("--n", "--p", "--seed")}),
-    "cluster": ("method", {"balanced": ("--levels", "--branching"),
+                         "torus": ("--rows", "--cols"),
+                         "random": ("--n", "--p", "[--seed]")}),
+    "cluster": ("method", {"balanced": ("[--levels]", "[--branching]"),
                            "grid": ("--rows", "--cols", "--block-rows", "--block-cols")}),
-    "fit": ("model", {"linear": (), "eq3": ("--n-nodes",), "ipea": ()}),
+    "fit": ("model", {"linear": (), "eq3": ("[--n-nodes]",), "ipea": ()}),
 }
 
 
@@ -68,35 +72,36 @@ def _given(args, flag: str) -> bool:
     return getattr(args, flag[2:].replace("-", "_")) is not None
 
 
-def _unread_options(command: str, args) -> str | None:
+def _choice_options(command: str, args) -> str | None:
     """A usage error naming the options given to `command` that its
-    choice does not read (see _READS), or None."""
+    choice does not read, else one naming those it needs and was not
+    given (see _READS), or None."""
     name, reads = _READS[command]
     choice = getattr(args, name)
+    read = [flag.strip("[]") for flag in reads[choice]]
     unread = [
         flag
-        for flag in dict.fromkeys(chain.from_iterable(reads.values()))
-        if flag not in reads[choice] and _given(args, flag)
+        for flag in dict.fromkeys(f.strip("[]") for f in chain.from_iterable(reads.values()))
+        if flag not in read and _given(args, flag)
     ]
     if unread:
         return f"the {choice} {name} does not read {', '.join(unread)}"
+    missing = [flag for flag in reads[choice] if flag[0] != "[" and not _given(args, flag)]
+    if missing:
+        return f"the {choice} {name} needs {', '.join(missing)}"
     return None
 
 
 def _cluster_options(args) -> str | None:
-    """_unread_options for cluster, else a usage error naming the grid
-    options missing; None when the options fit."""
-    problem = _unread_options("cluster", args)
-    if problem is None and args.method == "grid":
-        missing = [flag for flag in _READS["cluster"][1]["grid"] if not _given(args, flag)]
-        if missing:
-            return f"the grid method needs {', '.join(missing)}"
-        if len(args.block_rows) != len(args.block_cols):
-            return (
-                "--block-rows and --block-cols need one value per level "
-                f"(got {len(args.block_rows)} and {len(args.block_cols)})"
-            )
-    return problem
+    """_choice_options for cluster, else a usage error unless grid's
+    block options hold one value per level; None when the options fit."""
+    problem = _choice_options("cluster", args)
+    if problem or args.method != "grid" or len(args.block_rows) == len(args.block_cols):
+        return problem
+    return (
+        "--block-rows and --block-cols need one value per level "
+        f"(got {len(args.block_rows)} and {len(args.block_cols)})"
+    )
 
 
 def _validate_files(args) -> str | None:
@@ -136,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("gen", help="generate a graph file",
-                       check=functools.partial(_unread_options, "gen"))
+                       check=functools.partial(_choice_options, "gen"))
     p.add_argument("topology", choices=list(_READS["gen"][1]))
     p.add_argument("--n", type=int, help="node count (ring, random)")
     p.add_argument("--rows", type=int, help="rows (grid, torus)")
@@ -172,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="estimate alpha from a results CSV",
-                       check=functools.partial(_unread_options, "fit"))
+                       check=functools.partial(_choice_options, "fit"))
     p.add_argument("--input", required=True, help="CSV with measurement rows")
     p.add_argument("--model", choices=list(_READS["fit"][1]), default="linear")
     p.add_argument("--n-nodes", type=int, help="network size (eq3; else inferred)")
@@ -263,10 +268,14 @@ def cmd_simulate(args) -> int:
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     if args.csv:
-        with open(args.csv, "a", encoding="utf-8", newline="\n") as fh:
-            if fh.tell() == 0:  # a missing or empty file gets the header
-                fh.write(routing.StretchReport.CSV_HEADER + "\n")
-            fh.write(report.csv_record() + "\n")
+        with open(args.csv, "a+b") as fh:
+            end = fh.seek(0, io.SEEK_END)
+            if end == 0:  # a missing or empty file gets the header
+                lead = routing.StretchReport.CSV_HEADER + "\n"
+            else:  # and an unended last line its line end
+                fh.seek(end - 1)
+                lead = "" if fh.read(1) == b"\n" else "\n"
+            fh.write(f"{lead}{report.csv_record()}\n".encode("utf-8"))
     return EXIT_OK
 
 
@@ -345,6 +354,8 @@ def cmd_fit(args) -> int:
 def _check(name: str, fn, failures: list[str]) -> None:
     try:
         fn()
+    except OSError:  # an unreadable file is an I/O error (exit 3), not a failure
+        raise
     except Exception as exc:  # report and keep going; the suite must finish
         failures.append(name)
         print(f"FAIL {name}: {exc}")

@@ -8,11 +8,14 @@ point (no intercept is fitted):
   eq3               s_t = m * N**(1/m - 1) with m = 1 + (s_p - 1)/alpha
 
 The first two are closed-form ratios; the third is a 1-D search: one
-grid of step 1e-4 over (0, 40], then golden-section refinement to 1e-7.
-The grid's least SSE is the fit wherever it lies; an optimum on the cap
-of 40 warns that alpha_hat is the cap, not an optimum.  Empirical alpha
-values from real topologies are their own quantity and are not expected
-to match the 0.987 default used by the curve tools.
+grid, 1e-4 + 1e-4 * i for the 400,000 indices i up to the cap of 40,
+then golden-section refinement to 1e-7.  The grid's least SSE is the
+fit wherever it lies; an optimum on the grid's last point warns that
+alpha_hat is the cap, not an optimum.  Where m overflows to +inf the
+curve takes its limit there, +inf, so no SSE and no bound below is a
+NaN, even past N = e**745, where m * N**(1/m - 1) would be inf * 0.
+Empirical alpha values from real topologies are their own quantity and
+are not expected to match the 0.987 default used by the curve tools.
 
 The grid search picks the same point as scoring every grid alpha (the
 least SSE, the first alpha on a tie) but scores only blocks of 64
@@ -168,7 +171,10 @@ def fit_alpha_ipea(points: Sequence[tuple[float, float]]) -> FitResult:
 
 
 def _eq3_curve(m: np.ndarray, ln_n: float) -> np.ndarray:
-    return m * np.exp((1.0 / m - 1.0) * ln_n)
+    # m * N**(1/m - 1), and where m is +inf its limit +inf, which the copy
+    # of m holds there (past N = e**745 the product would be inf * 0)
+    return np.multiply(m, np.exp((1.0 / m - 1.0) * ln_n), out=m.copy(),
+                       where=m < np.inf)
 
 
 def _eq3_sse_vector(alphas: np.ndarray, d: np.ndarray, st: np.ndarray, ln_n: float) -> np.ndarray:
@@ -183,49 +189,46 @@ def _eq3_sse_vector(alphas: np.ndarray, d: np.ndarray, st: np.ndarray, ln_n: flo
 def _eq3_block_bounds(a_lo: np.ndarray, a_hi: np.ndarray, d: np.ndarray,
                       st: np.ndarray, ln_n: float) -> np.ndarray:
     """For each interval of alphas [a_lo, a_hi], a lower bound on the SSE
-    of every alpha in it (see the module docstring); 0 where the bound
-    is NaN, which only a curve value inf * 0 at N past e**745 gives."""
+    of every alpha in it (see the module docstring)."""
     with np.errstate(over="ignore"):
         m_lo = 1.0 + d[None, :] / a_hi[:, None]
         m_hi = 1.0 + d[None, :] / a_lo[:, None]
         f_max = np.maximum(_eq3_curve(m_lo, ln_n), _eq3_curve(m_hi, ln_n)) * (1.0 + _SLACK)
         f_min = _eq3_curve(np.clip(ln_n, m_lo, m_hi), ln_n) * (1.0 - _SLACK)
         gap = np.maximum(np.maximum(st[None, :] - f_max, f_min - st[None, :]), 0.0)
-        return np.fmax((gap * gap).sum(axis=1) * (1.0 - _SLACK), 0.0)
+        return (gap * gap).sum(axis=1) * (1.0 - _SLACK)
 
 
-def _eq3_grid_min(d: np.ndarray, st: np.ndarray, ln_n: float, lo: float,
-                  hi: float) -> tuple[float, float]:
-    """The least SSE on the grid lo + _GRID_STEP * i over [lo, hi], and the
-    first grid alpha that reaches it; runs of _CHUNK grid points are
+def _eq3_grid_min(d: np.ndarray, st: np.ndarray, ln_n: float) -> tuple[float, int]:
+    """The least SSE on the grid _GRID_STEP + _GRID_STEP * i up to the cap,
+    and the first index i that reaches it; runs of _CHUNK grid points are
     bounded before their blocks, and only blocks whose bound does not
     exceed an SSE found are scored (see the module docstring)."""
-    count = int(round((hi - lo) / _GRID_STEP)) + 1
+    count = round(_ALPHA_CAP / _GRID_STEP)
 
     def bounds(first: np.ndarray, size: int) -> np.ndarray:
         # lower SSE bounds over the grid points first .. first + size - 1
-        return _eq3_block_bounds(lo + _GRID_STEP * first,
-                                 lo + _GRID_STEP * np.minimum(first + size - 1, count - 1),
-                                 d, st, ln_n)
+        last = np.minimum(first + size - 1, count - 1)
+        return _eq3_block_bounds(_GRID_STEP + _GRID_STEP * first,
+                                 _GRID_STEP + _GRID_STEP * last, d, st, ln_n)
 
-    def scan(first: np.ndarray, best: tuple[float, int, float]) -> tuple[float, int, float]:
+    def scan(first: np.ndarray, best: tuple[float, int]) -> tuple[float, int]:
         # the blocks starting at first, which must ascend for the tie
         # rule below, _CHUNK grid points per array so that a long input
         # series cannot blow up the grid matrix
         for i in range(0, len(first), _CHUNK // _BLOCK):
             rows = (first[i:i + _CHUNK // _BLOCK, None] + np.arange(_BLOCK)).ravel()
             rows = rows[rows < count]
-            alphas = lo + _GRID_STEP * rows
-            sse = _eq3_sse_vector(alphas, d, st, ln_n)
+            sse = _eq3_sse_vector(_GRID_STEP + _GRID_STEP * rows, d, st, ln_n)
             j = int(np.argmin(sse))
             # the first index wins a tie, as on a scan of the whole grid
-            if sse[j] < best[0] or (sse[j] == best[0] and rows[j] < best[1]):
-                best = (float(sse[j]), int(rows[j]), float(alphas[j]))
+            if (sse[j], rows[j]) < best:
+                best = (float(sse[j]), int(rows[j]))
         return best
 
     runs = np.arange(0, count, _CHUNK)
     run_bounds = bounds(runs, _CHUNK)
-    best = (math.inf, 0, lo)  # SSE, grid index, alpha
+    best = (math.inf, 0)  # SSE, grid index
     rest = []  # (first index, bound) of each bounded block not yet scored
     # runs in order of their bounds: each one's best block is scored, until
     # a run's bound exceeds the least SSE found
@@ -238,8 +241,7 @@ def _eq3_grid_min(d: np.ndarray, st: np.ndarray, ln_n: float, lo: float,
         best = scan(first[b:b + 1], best)
         rest.append((np.delete(first, b), np.delete(block_bounds, b)))
     first, block_bounds = map(np.concatenate, zip(*rest))
-    best = scan(np.sort(first[block_bounds <= best[0]]), best)
-    return best[0], best[2]
+    return scan(np.sort(first[block_bounds <= best[0]]), best)
 
 
 def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitResult:
@@ -247,7 +249,7 @@ def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitRes
 
     n_nodes is the network size the observations came from.  alpha_hat
     is the least SSE on the grid up to the cap of 40, refined; an optimum
-    on the cap warns that alpha_hat is the cap.
+    on the grid's last point warns that alpha_hat is the cap.
     """
     pts = _finite_points(points)
     if not pts:
@@ -266,8 +268,9 @@ def fit_alpha_eq3(points: Sequence[tuple[float, float]], n_nodes: int) -> FitRes
     st = np.array([s for _, s in pts])
     ln_n = math.log(n_nodes)
 
-    best_alpha = _eq3_grid_min(d, st, ln_n, _GRID_STEP, _ALPHA_CAP)[1]
-    if _ALPHA_CAP - best_alpha < _GRID_STEP / 2:
+    best = _eq3_grid_min(d, st, ln_n)[1]
+    best_alpha = _GRID_STEP + _GRID_STEP * best
+    if best == round(_ALPHA_CAP / _GRID_STEP) - 1:
         warnings.warn(
             f"alpha optimum hit the search cap {_ALPHA_CAP}; alpha_hat is "
             "the cap, not an optimum",

@@ -309,19 +309,18 @@ def check_route(path, src, dst, edges, shortest):
     assert len(path) - 1 >= shortest
 
 
-def eq3_grid_min(d, st_, ln_n, lo, hi):
-    """The least eq3 SSE on the alpha grid lo + 1e-4 * i over [lo, hi] and
-    the first grid alpha that reaches it, by scoring every grid point,
+def eq3_grid_min(d, st_, ln_n):
+    """The least eq3 SSE on the alpha grid 1e-4 + 1e-4 * i up to the cap
+    and the first index i that reaches it, by scoring every grid point,
     4,096 at a time."""
-    count = int(round((hi - lo) / ft._GRID_STEP)) + 1
     best_sse = math.inf
-    best_alpha = lo
+    best_index = 0
+    count = round(ft._ALPHA_CAP / ft._GRID_STEP)
     for start in range(0, count, 4096):
-        stop = min(start + 4096, count)
-        alphas = lo + ft._GRID_STEP * np.arange(start, stop)
-        sse = ft._eq3_sse_vector(alphas, d, st_, ln_n)
+        index = np.arange(start, min(start + 4096, count))
+        sse = ft._eq3_sse_vector(ft._GRID_STEP + ft._GRID_STEP * index, d, st_, ln_n)
         j = int(np.argmin(sse))
         if sse[j] < best_sse:
             best_sse = float(sse[j])
-            best_alpha = float(alphas[j])
-    return best_sse, best_alpha
+            best_index = int(index[j])
+    return best_sse, best_index

@@ -7,8 +7,10 @@ import argparse
 import hashlib
 import math
 import re
+import shlex
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,19 @@ def test_full_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "model: linear-theorem1" in out
     assert alpha_from(out) > 0
+
+
+def test_readme_command_block_runs(tmp_path, capsys, monkeypatch):
+    # every line of the README's Command line block, as written, in an
+    # empty directory; its linear fit needs the two simulated depths
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        prog, *argv = shlex.split(line)
+        assert prog == "routestretch"
+        assert main(argv) == 0, (line, capsys.readouterr())
+    assert "alpha_hat: 0.196495056\n" in capsys.readouterr().out
 
 
 def test_simulate_output_and_report_file(tmp_path, capsys):
@@ -250,6 +265,25 @@ def test_gen_rejects_an_option_its_topology_does_not_read(tmp_path, capsys, argv
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["ring"], "--n"),
+    (["grid"], "--rows, --cols"),
+    (["torus", "--rows", "4"], "--cols"),
+    (["random", "--n", "20", "--seed", "3"], "--p"),
+    (["random"], "--n, --p"),
+])
+def test_gen_rejects_a_missing_option_its_topology_needs(tmp_path, capsys, argv, missing):
+    out = tmp_path / "g.graph"
+    assert main(["gen", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: routestretch gen ")
+    assert captured.err.endswith(
+        f"routestretch gen: error: the {argv[0]} topology needs {missing}\n"
+    )
+    assert not out.exists()
+
+
 GRID_2X2 = ["--method", "grid", "--rows", "4", "--cols", "4", "--block-rows", "2",
             "--block-cols", "2"]
 
@@ -374,18 +408,18 @@ def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys, mon
     assert cli.DEFAULT_CURVE_SIZES == [10, 100, 1000, 10000, 100000]
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert main([]) == 1
     assert main(["bogus"]) == 1
     assert main(["gen", "ring", "--n", "8"]) == 1          # missing --out
     assert main(["fit", "--model", "nope", "--input", "x"]) == 1
     capsys.readouterr()
+    # generator parameter missing for the chosen topology
+    assert main(["gen", "ring", "--out", str(tmp_path / "g.graph")]) == 1
+    assert "the ring topology needs --n" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_2(tmp_path, capsys):
-    # generator parameter missing for the chosen topology
-    assert main(["gen", "ring", "--out", str(tmp_path / "g.graph")]) == 2
-    assert "ring topology needs n" in capsys.readouterr().err
     # corrupted graph file
     bad = tmp_path / "bad.graph"
     bad.write_text("n 3\n0 9\n")
@@ -414,6 +448,11 @@ def test_io_errors_exit_3(tmp_path, capsys):
         "simulate", "--graph", str(missing), "--hierarchy", str(missing),
     ]) == 3
     assert "I/O error" in capsys.readouterr().err
+    # validate's file check reads the same file: an I/O error, not a failed check
+    assert main(["validate", "--graph", str(missing), "--hierarchy", str(missing)]) == 3
+    out, err = capsys.readouterr()
+    assert out.count("PASS") == 7 and "FAIL" not in out
+    assert err == f"routestretch: I/O error: [Errno 2] No such file or directory: '{missing}'\n"
     assert main([
         "curve", "--n-nodes", "10", "--out", str(tmp_path / "no" / "dir" / "c.csv"),
     ]) == 3
@@ -519,6 +558,24 @@ def test_fit_eq3_from_csv(tmp_path, capsys):
         "fit", "--model", "eq3", "--input", str(pts), "--n-nodes", "10",
     ]) == 0
     assert abs(alpha_from(capsys.readouterr().out) - 0.987) <= 1e-4
+
+
+def test_fit_eq3_past_e_745_warns_only_of_the_cap(tmp_path, capsys):
+    # N = 10**400 with s_p - 1 = 1e306: the curve at m = inf is its limit
+    # +inf, where numpy once warned of inf * 0 three times
+    pts = tmp_path / "pts.csv"
+    pts.write_text("s_p,s_t\n1e306,0.5\n1.5,0.3\n")
+    argv = ["fit", "--model", "eq3", "--input", str(pts), "--n-nodes", str(10**400)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == (
+        "routestretch: warning: alpha optimum hit the search cap 40.0; "
+        "alpha_hat is the cap, not an optimum\n"
+    )
+    assert out == (
+        "model: eq3\nalpha_hat: 39.99999996\nresidual_sse: 0.3399929973\n"
+        "r_squared: -15.99964986\nn_points: 2\n"
+    )
 
 
 @pytest.mark.parametrize("model", ["linear", "ipea"])
@@ -695,6 +752,25 @@ def test_simulate_csv_onto_an_empty_file_writes_the_header(tmp_path, capsys):
     capsys.readouterr()
     assert main(["fit", "--model", "linear", "--input", str(csv)]) == 0
     assert alpha_from(capsys.readouterr().out) > 0
+
+
+def test_simulate_csv_ends_an_unended_last_line_first(tmp_path, capsys):
+    # a record once went onto the end of such a line: 0.6 read 0.68 and
+    # the new row was lost
+    graph, hier = tmp_path / "g.graph", tmp_path / "h.clusters"
+    fresh, csv = tmp_path / "fresh.csv", tmp_path / "out.csv"
+    header = "n,levels,method,s_p,s_t,mean_table,mean_hier,mean_short"
+    csv.write_text(f"{header}\n8,2,x,1.2,0.6")
+    main(["gen", "ring", "--n", "8", "--out", str(graph)])
+    main(["cluster", "--graph", str(graph), "--levels", "3", "--out", str(hier)])
+    for out in (fresh, csv):
+        assert main(["simulate", "--graph", str(graph), "--hierarchy", str(hier),
+                     "--csv", str(out)]) == 0
+    record = fresh.read_text().splitlines()[1]
+    assert csv.read_text() == f"{header}\n8,2,x,1.2,0.6\n{record}\n"
+    capsys.readouterr()
+    assert main(["fit", "--model", "linear", "--input", str(csv)]) == 0
+    assert "n_points: 2\n" in capsys.readouterr().out
 
 
 def test_curve_rejects_a_step_that_cannot_move_the_grid(tmp_path, capsys):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import eq3_grid_min
@@ -246,10 +246,6 @@ def test_fit_texts_are_frozen():
     )
 
 
-# the search range of fit_alpha_eq3: the whole grid up to the cap
-EQ3_RANGES = [(ft._GRID_STEP, ft._ALPHA_CAP)]
-
-
 @st.composite
 def eq3_points(draw):
     """1-20 (s_p, s_t) points, some with s_p = 1 or a few float steps
@@ -288,10 +284,12 @@ def counted_work(call):
 # the oracle scores all 400,000 grid alphas, 20-30 ms an example
 @settings(max_examples=100, deadline=None)
 @given(eq3_points())
+# past N = e**745 the curve at m = inf is its limit, not inf * 0 = NaN
+@example(([(1e306, 0.5), (1.5, 0.3)], 10**400))
 def test_eq3_grid_min_equals_scoring_every_grid_point(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the bounds raise no RuntimeWarning
-        args = eq3_arrays(*case) + EQ3_RANGES[0]
+        args = eq3_arrays(*case)
         assert ft._eq3_grid_min(*args) == eq3_grid_min(*args)
 
 
@@ -311,36 +309,35 @@ def test_eq3_fit_equals_the_fit_on_every_grid_point(case):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("search_range", EQ3_RANGES)
-def test_flat_eq3_grid_scores_every_point(search_range):
+def test_flat_eq3_grid_scores_every_point():
     # with every s_p = 1 the SSE is the same at every alpha, so no block
     # can be skipped and the first grid alpha wins the tie
-    lo, hi = search_range
-    args = (np.zeros(2), np.array([0.5, 2.0]), math.log(100), lo, hi)
+    args = (np.zeros(2), np.array([0.5, 2.0]), math.log(100))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, scored, _ = counted_work(lambda: ft._eq3_grid_min(*args))
-    assert got == eq3_grid_min(*args) == (1.25, lo)
-    assert scored == int(round((hi - lo) / ft._GRID_STEP)) + 1
+    assert got == eq3_grid_min(*args) == (1.25, 0)
+    assert scored == 400_000
 
 
 def test_eq3_grid_tie_goes_to_the_first_alpha():
     # with s_p - 1 = 1e-14, m = 1 + (s_p - 1)/alpha takes only a few float
-    # values over (20, 40], so the SSE is flat in runs; the least run
-    # starts at 20 on (20, 40] and at 18.0144 on the whole grid, away
-    # from the block with the least bound
-    for lo, hi, first in [(20.0, 40.0, 20.0), (*EQ3_RANGES[0], 18.014400000000002)]:
-        args = (np.array([1e-14]), np.array([2.0]), math.log(10), lo, hi)
-        assert ft._eq3_grid_min(*args) == eq3_grid_min(*args) == (1.0000000000000009, first)
+    # values at large alphas, so the SSE is flat in runs; the least run
+    # starts at 18.0144, away from the block with the least bound
+    args = (np.array([1e-14]), np.array([2.0]), math.log(10))
+    assert ft._eq3_grid_min(*args) == eq3_grid_min(*args) == (1.0000000000000009, 180_143)
+    assert ft._GRID_STEP + ft._GRID_STEP * 180_143 == 18.014400000000002
 
 
-def test_eq3_nan_bound_is_no_bound():
-    # past N = e**745 a point with s_p - 1 = 1e306 makes m = inf at small
-    # alphas, and its curve value inf * 0: a NaN bound must not skip a run
-    with np.errstate(invalid="ignore"):
+def test_eq3_bound_where_m_is_inf_is_inf():
+    # past N = e**745 a point with s_p - 1 = 1e306 makes m = inf at every
+    # alpha in [1e-4, 2e-4], where the curve is at its limit +inf, not
+    # the product inf * 0 = NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = ft._eq3_block_bounds(np.array([1e-4]), np.array([2e-4]),
                                    np.array([1e306]), np.array([0.5]), math.log(10**400))
-    assert got.tolist() == [0.0]
+    assert got.tolist() == [math.inf]
 
 
 def test_eq3_fit_scores_few_grid_points():
